@@ -31,28 +31,11 @@ let flag_value flag args =
    root spans in main.ml write into it; noop unless tracing is on. *)
 let trace = ref Stratrec_obs.Trace.noop
 
-(* The per-experiment registry, live only while main.ml is writing bench
-   artifacts (--out). [time] observes every timed thunk into its
-   bench.run_seconds histogram, so artifacts get latency percentiles with
-   no per-experiment plumbing; experiments that run the engine or the
-   aggregator also thread it in directly. *)
-let metrics = ref (Stratrec_obs.Registry.disabled ())
-
-(* Experiment-specific artifact fields (e.g. exp_par's scaling
-   efficiency), collected and cleared by main.ml around each
-   experiment. *)
-let report_fields : (string * Stratrec_util.Json.t) list ref = ref []
-let report_field name value = report_fields := !report_fields @ [ (name, value) ]
-
 (* Wall-clock seconds of a thunk. *)
 let time f =
   let start = Unix.gettimeofday () in
   let result = f () in
-  let elapsed = Unix.gettimeofday () -. start in
-  Stratrec_obs.Registry.observe
-    (Stratrec_obs.Registry.histogram !metrics "bench.run_seconds")
-    elapsed;
-  (elapsed, result)
+  (Unix.gettimeofday () -. start, result)
 
 let mean_over_runs ~runs f =
   let samples = Array.init runs (fun i -> f (Rng.create (1000 + i))) in

@@ -216,8 +216,13 @@ let online_vs_offline () =
             ~aggregation:Workforce.Max_case ~available matrix
         in
         let session =
-          Stratrec.Stream_aggregator.create ~inversion_rule:`Paper_equality ~strategies
-            ~workforce:available ()
+          Stratrec.Stream_aggregator.create
+            ~config:
+              {
+                Stratrec.Aggregator.default_config with
+                Stratrec.Aggregator.inversion_rule = `Paper_equality;
+              }
+            ~strategies ~workforce:available ()
         in
         Array.iter (fun d -> ignore (Stratrec.Stream_aggregator.submit session d)) requests;
         offline_total :=

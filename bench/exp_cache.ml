@@ -13,7 +13,6 @@
 module Model = Stratrec_model
 module Obs = Stratrec_obs
 module Rng = Stratrec_util.Rng
-module Json = Stratrec_util.Json
 module Tabular = Stratrec_util.Tabular
 module Engine = Stratrec.Engine
 module C = Stratrec.Triage_cache
@@ -129,8 +128,6 @@ let run () =
   let t = Tabular.create ~columns:[ "cache"; "seconds"; "speedup"; "hit_ratio"; "identical" ] in
   let baseline_seconds = ref 0. in
   let baseline_fingerprint = ref None in
-  let default_speedup = ref 1. in
-  let final_hit_ratio = ref 0. in
   List.iter
     (fun cache ->
       let samples =
@@ -162,10 +159,6 @@ let run () =
         | Some s ->
             let total = s.C.hits + s.C.misses in
             let r = if total = 0 then 0. else float_of_int s.C.hits /. float_of_int total in
-            if cache = Some C.default_config then begin
-              default_speedup := !baseline_seconds /. seconds;
-              final_hit_ratio := r
-            end;
             Printf.sprintf "%.3f" r
       in
       Tabular.add_row t
@@ -178,11 +171,6 @@ let run () =
         ])
     [ None; Some { C.capacity = max 2 (shapes / 4) }; Some C.default_config ];
   Bench_common.print_table ~title:"triage wall-clock by cache policy" t;
-  (* Artifact fields: informational (the diff gate does not threshold
-     extra fields — speedup depends on the machine and the smoke-mode
-     workload is too small to show the full-run gain). *)
-  Bench_common.report_field "cache_speedup_default" (Json.Number !default_speedup);
-  Bench_common.report_field "cache_hit_ratio_default" (Json.Number !final_hit_ratio);
   print_endline
     "Expected shape: every cached row identical to the uncached baseline; the default\n\
      capacity converges to the Zipf head's hit ratio and beats the uncached run on\n\

@@ -6,8 +6,7 @@
    (retry, fallback, re-triage, circuit breaker) and reports how the
    batch degraded: completed vs. rejected deployments, attempts spent,
    faults injected and breaker trips. The seed is fixed, so the table is
-   reproducible run to run; `make chaos` runs one traced smoke iteration
-   of exactly this experiment. *)
+   reproducible run to run. *)
 
 module Tabular = Stratrec_util.Tabular
 module Rng = Stratrec_util.Rng
@@ -55,11 +54,7 @@ let run_plan ~n ~m faults =
       ~strategies ~requests ()
   with
   | Error e -> failwith (Engine.error_message e)
-  | Ok report ->
-      (* Fold the plan's run into the harness registry so the bench
-         artifact sees the engine histograms across every fault plan. *)
-      Obs.Registry.absorb !Bench_common.metrics report.Engine.metrics;
-      report
+  | Ok report -> report
 
 let run () =
   Bench_common.section "Chaos - resilient deployment under fault injection";

@@ -34,7 +34,7 @@ let table1 () =
     (Model.Paper_example.strategies ());
   Bench_common.print_table ~title:"Table 1 entities" t;
   let report =
-    Stratrec.Aggregator.run ~metrics:!Bench_common.metrics ~trace:!Bench_common.trace
+    Stratrec.Aggregator.run ~trace:!Bench_common.trace
       ~availability:(Model.Paper_example.availability ())
       ~strategies:(Model.Paper_example.strategies ())
       ~requests:(Model.Paper_example.requests ())

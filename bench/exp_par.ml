@@ -13,7 +13,6 @@
 module Model = Stratrec_model
 module Obs = Stratrec_obs
 module Pool = Stratrec_par.Pool
-module Json = Stratrec_util.Json
 module Tabular = Stratrec_util.Tabular
 
 let domain_counts = [ 1; 2; 4 ]
@@ -92,8 +91,6 @@ let run () =
   let t = Tabular.create ~columns:[ "domains"; "seconds"; "speedup"; "identical" ] in
   let baseline_seconds = ref 0. in
   let baseline_fingerprint = ref None in
-  let last_domains = ref 1 in
-  let last_seconds = ref 0. in
   List.iter
     (fun domains ->
       let samples = List.init runs (fun _ -> one_run ~domains ~n ~m ~k ~w) in
@@ -117,8 +114,6 @@ let run () =
             end;
             "yes"
       in
-      last_domains := domains;
-      last_seconds := seconds;
       Tabular.add_row t
         [
           string_of_int domains;
@@ -128,14 +123,6 @@ let run () =
         ])
     domain_counts;
   Bench_common.print_table ~title:"triage wall-clock by domain count" t;
-  (* Artifact field: speedup-per-domain at the widest point of the sweep
-     (1.0 = perfect linear scaling). Informational — the bench diff gate
-     does not threshold extra fields, since efficiency depends on the
-     machine's free cores. *)
-  if !last_seconds > 0. then
-    Bench_common.report_field "domain_scaling_efficiency"
-      (Json.Number
-         (!baseline_seconds /. !last_seconds /. float_of_int !last_domains));
   print_endline
     "Expected shape: every row identical to the baseline; speedup >= 2x at 4 domains\n\
      on the full-size workload given >= 4 cores (on fewer cores the extra domains\n\

@@ -40,50 +40,35 @@ let submit_lines rng ~m =
       | Json.Object fields -> Json.to_string (Json.Object (("op", Json.String "submit") :: fields))
       | _ -> assert false)
 
-(* Socket mix: two tenants under an 80/20 Zipf-style skew — acme is
-   the head, beta the tail — so the per-tenant window families diverge
-   and the labeled p99 extras measure distinct populations. *)
-let submit_lines_skewed rng ~m =
-  List.init m (fun i ->
-      let tenant = if Rng.uniform rng ~lo:0. ~hi:1. < 0.8 then "acme" else "beta" in
-      let params =
-        Model.Params.make
-          ~quality:(Rng.uniform rng ~lo:0.5 ~hi:1.)
-          ~cost:(Rng.uniform rng ~lo:0. ~hi:0.6)
-          ~latency:(Rng.uniform rng ~lo:0. ~hi:0.6)
-      in
-      let request = Request.make ~id:(i + 1) ~tenant ~params ~k:2 () in
-      match Request.to_json request with
-      | Json.Object fields -> Json.to_string (Json.Object (("op", Json.String "submit") :: fields))
-      | _ -> assert false)
-
 let drain_line line = Json.to_string (Json.Object [ ("op", Json.String line) ])
 
-let run_stream ~n ~epoch_requests lines =
-  let rng = Rng.create 2020 in
-  let strategies = Model.Workload.strategies rng ~n ~kind:Model.Workload.Uniform in
+(* A fresh daemon over the fixed n-strategy catalog, tracing into the
+   harness trace; [config] overrides the serving defaults per sweep. *)
+let create_daemon ~n config =
+  let strategies = Model.Workload.strategies (Rng.create 2020) ~n ~kind:Model.Workload.Uniform in
   let config =
-    {
-      Serve.Daemon.engine = Engine.(with_trace default_config !Bench_common.trace);
-      queue_capacity = max 64 epoch_requests;
-      epoch_requests;
-      max_line = Serve.Protocol.default_max_line;
-      window_seconds = Serve.Daemon.default_config.Serve.Daemon.window_seconds;
-      slos = [];
-      quotas = [];
-      brownout = Serve.Daemon.default_config.Serve.Daemon.brownout;
-      drain_timeout_seconds = 30.;
-      tenant_windows = Serve.Daemon.default_config.Serve.Daemon.tenant_windows;
-      flight_dir = None;
-      flight_slots = Serve.Daemon.default_config.Serve.Daemon.flight_slots;
-    }
+    { config with Serve.Daemon.engine = Engine.(with_trace default_config !Bench_common.trace) }
   in
+  match
+    Serve.Daemon.create ~config ~availability:(Model.Availability.certain 0.75) ~strategies ()
+  with
+  | Ok daemon -> daemon
+  | Error e -> failwith (Engine.error_message e)
+
+(* p99 of the daemon's own serve.queue_wait_seconds histogram. *)
+let queue_wait_p99 daemon =
+  match Obs.Snapshot.find (Serve.Daemon.metrics daemon) "serve.queue_wait_seconds" with
+  | Some (Obs.Snapshot.Histogram h) -> Obs.Snapshot.histogram_quantile h 0.99
+  | _ -> 0.
+
+let run_stream ~n ~epoch_requests lines =
   let daemon =
-    match
-      Serve.Daemon.create ~config ~availability:(Model.Availability.certain 0.75) ~strategies ()
-    with
-    | Ok daemon -> daemon
-    | Error e -> failwith (Engine.error_message e)
+    create_daemon ~n
+      {
+        Serve.Daemon.default_config with
+        queue_capacity = max 64 epoch_requests;
+        epoch_requests;
+      }
   in
   let completed = ref 0 and accepted = ref 0 in
   let feed line =
@@ -102,128 +87,29 @@ let run_stream ~n ~epoch_requests lines =
   assert (Serve.Daemon.queue_depth daemon = 0);
   (daemon, !accepted, !completed)
 
-(* Socket load generator: the same stream pushed end-to-end through the
-   select server and the line-pump client over a Unix domain socket —
-   covering transport buffering, response writes and the GET endpoints
-   (health, slo, metrics), not just handle_line. The server runs in its
-   own domain; the pump is the same Server.client the --connect CLI
-   mode uses, fed from temp-file channels because the container has no
-   nc/socat. *)
-let run_socket ~n ~epoch_requests lines =
-  let rng = Rng.create 2020 in
-  let strategies = Model.Workload.strategies rng ~n ~kind:Model.Workload.Uniform in
-  let slo =
-    match Obs.Slo.spec_of_string "name=e2e;target=0.75" with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let config =
-    {
-      Serve.Daemon.engine = Engine.(with_trace default_config !Bench_common.trace);
-      queue_capacity = max 64 (List.length lines);
-      epoch_requests;
-      max_line = Serve.Protocol.default_max_line;
-      window_seconds = 60.;
-      slos = [ slo ];
-      quotas = [];
-      brownout = Serve.Daemon.default_config.Serve.Daemon.brownout;
-      drain_timeout_seconds = 30.;
-      tenant_windows = Serve.Daemon.default_config.Serve.Daemon.tenant_windows;
-      flight_dir = None;
-      flight_slots = Serve.Daemon.default_config.Serve.Daemon.flight_slots;
-    }
-  in
-  let daemon =
-    match
-      Serve.Daemon.create ~config ~availability:(Model.Availability.certain 0.75) ~strategies ()
-    with
-    | Ok daemon -> daemon
-    | Error e -> failwith (Engine.error_message e)
-  in
-  let socket_path = Filename.temp_file "stratrec-bench" ".sock" in
-  let transport = Serve.Server.Unix_socket socket_path in
-  let server = Domain.spawn (fun () -> Serve.Server.serve ~daemon transport) in
-  let in_path = Filename.temp_file "stratrec-bench" ".in" in
-  let out_path = Filename.temp_file "stratrec-bench" ".out" in
-  let oc = open_out in_path in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    (lines @ [ drain_line "flush"; "GET health"; "GET slo"; "GET metrics"; drain_line "shutdown" ]);
-  close_out oc;
-  (* the server domain may still be binding: retry the dial briefly *)
-  let rec pump attempts =
-    let ic = open_in in_path and oc = open_out out_path in
-    let result = Serve.Server.client transport ic oc in
-    close_in ic;
-    close_out oc;
-    match result with
-    | Ok () -> ()
-    | Error e ->
-        if attempts <= 0 then failwith ("bench socket client: " ^ e)
-        else begin
-          Unix.sleepf 0.02;
-          pump (attempts - 1)
-        end
-  in
-  let elapsed, () = Bench_common.time (fun () -> pump 200) in
-  (match Domain.join server with
-  | Ok () -> ()
-  | Error e -> failwith ("bench socket server: " ^ e));
-  (try Sys.remove in_path with Sys_error _ -> ());
-  let transcript = In_channel.with_open_text out_path In_channel.input_lines in
-  (try Sys.remove out_path with Sys_error _ -> ());
-  let contains needle haystack =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let count needle = List.length (List.filter (contains needle) transcript) in
-  (daemon, elapsed, count {|"status":"completed"|}, count {|"status":"health"|} + count {|"status":"slo"|} + count "# EOF")
-
 (* Overload sweep: offered load at 1x/2x/4x the queue capacity with the
    brownout ladder live and epochs closing only on flush, so the queue
    genuinely saturates and the ladder walks. One low-priority tenant
    (delta, weight 0.5) exists to be shed at the top rung. Reported per
    row: accepted / queue-full / shed counts, the rung reached, and the
-   p99 queue wait — shed rate and p99 at 4x feed the regression
-   baseline. *)
+   p99 queue wait. *)
 let run_overload ~n ~mult =
-  let rng = Rng.create 2020 in
-  let strategies = Model.Workload.strategies rng ~n ~kind:Model.Workload.Uniform in
   let capacity = 32 in
-  let offered = capacity * mult in
   let quotas =
     match Serve.Admission.quota_of_string "tenant=delta;weight=0.5" with
     | Ok q -> [ q ]
     | Error e -> failwith e
   in
-  let config =
-    {
-      Serve.Daemon.engine = Engine.(with_trace default_config !Bench_common.trace);
-      queue_capacity = capacity;
-      epoch_requests = 2 * capacity;
-      max_line = Serve.Protocol.default_max_line;
-      window_seconds = 60.;
-      slos = [];
-      quotas;
-      brownout = Serve.Daemon.default_config.Serve.Daemon.brownout;
-      drain_timeout_seconds = 30.;
-      tenant_windows = Serve.Daemon.default_config.Serve.Daemon.tenant_windows;
-      flight_dir = None;
-      flight_slots = Serve.Daemon.default_config.Serve.Daemon.flight_slots;
-    }
-  in
   let daemon =
-    match
-      Serve.Daemon.create ~config ~availability:(Model.Availability.certain 0.75) ~strategies ()
-    with
-    | Ok daemon -> daemon
-    | Error e -> failwith (Engine.error_message e)
+    create_daemon ~n
+      {
+        Serve.Daemon.default_config with
+        queue_capacity = capacity;
+        epoch_requests = 2 * capacity;
+        quotas;
+      }
   in
   let accepted = ref 0 and full = ref 0 and shed = ref 0 and completed = ref 0 in
-  let shed_delta = ref 0 in
   let feed line =
     let responses, _ = Serve.Daemon.handle_line daemon ~client:0 line in
     List.iter
@@ -231,20 +117,18 @@ let run_overload ~n ~mult =
         match response with
         | Serve.Protocol.Accepted _ -> incr accepted
         | Serve.Protocol.Queue_full _ -> incr full
-        | Serve.Protocol.Overloaded { tenant; _ } ->
-            incr shed;
-            if String.equal tenant "delta" then incr shed_delta
+        | Serve.Protocol.Overloaded _ -> incr shed
         | Serve.Protocol.Completed _ -> incr completed
         | _ -> ())
       responses
   in
-  List.iter feed (submit_lines (Rng.create (13 + mult)) ~m:offered);
+  List.iter feed (submit_lines (Rng.create (13 + mult)) ~m:(capacity * mult));
   let rung = Serve.Daemon.brownout_rung daemon in
   feed (drain_line "flush");
   feed (drain_line "flush");
   feed (drain_line "shutdown");
   assert (Serve.Daemon.queue_depth daemon = 0);
-  (daemon, offered, !accepted, !full, !shed, !shed_delta, !completed, rung)
+  (daemon, !accepted, !full, !shed, !completed, rung)
 
 let run () =
   Bench_common.section "Serve - daemon throughput under admission control";
@@ -261,18 +145,7 @@ let run () =
       let elapsed, (daemon, accepted, completed) =
         Bench_common.time (fun () -> run_stream ~n ~epoch_requests lines)
       in
-      let snapshot = Serve.Daemon.metrics daemon in
-      Obs.Registry.absorb !Bench_common.metrics snapshot;
-      let p99 =
-        match Obs.Snapshot.find snapshot "serve.queue_wait_seconds" with
-        | Some (Obs.Snapshot.Histogram h) -> Obs.Snapshot.histogram_quantile h 0.99
-        | _ -> 0.
-      in
       let rps = if elapsed > 0. then float_of_int m /. elapsed else 0. in
-      if epoch_requests = 8 then begin
-        Bench_common.report_field "serve_requests_per_second" (Json.Number rps);
-        Bench_common.report_field "serve_queue_wait_p99_seconds" (Json.Number p99)
-      end;
       Tabular.add_row t
         [
           string_of_int epoch_requests;
@@ -280,34 +153,10 @@ let run () =
           string_of_int accepted;
           string_of_int completed;
           Printf.sprintf "%.0f" rps;
-          Printf.sprintf "%.6f" p99;
+          Printf.sprintf "%.6f" (queue_wait_p99 daemon);
         ])
     (Bench_common.values [ 8; 4; 16; 64 ]);
   Bench_common.print_table ~title:"epoch fill vs. throughput" t;
-  (* end-to-end over the socket transport, with the 80/20 tenant skew *)
-  let m_socket = max 8 (Bench_common.scale 500) in
-  let socket_lines = submit_lines_skewed (Rng.create 11) ~m:m_socket in
-  let daemon, elapsed, completed, probes = run_socket ~n ~epoch_requests:8 socket_lines in
-  let snapshot = Serve.Daemon.metrics daemon in
-  Obs.Registry.absorb !Bench_common.metrics snapshot;
-  let window_gauge name =
-    match Obs.Snapshot.find snapshot name with Some (Obs.Snapshot.Gauge v) -> v | _ -> 0.
-  in
-  let socket_rps = if elapsed > 0. then float_of_int m_socket /. elapsed else 0. in
-  Bench_common.report_field "serve_socket_requests_per_second" (Json.Number socket_rps);
-  Bench_common.report_field "serve_e2e_window_p99_seconds"
-    (Json.Number (window_gauge "serve.e2e_seconds.window.p99"));
-  Bench_common.report_field "serve_queue_wait_window_p99_seconds"
-    (Json.Number (window_gauge "serve.queue_wait_seconds.window.p99"));
-  let tenant_p99 tenant =
-    Obs.Snapshot.gauge_value ~labels:[ ("tenant", tenant) ] snapshot "serve.e2e_seconds.window.p99"
-  in
-  Bench_common.report_field "serve_tenant_acme_e2e_p99_seconds" (Json.Number (tenant_p99 "acme"));
-  Bench_common.report_field "serve_tenant_beta_e2e_p99_seconds" (Json.Number (tenant_p99 "beta"));
-  Printf.printf
-    "\nsocket transport: %d requests pumped end-to-end (%d completed, %d endpoint probes \
-     answered), %.0f req/s, 80/20 acme/beta skew\n"
-    m_socket completed probes socket_rps;
   (* overload sweep: shed rate and p99 vs offered load *)
   let t =
     Tabular.create
@@ -316,25 +165,7 @@ let run () =
   in
   List.iter
     (fun mult ->
-      let daemon, offered, accepted, full, shed, shed_delta, completed, rung =
-        run_overload ~n ~mult
-      in
-      let snapshot = Serve.Daemon.metrics daemon in
-      Obs.Registry.absorb !Bench_common.metrics snapshot;
-      let p99 =
-        match Obs.Snapshot.find snapshot "serve.queue_wait_seconds" with
-        | Some (Obs.Snapshot.Histogram h) -> Obs.Snapshot.histogram_quantile h 0.99
-        | _ -> 0.
-      in
-      if mult = 4 then begin
-        Bench_common.report_field "serve_overload_shed_rate"
-          (Json.Number (float_of_int shed /. float_of_int offered));
-        (* delta is the weight-0.5 tenant the ladder sheds first: its
-           share of the offered stream is 1/4 (round-robin tenants) *)
-        Bench_common.report_field "serve_overload_delta_shed_rate"
-          (Json.Number (float_of_int shed_delta /. float_of_int (offered / 4)));
-        Bench_common.report_field "serve_overload_p99_seconds" (Json.Number p99)
-      end;
+      let daemon, accepted, full, shed, completed, rung = run_overload ~n ~mult in
       Tabular.add_row t
         [
           Printf.sprintf "%dx" mult;
@@ -343,8 +174,7 @@ let run () =
           string_of_int shed;
           string_of_int completed;
           string_of_int rung;
-          Printf.sprintf "%.6f" p99;
-        ];
-      ignore accepted)
+          Printf.sprintf "%.6f" (queue_wait_p99 daemon);
+        ])
     [ 1; 2; 4 ];
   Bench_common.print_table ~title:"overload sweep: offered load vs. shedding" t

@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md for the experiment index) and finishes with
-   Bechamel micro-benchmarks of each experiment's kernel.
+   Bechamel micro-benchmarks of each experiment's kernel. Performance
+   regressions are gated by perfbench/, not here.
 
    Usage:
      dune exec bench/main.exe                  full run
@@ -8,13 +9,7 @@
      dune exec bench/main.exe -- --smoke       one tiny iteration of each sweep (CI)
      dune exec bench/main.exe -- --only fig17  a single experiment
      dune exec bench/main.exe -- --csv out/    also write each table as CSV
-     dune exec bench/main.exe -- --trace f.json  write a Chrome trace of the run
-     dune exec bench/main.exe -- --out DIR     write BENCH_<exp>.json artifacts
-     dune exec bench/main.exe -- --out DIR --baseline BASE
-                                               ...and diff each artifact against
-                                               BASE/BENCH_<exp>.json (exit 1 on
-                                               regression — `make bench-check`)
-     dune exec bench/main.exe -- diff OLD NEW  compare two artifacts *)
+     dune exec bench/main.exe -- --trace f.json  write a Chrome trace of the run *)
 
 module Obs = Stratrec_obs
 
@@ -34,7 +29,17 @@ let experiments =
     ("bechamel", Bechamel_suite.run);
   ]
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+let usage =
+  "usage: stratrec-bench [--quick | --smoke] [--only EXPERIMENT] [--csv DIR] [--trace FILE]"
+
+(* The first argument that is not one of the flags above (or a flag
+   missing its value): anything unrecognised is a usage error rather than
+   being ignored into a silent full run. *)
+let rec unexpected = function
+  | [] -> None
+  | ("--quick" | "--smoke") :: rest | ("--only" | "--csv" | "--trace") :: _ :: rest ->
+      unexpected rest
+  | arg :: _ -> Some arg
 
 let run_harness args =
   if List.mem "--quick" args then Bench_common.quick := true;
@@ -47,17 +52,9 @@ let run_harness args =
   if Option.is_some trace_path then Bench_common.trace := Obs.Trace.create ();
   (match Bench_common.flag_value "--csv" args with
   | Some dir ->
-      ensure_dir dir;
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       Bench_common.csv_dir := Some dir
   | None -> ());
-  let out_dir = Bench_common.flag_value "--out" args in
-  let baseline_dir = Bench_common.flag_value "--baseline" args in
-  (match (baseline_dir, out_dir) with
-  | Some _, None ->
-      prerr_endline "--baseline requires --out (artifacts to compare)";
-      exit 2
-  | _ -> ());
-  Option.iter ensure_dir out_dir;
   let to_run =
     match Bench_common.flag_value "--only" args with
     | None -> experiments
@@ -69,30 +66,8 @@ let run_harness args =
               (String.concat ", " (List.map fst experiments));
             exit 2)
   in
-  let artifacts =
-    List.filter_map
-      (fun (name, run) ->
-        if Option.is_some out_dir then Bench_common.metrics := Obs.Registry.create ();
-        Bench_common.report_fields := [];
-        let before = Report.gc_capture () in
-        let started = Unix.gettimeofday () in
-        Obs.Trace.span !Bench_common.trace ("bench." ^ name) run;
-        let wall_seconds = Unix.gettimeofday () -. started in
-        let after = Report.gc_capture () in
-        Option.map
-          (fun dir ->
-            let path =
-              Report.write ~dir ~experiment:name ~wall_seconds
-                ~gc:(Report.gc_delta ~before ~after)
-                ~snapshot:(Obs.Registry.snapshot !Bench_common.metrics)
-                ~extra:!Bench_common.report_fields
-            in
-            Printf.printf "\nwrote %s\n" path;
-            (name, path))
-          out_dir)
-      to_run
-  in
-  (match trace_path with
+  List.iter (fun (name, run) -> Obs.Trace.span !Bench_common.trace ("bench." ^ name) run) to_run;
+  match trace_path with
   | None -> ()
   | Some path -> (
       let trace = !Bench_common.trace in
@@ -104,24 +79,12 @@ let run_harness args =
         Printf.printf "\nwrote %d trace spans to %s\n" (Obs.Trace.span_count trace) path
       with Sys_error message ->
         Printf.eprintf "cannot write trace: %s\n" message;
-        exit 1));
-  match baseline_dir with
-  | None -> ()
-  | Some base ->
-      let failed =
-        (* fold, not exists: every diff prints even after a failure *)
-        List.fold_left
-          (fun acc (name, new_path) ->
-            let old_path = Report.artifact_path ~dir:base name in
-            Printf.printf "\n== bench diff %s ==\n" name;
-            let bad = Report.diff_files ~old_path ~new_path <> 0 in
-            bad || acc)
-          false artifacts
-      in
-      if failed then exit 1
+        exit 1)
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "diff" :: rest -> exit (Report.diff_main rest)
-  | _ :: args -> run_harness args
-  | [] -> ()
+  let args = List.tl (Array.to_list Sys.argv) in
+  match unexpected args with
+  | Some arg ->
+      Printf.eprintf "stratrec-bench: unexpected argument %S\n%s\n" arg usage;
+      exit 2
+  | None -> run_harness args

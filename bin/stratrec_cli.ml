@@ -338,7 +338,9 @@ let recommend_cmd =
     Arg.(value & opt int 10 & info [ "m"; "requests" ] ~docv:"M" ~doc:"Batch size.")
   in
   let w_arg =
-    Arg.(value & opt float 0.75 & info [ "w"; "workforce" ] ~docv:"W" ~doc:"Available workforce in [0,1].")
+    Arg.(value
+         & opt Stratrec_conv.workforce 0.75
+         & info [ "w"; "workforce" ] ~docv:"W" ~doc:"Available workforce in [0,1].")
   in
   Cmd.v
     (Cmd.info "recommend" ~doc:"Batch deployment recommendation on a synthetic catalog")

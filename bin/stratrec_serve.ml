@@ -47,7 +47,7 @@ let catalog_arg =
 
 let workforce_arg =
   let doc = "Available workforce in [0,1] (the availability estimate epochs run at)." in
-  Arg.(value & opt float 0.75 & info [ "w"; "workforce" ] ~docv:"W" ~doc)
+  Arg.(value & opt Stratrec_conv.workforce 0.75 & info [ "w"; "workforce" ] ~docv:"W" ~doc)
 
 let objective_arg =
   let doc = "Platform goal: throughput or payoff." in

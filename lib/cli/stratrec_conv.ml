@@ -30,6 +30,20 @@ let dist_kind =
       let of_string = Stratrec_model.Workload.dist_kind_of_string
     end)
 
+let workforce =
+  of_stringable
+    (module struct
+      type t = float
+
+      let to_string = Float.to_string
+
+      (* Written so nan fails the range check too. *)
+      let of_string s =
+        match float_of_string_opt s with
+        | Some v when v >= 0. && v <= 1. -> Ok v
+        | _ -> Error (Printf.sprintf "invalid workforce %S: expected a number in [0,1]" s)
+    end)
+
 let request = of_stringable (module Stratrec.Request)
 
 let slo =

@@ -43,6 +43,10 @@ val fault : Stratrec_resilience.Fault.t Cmdliner.Arg.conv
 val dist_kind : Stratrec_model.Workload.dist_kind Cmdliner.Arg.conv
 (** [uniform] / [normal] ({!Stratrec_model.Workload}). *)
 
+val workforce : float Cmdliner.Arg.conv
+(** The available-workforce fraction [W]: a number in [0,1] (nan is
+    rejected), the value {!Stratrec_model.Availability.certain} accepts. *)
+
 val request : Stratrec.Request.t Cmdliner.Arg.conv
 (** The compact request spelling
     [id=3;tenant=acme;params=0.9,0.2,0.3;k=5;deadline=24]

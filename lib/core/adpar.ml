@@ -47,12 +47,9 @@ let covers ~alternative s =
    the optimal relaxation triple (x, y, z) has x among the distinct quality
    relaxations (plus 0), y among the cost relaxations of strategies eligible
    at x, and z the k-th smallest latency relaxation of the strategies
-   eligible at (x, y). The objective is wq*x^2 + wc*y^2 + wl*z^2 with
-   non-negative axis weights (all 1 for the paper's plain L2); weights
-   rescale but never reorder the per-axis candidate values, so the same
-   sweep remains exact. Returns the best triple, or None when n < k. *)
-let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(wq = 1.) ?(wc = 1.) ?(wl = 1.) ~k
-    relax =
+   eligible at (x, y). The objective is the paper's plain L2,
+   x^2 + y^2 + z^2. Returns the best triple, or None when n < k. *)
+let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k relax =
   let sweep_events = Obs.Registry.counter metrics "adpar.sweep_events_total" in
   let prune_cutoffs = Obs.Registry.counter metrics "adpar.prune_cutoffs_total" in
   let n = Array.length relax in
@@ -75,7 +72,7 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(wq = 1.) ?(wc = 1.) 
     let best_sq = ref infinity in
     let best = ref None in
     let consider x y z =
-      let sq = (wq *. x *. x) +. (wc *. y *. y) +. (wl *. z *. z) in
+      let sq = (x *. x) +. (y *. y) +. (z *. z) in
       if sq < !best_sq then begin
         best_sq := sq;
         best := Some (x, y, z)
@@ -86,7 +83,7 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(wq = 1.) ?(wc = 1.) 
     let rec quality_sweep = function
       | [] -> ()
       | x :: rest ->
-          if (not prune) || wq *. x *. x < !best_sq then begin
+          if (not prune) || x *. x < !best_sq then begin
             let tracker = Kselect.Tracker.create ~cmp:Float.compare k in
             (let exception Break in
              try
@@ -96,7 +93,7 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(wq = 1.) ?(wc = 1.) 
                    if r.quality <= x then begin
                      Obs.Registry.incr sweep_events;
                      let y = r.cost in
-                     if prune && (wq *. x *. x) +. (wc *. y *. y) >= !best_sq then begin
+                     if prune && (x *. x) +. (y *. y) >= !best_sq then begin
                        Obs.Registry.incr prune_cutoffs;
                        raise Break
                      end;
@@ -166,31 +163,6 @@ let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = tru
   if Option.is_none result then
     Obs.Registry.incr (Obs.Registry.counter metrics "adpar.no_alternative_total");
   result
-
-type weights = { quality_weight : float; cost_weight : float; latency_weight : float }
-
-let uniform_weights = { quality_weight = 1.; cost_weight = 1.; latency_weight = 1. }
-
-let exact_weighted ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?k ~weights
-    ~strategies request =
-  let { quality_weight = wq; cost_weight = wc; latency_weight = wl } = weights in
-  if wq < 0. || wc < 0. || wl < 0. then
-    invalid_arg "Adpar.exact_weighted: negative weight";
-  if wq = 0. && wc = 0. && wl = 0. then
-    invalid_arg "Adpar.exact_weighted: all weights zero";
-  let k = Option.value k ~default:request.Deployment.k in
-  if k < 1 then invalid_arg "Adpar.exact_weighted: k must be >= 1";
-  Obs.Registry.incr (Obs.Registry.counter metrics "adpar.calls_total");
-  Obs.Trace.span trace "adpar.exact_weighted" ~attrs:[ ("k", Obs.Trace.Int k) ]
-  @@ fun () ->
-  let relax =
-    Obs.Trace.span trace "adpar.relaxations" (fun () -> relaxations_of ~strategies request)
-  in
-  Obs.Trace.span trace "adpar.sweep" (fun () -> search ~metrics ~wq ~wc ~wl ~k relax)
-  |> Option.map (fun ((x, y, z) as triple) ->
-         Obs.Trace.span trace "adpar.select" @@ fun () ->
-         let result = build_result ~k ~strategies request triple in
-         { result with distance = sqrt ((wq *. x *. x) +. (wc *. y *. y) +. (wl *. z *. z)) })
 
 let axis_value r = function
   | Params.Quality -> r.quality

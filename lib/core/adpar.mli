@@ -82,32 +82,6 @@ val exact_with_trace :
   ?k:int -> strategies:Stratrec_model.Strategy.t array -> Stratrec_model.Deployment.t ->
   (result * trace) option
 
-(** {1 Weighted variant (extension)}
-
-    Requesters rarely value the three axes equally — a fixed-budget
-    campaign hates cost relaxations but tolerates latency. The weighted
-    objective minimizes [wq*dq^2 + wc*dc^2 + wl*dl^2]; the candidate space
-    of Lemma 1/2 is unchanged (weights rescale, they do not reorder the
-    per-axis candidate sets), so the same sweep stays exact — validated
-    against a weighted brute force in the tests. *)
-
-type weights = { quality_weight : float; cost_weight : float; latency_weight : float }
-
-val uniform_weights : weights
-(** All 1 — [exact_weighted ~weights:uniform_weights] equals {!exact}. *)
-
-val exact_weighted :
-  ?metrics:Stratrec_obs.Registry.t ->
-  ?trace:Stratrec_obs.Trace.t ->
-  ?k:int ->
-  weights:weights ->
-  strategies:Stratrec_model.Strategy.t array ->
-  Stratrec_model.Deployment.t ->
-  result option
-(** [result.distance] is the {e weighted} distance
-    [sqrt (wq*dq^2 + wc*dc^2 + wl*dl^2)].
-    @raise Invalid_argument if any weight is negative or all are zero. *)
-
 val relaxations_of :
   strategies:Stratrec_model.Strategy.t array -> Stratrec_model.Deployment.t ->
   relaxation array

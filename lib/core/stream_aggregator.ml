@@ -29,20 +29,13 @@ let count t name = Obs.Registry.incr (Obs.Registry.counter t.metrics name)
 let set_pool_gauge t =
   Obs.Registry.set (Obs.Registry.gauge t.metrics "stream.pool_workforce") t.pool
 
-let create ?aggregation ?inversion_rule ?config ?(metrics = Obs.Registry.noop)
+let create ?(config = Aggregator.default_config) ?(metrics = Obs.Registry.noop)
     ?(trace = Obs.Trace.noop) ~strategies ~workforce () =
   if workforce < 0. then invalid_arg "Stream_aggregator.create: negative workforce";
-  let aggregation, inversion_rule =
-    match config with
-    | Some c -> (c.Aggregator.aggregation, c.Aggregator.inversion_rule)
-    | None ->
-        ( Option.value aggregation ~default:Workforce.Max_case,
-          Option.value inversion_rule ~default:`Direction_aware )
-  in
   let t =
     {
-      aggregation;
-      inversion_rule;
+      aggregation = config.Aggregator.aggregation;
+      inversion_rule = config.Aggregator.inversion_rule;
       catalog = strategies;
       metrics;
       trace;

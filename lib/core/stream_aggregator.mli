@@ -26,8 +26,6 @@ type decision =
   | Duplicate  (** a request with this id is already active *)
 
 val create :
-  ?aggregation:Stratrec_model.Workforce.aggregation ->
-  ?inversion_rule:[ `Direction_aware | `Paper_equality ] ->
   ?config:Aggregator.config ->
   ?metrics:Stratrec_obs.Registry.t ->
   ?trace:Stratrec_obs.Trace.t ->
@@ -41,15 +39,10 @@ val create :
     concern and is ignored here, as is the batch objective).
     @raise Invalid_argument on negative workforce.
 
-    [config] is the unified aggregator configuration shared with
-    {!Aggregator} and [Stratrec_pipeline.Planner]; its [aggregation] and
-    [inversion_rule] fields apply. Defaults: Max-case aggregation,
-    direction-aware inversion.
-
-    [aggregation] and [inversion_rule] are the deprecated pre-unification
-    spellings, kept for source compatibility; when [config] is given they
-    are ignored.
-    @deprecated Pass [?config] instead of [?aggregation]/[?inversion_rule].
+    [config] (default {!Aggregator.default_config}: Max-case aggregation,
+    direction-aware inversion) is the unified aggregator configuration
+    shared with {!Aggregator} and [Stratrec_pipeline.Planner]; its
+    [aggregation] and [inversion_rule] fields apply.
 
     [metrics] (default {!Stratrec_obs.Registry.noop}) is retained for the
     session's lifetime and records [stream.submitted_total],

@@ -27,29 +27,3 @@ let key t i =
 let payload t i =
   check t i;
   t.payloads.(i)
-
-let events_up_to t bound =
-  let rec go i acc =
-    if i < 0 then acc
-    else if t.keys.(i) <= bound then go (i - 1) ((t.keys.(i), t.payloads.(i)) :: acc)
-    else go (i - 1) acc
-  in
-  go (length t - 1) []
-
-module Cursor = struct
-  type 'a cursor = { sweep : 'a t; mutable position : int }
-
-  let start sweep = { sweep; position = 0 }
-  let position c = c.position
-  let finished c = c.position >= length c.sweep
-
-  let peek c =
-    if finished c then None else Some (c.sweep.keys.(c.position), c.sweep.payloads.(c.position))
-
-  let advance c =
-    match peek c with
-    | None -> None
-    | Some _ as event ->
-        c.position <- c.position + 1;
-        event
-end

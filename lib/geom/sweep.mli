@@ -2,9 +2,8 @@
 
     ADPaR-Exact (§4.1, Tables 2–5) sorts per-parameter relaxation values
     into a list [R] with companion structures [I] (strategy index) and [D]
-    (parameter tag) and advances a cursor [r] over them. This module is that
-    structure: an immutable, key-sorted event sequence with a mutable
-    cursor. *)
+    (parameter tag). This module is that structure: an immutable,
+    key-sorted event sequence, indexed by position. *)
 
 type 'a t
 
@@ -16,18 +15,3 @@ val key : 'a t -> int -> float
 (** [key t i] for [i] in [0, length). @raise Invalid_argument otherwise. *)
 
 val payload : 'a t -> int -> 'a
-
-val events_up_to : 'a t -> float -> (float * 'a) list
-(** All events with key [<= bound], ascending. *)
-
-(** A cursor over the sorted event list. *)
-module Cursor : sig
-  type 'a cursor
-
-  val start : 'a t -> 'a cursor
-  val position : 'a cursor -> int
-  val finished : 'a cursor -> bool
-  val peek : 'a cursor -> (float * 'a) option
-  val advance : 'a cursor -> (float * 'a) option
-  (** Returns the event under the cursor and moves right. *)
-end

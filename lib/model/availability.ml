@@ -13,7 +13,7 @@ let of_pdf pdf =
 let of_outcomes outcomes = of_pdf (Distribution.Discrete.create outcomes)
 
 let certain v =
-  if v < 0. || v > 1. then invalid_arg "Availability.certain: value outside [0,1]";
+  if not (v >= 0. && v <= 1.) then invalid_arg "Availability.certain: value outside [0,1]";
   of_outcomes [ (v, 1.) ]
 
 let expected t = Distribution.Discrete.expectation t.pdf

@@ -12,7 +12,8 @@ val of_pdf : Stratrec_util.Distribution.Discrete.t -> t
 (** @raise Invalid_argument if any outcome lies outside [\[0, 1\]]. *)
 
 val certain : float -> t
-(** Deterministic availability. @raise Invalid_argument outside [\[0,1\]]. *)
+(** Deterministic availability. @raise Invalid_argument outside [\[0,1\]]
+    (nan included). *)
 
 val of_outcomes : (float * float) list -> t
 (** [(proportion, probability)] pairs; normalized like

@@ -486,27 +486,50 @@ let quota_saturated t =
       | _ -> None)
     t.config.quotas
 
-(* The health state from already-evaluated signals — no SLO
-   re-evaluation, so flight notes never emit alert-transition logs of
-   their own. Mirrors the rubric in [health]. *)
-let assess_state t =
-  let depth = Admission.length t.queue in
-  let capacity = t.config.queue_capacity in
+(* The readiness rubric (DESIGN.md §5h), from already-evaluated signals:
+   it reads the SLO trackers' firing state as of the last evaluate and
+   never evaluates them itself, so flight notes emit no alert-transition
+   logs of their own. Unhealthy: stopped, or the queue is full while the
+   circuit breaker is open (no intake and no deploy drain — the daemon
+   cannot make progress). Degraded: any single pressure signal — breaker
+   not closed, queue at >= 80% of capacity, a brownout rung, draining, an
+   SLO burning, or a tenant pinned at its quota. Ready otherwise. Reasons
+   bind the verdict and name the offending tenant ("slo-burning:acme",
+   "quota-saturated:acme") so operators see who, not just what.
+   [?tenant] scopes the verdict: daemon-global signals stay, but only
+   that tenant's slo/quota reasons count. Returns the state, its reasons
+   and the burning SLOs in scope. *)
+let assess ?tenant t =
+  let depth = Admission.length t.queue and capacity = t.config.queue_capacity in
   let breaker = Engine.breaker_state t.session in
+  let in_scope scope = match tenant with None -> true | Some tn -> scope = Some tn in
+  let burning = List.filter (fun (_, scope) -> in_scope scope) (burning_slos t) in
+  let saturated = List.filter (fun tn -> in_scope (Some tn)) (quota_saturated t) in
   let queue_full = depth >= capacity in
-  let breaker_open = breaker = Some Stratrec_resilience.Breaker.Open in
-  let pressure =
-    (match breaker with
-    | Some Stratrec_resilience.Breaker.Closed | None -> false
-    | Some _ -> true)
-    || depth * 5 >= capacity * 4
-    || brownout_rung t > 0 || t.draining
-    || burning_slos t <> []
-    || quota_saturated t <> []
+  let reasons =
+    (if t.stopped then [ "stopped" ] else [])
+    @ (match breaker with
+      | Some Stratrec_resilience.Breaker.Open -> [ "breaker-open" ]
+      | Some Stratrec_resilience.Breaker.Half_open -> [ "breaker-half-open" ]
+      | Some Stratrec_resilience.Breaker.Closed | None -> [])
+    @ (if queue_full then [ "queue-full" ]
+       else if depth * 5 >= capacity * 4 then [ "queue-saturated" ]
+       else [])
+    @ (if brownout_rung t > 0 then [ Printf.sprintf "brownout-rung:%d" (brownout_rung t) ]
+       else [])
+    @ (if t.draining then [ "draining" ] else [])
+    @ List.map
+        (fun (name, scope) -> "slo-burning:" ^ Option.value ~default:name scope)
+        burning
+    @ List.map (fun tn -> "quota-saturated:" ^ tn) saturated
   in
-  if t.stopped || (queue_full && breaker_open) then Protocol.Unhealthy
-  else if pressure then Protocol.Degraded
-  else Protocol.Ready
+  let state =
+    if t.stopped || (queue_full && breaker = Some Stratrec_resilience.Breaker.Open) then
+      Protocol.Unhealthy
+    else if reasons <> [] then Protocol.Degraded
+    else Protocol.Ready
+  in
+  (state, reasons, burning)
 
 (* serve.* counter totals keyed by encoded series — the flight
    recorder's delta baseline. *)
@@ -542,10 +565,11 @@ let flight_note t ~epoch ~admitted ~expired =
         Hashtbl.fold (fun tenant r acc -> (tenant, !r) :: acc) t.tenant_sheds []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
+      let health, _, _ = assess t in
       Flight.note flight ~clock_seconds:(now t) ~epoch ~admitted ~expired
         ~queue_depth:(Admission.length t.queue)
         ~brownout_rung:(brownout_rung t)
-        ~health:(Protocol.health_state_label (assess_state t))
+        ~health:(Protocol.health_state_label health)
         ~counters_delta:delta ~tenant_sheds:sheds ~last_id:t.last_submit_id
 
 let flight_dump t ~reason =
@@ -569,7 +593,7 @@ let flight_check t =
   | None -> ()
   | Some _ ->
       evaluate_slos t;
-      let state = assess_state t in
+      let state, _, _ = assess t in
       let burning = List.map fst (burning_slos t) in
       let newly =
         List.filter (fun name -> not (List.mem name t.flight_burning)) burning
@@ -751,68 +775,23 @@ let drain_bounded t ~client =
   Obs.Registry.incr_by t.drain_forced (List.length forced);
   (!acc @ forced, (!answered, !expired, List.length forced, !epochs_run))
 
-(* The readiness rubric (DESIGN.md §5h). Unhealthy: stopped, or the
-   queue is full while the circuit breaker is open (no intake and no
-   deploy drain — the daemon cannot make progress). Degraded: any
-   single pressure signal — breaker not closed, queue at >= 80% of
-   capacity, an SLO burning, or a tenant pinned at its quota. Ready
-   otherwise. Reasons bind the verdict and name the offending tenant
-   ("slo-burning:acme", "quota-saturated:acme") so operators (and the
-   smoke test) see who, not just what. [?tenant] scopes the verdict:
-   daemon-global signals stay, but only that tenant's slo/quota reasons
-   count and [queue_depth] becomes the tenant's own. *)
+(* GET health: the rubric over freshly evaluated SLO trackers. Under
+   [?tenant], [queue_depth] is the tenant's own. *)
 let health ?tenant t =
   evaluate_slos t;
-  let global_depth = Admission.length t.queue
-  and capacity = t.config.queue_capacity in
-  let breaker = Engine.breaker_state t.session in
-  let burning =
-    match tenant with
-    | None -> burning_slos t
-    | Some tn ->
-        List.filter (fun (_, scope) -> scope = Some tn) (burning_slos t)
-  in
-  let saturated =
-    match tenant with
-    | None -> quota_saturated t
-    | Some tn -> List.filter (String.equal tn) (quota_saturated t)
-  in
-  let queue_full = global_depth >= capacity in
-  let breaker_open = breaker = Some Stratrec_resilience.Breaker.Open in
-  let reasons =
-    (if t.stopped then [ "stopped" ] else [])
-    @ (match breaker with
-      | Some Stratrec_resilience.Breaker.Open -> [ "breaker-open" ]
-      | Some Stratrec_resilience.Breaker.Half_open -> [ "breaker-half-open" ]
-      | Some Stratrec_resilience.Breaker.Closed | None -> [])
-    @ (if queue_full then [ "queue-full" ]
-       else if global_depth * 5 >= capacity * 4 then [ "queue-saturated" ]
-       else [])
-    @ (if brownout_rung t > 0 then [ Printf.sprintf "brownout-rung:%d" (brownout_rung t) ]
-       else [])
-    @ (if t.draining then [ "draining" ] else [])
-    @ List.map
-        (fun (name, scope) ->
-          "slo-burning:" ^ Option.value ~default:name scope)
-        burning
-    @ List.map (fun tn -> "quota-saturated:" ^ tn) saturated
-  in
-  let state =
-    if t.stopped || (queue_full && breaker_open) then Protocol.Unhealthy
-    else if reasons <> [] then Protocol.Degraded
-    else Protocol.Ready
-  in
+  let state, reasons, burning = assess ?tenant t in
   Protocol.Health_status
     {
       state;
       scope = tenant;
       reasons;
-      breaker = Option.map Stratrec_resilience.Breaker.state_label breaker;
+      breaker =
+        Option.map Stratrec_resilience.Breaker.state_label (Engine.breaker_state t.session);
       queue_depth =
         (match tenant with
-        | None -> global_depth
+        | None -> Admission.length t.queue
         | Some tn -> Admission.tenant_depth t.queue ~tenant:tn);
-      queue_capacity = capacity;
+      queue_capacity = t.config.queue_capacity;
       slo_burning = List.length burning;
       epochs = epochs t;
       brownout_rung = brownout_rung t;

@@ -147,95 +147,6 @@ let prop_distance_consistent =
           Float.abs (r.Adpar.distance -. Params.l2_distance r.Adpar.alternative d.Deployment.params)
           < 1e-9)
 
-(* Weighted brute force for validating the weighted variant: enumerate all
-   size-k subsets and take the weighted-minimal componentwise max. *)
-let weighted_brute ~weights ~k relax =
-  let { Adpar.quality_weight = wq; cost_weight = wc; latency_weight = wl } = weights in
-  let n = Array.length relax in
-  if n < k then None
-  else begin
-    let best = ref infinity in
-    let rec explore i chosen (mq, mc, ml) =
-      if chosen = k then begin
-        let sq = (wq *. mq *. mq) +. (wc *. mc *. mc) +. (wl *. ml *. ml) in
-        if sq < !best then best := sq
-      end
-      else if n - i >= k - chosen then begin
-        let r = relax.(i) in
-        explore (i + 1) (chosen + 1)
-          ( Float.max mq r.Adpar.quality,
-            Float.max mc r.Adpar.cost,
-            Float.max ml r.Adpar.latency );
-        explore (i + 1) chosen (mq, mc, ml)
-      end
-    in
-    explore 0 0 (0., 0., 0.);
-    Some (sqrt !best)
-  end
-
-let weight_gen = QCheck.(triple (float_range 0.1 5.) (float_range 0.1 5.) (float_range 0.1 5.))
-
-let prop_weighted_matches_brute_force =
-  QCheck.Test.make ~count:200 ~name:"weighted variant equals weighted brute force"
-    QCheck.(pair (pair (list_of_size Gen.(2 -- 10) tri_gen) (pair (int_range 1 3) tri_gen))
-             weight_gen)
-    (fun ((triples, (k, rq)), (w1, w2, w3)) ->
-      let weights = { Adpar.quality_weight = w1; cost_weight = w2; latency_weight = w3 } in
-      let strategies = catalog triples in
-      let d = request ~k rq in
-      let relax = Adpar.relaxations_of ~strategies d in
-      match (Adpar.exact_weighted ~weights ~strategies d, weighted_brute ~weights ~k relax) with
-      | Some r, Some expected -> Float.abs (r.Adpar.distance -. expected) < 1e-9
-      | None, None -> true
-      | _ -> false)
-
-let prop_uniform_weights_match_plain =
-  QCheck.Test.make ~count:200 ~name:"uniform weights reduce to plain ADPaR-Exact"
-    gen_catalog_and_request
-    (fun (triples, (k, rq)) ->
-      let strategies = catalog triples in
-      let d = request ~k rq in
-      match
-        ( Adpar.exact ~strategies d,
-          Adpar.exact_weighted ~weights:Adpar.uniform_weights ~strategies d )
-      with
-      | Some a, Some b -> Float.abs (a.Adpar.distance -. b.Adpar.distance) < 1e-9
-      | None, None -> true
-      | _ -> false)
-
-let test_weighted_shifts_tradeoff () =
-  (* s0 is already admitted; the second slot is either s1 (quality move of
-     0.3) or s2 (cost move of 0.4). Plain L2 picks the cheaper quality
-     move; making quality relaxation expensive flips the choice to cost. *)
-  let strategies = catalog [ (0.9, 0.2, 0.1); (0.6, 0.2, 0.1); (0.9, 0.6, 0.1) ] in
-  let d = request ~k:2 (0.9, 0.2, 0.5) in
-  (match Adpar.exact ~strategies d with
-  | Some r -> Alcotest.(check (float 1e-9)) "plain picks quality move" 0.3 r.Adpar.distance
-  | None -> Alcotest.fail "expected a result");
-  match
-    Adpar.exact_weighted
-      ~weights:{ Adpar.quality_weight = 10.; cost_weight = 1.; latency_weight = 1. }
-      ~strategies d
-  with
-  | Some r ->
-      Alcotest.(check (float 1e-9)) "weighted picks cost move" 0.4 r.Adpar.distance;
-      Alcotest.(check (float 1e-9)) "quality kept" 0.9 r.Adpar.alternative.Params.quality
-  | None -> Alcotest.fail "expected a result"
-
-let test_weighted_validation () =
-  let strategies = catalog [ (0.5, 0.5, 0.5) ] in
-  let d = request ~k:1 (0.5, 0.5, 0.5) in
-  Alcotest.check_raises "negative" (Invalid_argument "Adpar.exact_weighted: negative weight")
-    (fun () ->
-      ignore
-        (Adpar.exact_weighted ~weights:{ Adpar.quality_weight = -1.; cost_weight = 1.; latency_weight = 1. }
-           ~strategies d));
-  Alcotest.check_raises "all zero" (Invalid_argument "Adpar.exact_weighted: all weights zero")
-    (fun () ->
-      ignore
-        (Adpar.exact_weighted ~weights:{ Adpar.quality_weight = 0.; cost_weight = 0.; latency_weight = 0. }
-           ~strategies d))
-
 let prop_monotone_in_k =
   QCheck.Test.make ~count:200 ~name:"distance grows with k"
     QCheck.(pair (list_of_size Gen.(4 -- 12) tri_gen) tri_gen)
@@ -260,8 +171,6 @@ let () =
           Alcotest.test_case "multi-axis tradeoff" `Quick test_multi_axis_tradeoff;
           Alcotest.test_case "covers helper" `Quick test_covers_helper;
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
-          Alcotest.test_case "weighted shifts tradeoff" `Quick test_weighted_shifts_tradeoff;
-          Alcotest.test_case "weighted validation" `Quick test_weighted_validation;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
@@ -271,7 +180,5 @@ let () =
             prop_never_tightens;
             prop_distance_consistent;
             prop_monotone_in_k;
-            prop_weighted_matches_brute_force;
-            prop_uniform_weights_match_plain;
           ] );
     ]

@@ -19,7 +19,9 @@ let test_certain () =
   Alcotest.(check (float 1e-9)) "expectation" 0.42 (A.expected a);
   Alcotest.(check (float 1e-9)) "sample is constant" 0.42 (A.sample a (Rng.create 1));
   Alcotest.check_raises "out of range" (Invalid_argument "Availability.certain: value outside [0,1]")
-    (fun () -> ignore (A.certain 1.5))
+    (fun () -> ignore (A.certain 1.5));
+  Alcotest.check_raises "nan" (Invalid_argument "Availability.certain: value outside [0,1]")
+    (fun () -> ignore (A.certain Float.nan))
 
 let test_of_pdf_validation () =
   let bad = Stratrec_util.Distribution.Discrete.create [ (1.5, 1.) ] in

@@ -3,8 +3,7 @@
    indistinguishable from an uncached one — rendered reports, per-epoch
    decisions, counters (minus the cache.* instruments themselves) and
    the span tree — at any domain count, under eviction pressure, and
-   across model-version bumps. Run with QCHECK_SEED pinned in CI
-   (make cache) so the property instances are reproducible. *)
+   across model-version bumps. *)
 
 module Model = Stratrec_model
 module Params = Model.Params

@@ -9,7 +9,6 @@ module Sim = Stratrec_crowdsim
 module Res = Stratrec_resilience
 module Engine = Stratrec.Engine
 module Rng = Stratrec_util.Rng
-module Tq = QCheck_alcotest
 
 (* One randomized scenario, fully derived from an integer seed: the
    workload, the platform, the fault plan and the resilience knobs all

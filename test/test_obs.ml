@@ -1415,7 +1415,7 @@ let () =
           Alcotest.test_case "json +inf" `Quick test_snapshot_json_infinity;
           Alcotest.test_case "json round-trip with +inf bucket" `Quick
             test_snapshot_roundtrip_inf_bucket;
-          QCheck_alcotest.to_alcotest snapshot_roundtrip_prop;
+          Tq.to_alcotest snapshot_roundtrip_prop;
           Alcotest.test_case "of_json rejects malformed documents" `Quick
             test_snapshot_of_json_rejects_garbage;
         ] );
@@ -1442,13 +1442,13 @@ let () =
           Alcotest.test_case "cumulative histogram with +Inf" `Quick
             test_openmetrics_histogram;
           Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-          QCheck_alcotest.to_alcotest openmetrics_merge_prop;
+          Tq.to_alcotest openmetrics_merge_prop;
         ] );
       ( "labels",
         [
           Alcotest.test_case "canonical form and escaping" `Quick test_labels_canonical;
           Alcotest.test_case "labeled exposition golden" `Quick test_openmetrics_labels;
-          QCheck_alcotest.to_alcotest labeled_merge_prop;
+          Tq.to_alcotest labeled_merge_prop;
         ] );
       ( "windows",
         [
@@ -1457,8 +1457,8 @@ let () =
           Alcotest.test_case "clock regression keeps live slots" `Quick
             test_window_clock_regression;
           Alcotest.test_case "export/absorb gauge family" `Quick test_window_export_absorb;
-          QCheck_alcotest.to_alcotest window_rotation_prop;
-          QCheck_alcotest.to_alcotest window_quantile_prop;
+          Tq.to_alcotest window_rotation_prop;
+          Tq.to_alcotest window_quantile_prop;
         ] );
       ( "slo",
         [

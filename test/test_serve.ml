@@ -14,7 +14,6 @@ module Model = Stratrec_model
 module Obs = Stratrec_obs
 module Snapshot = Obs.Snapshot
 module Json = Stratrec_util.Json
-module Tq = QCheck_alcotest
 
 (* Admission queue *)
 
@@ -1020,10 +1019,9 @@ let test_serve_socket_chaos () =
       | Error e -> Alcotest.failf "response is not JSON (%s): %S" e l)
     lines
 
-(* Randomized protocol floods (pin with QCHECK_SEED for the chaos
-   gate): any mix of valid submits, flushes, ticks, reads and printable
-   garbage is always answered with at least one typed response, never
-   an exception, and never stops the daemon. *)
+(* Randomized protocol floods: any mix of valid submits, flushes,
+   ticks, reads and printable garbage is always answered with at least
+   one typed response, never an exception, and never stops the daemon. *)
 let prop_daemon_flood_typed =
   let line_gen =
     QCheck.Gen.(

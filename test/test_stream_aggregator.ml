@@ -193,16 +193,11 @@ let test_mid_stream_fault_collapse () =
 (* Weighted objective. *)
 
 let test_config_based_create () =
-  (* The unified Aggregator.config takes precedence over the legacy
-     per-field arguments and yields identical decisions. *)
-  let submit_all t =
-    List.map (fun d -> S.submit t d) [ easy 0; request 1 (0.6, 0.7, 0.7); impossible 2 ]
-  in
-  let legacy =
-    S.create ~aggregation:Model.Workforce.Sum_case ~inversion_rule:`Paper_equality
-      ~strategies:(catalog 11 100) ~workforce:1.0 ()
-  in
-  let unified =
+  (* The unified Aggregator.config's aggregation and inversion rule
+     apply: an admitted request reserves exactly its Sum-case,
+     paper-equality requirement. *)
+  let strategies = catalog 11 100 in
+  let t =
     S.create
       ~config:
         {
@@ -210,20 +205,18 @@ let test_config_based_create () =
           Stratrec.Aggregator.aggregation = Model.Workforce.Sum_case;
           inversion_rule = `Paper_equality;
         }
-      ~strategies:(catalog 11 100) ~workforce:1.0 ()
+      ~strategies ~workforce:2.0 ()
   in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool) "same decision shape" true
-        (match (a, b) with
-        | S.Admitted _, S.Admitted _
-        | S.Workforce_limited, S.Workforce_limited
-        | S.Alternative _, S.Alternative _
-        | S.No_alternative, S.No_alternative
-        | S.Duplicate, S.Duplicate ->
-            true
-        | _ -> false))
-    (submit_all legacy) (submit_all unified)
+  let d = easy 0 in
+  let expected =
+    Model.Workforce.request_requirement
+      (Model.Workforce.compute ~rule:`Paper_equality ~requests:[| d |] ~strategies ())
+      Model.Workforce.Sum_case ~k:d.Deployment.k 0
+  in
+  match (S.submit t d, expected) with
+  | S.Admitted { workforce; _ }, Some { Model.Workforce.workforce = sum_case; _ } ->
+      Alcotest.(check (float 1e-12)) "Sum-case reservation" sum_case workforce
+  | _ -> Alcotest.fail "easy request should be admitted"
 
 let test_stream_metrics () =
   let metrics = Stratrec_obs.Registry.create () in

@@ -18,38 +18,11 @@ let test_stability () =
   Alcotest.(check string) "second" "second" (Sweep.payload s 1);
   Alcotest.(check string) "third" "third" (Sweep.payload s 2)
 
-let test_events_up_to () =
-  let s = Sweep.of_events [ (0.1, 1); (0.2, 2); (0.3, 3) ] in
-  Alcotest.(check (list (pair (float 0.) int)))
-    "bound between keys"
-    [ (0.1, 1); (0.2, 2) ]
-    (Sweep.events_up_to s 0.25);
-  Alcotest.(check (list (pair (float 0.) int))) "bound below all" [] (Sweep.events_up_to s 0.05);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "bound inclusive"
-    [ (0.1, 1); (0.2, 2) ]
-    (Sweep.events_up_to s 0.2)
-
-let test_cursor () =
-  let s = Sweep.of_events [ (1., "x"); (2., "y") ] in
-  let c = Sweep.Cursor.start s in
-  Alcotest.(check bool) "not finished" false (Sweep.Cursor.finished c);
-  Alcotest.(check int) "position 0" 0 (Sweep.Cursor.position c);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "x"))
-    (Sweep.Cursor.peek c);
-  Alcotest.(check (option (pair (float 0.) string)))
-    "advance returns current" (Some (1., "x")) (Sweep.Cursor.advance c);
-  Alcotest.(check int) "position 1" 1 (Sweep.Cursor.position c);
-  ignore (Sweep.Cursor.advance c);
-  Alcotest.(check bool) "finished" true (Sweep.Cursor.finished c);
-  Alcotest.(check (option (pair (float 0.) string))) "advance at end" None
-    (Sweep.Cursor.advance c)
-
 let test_empty () =
   let s = Sweep.of_events ([] : (float * int) list) in
   Alcotest.(check int) "length" 0 (Sweep.length s);
-  let c = Sweep.Cursor.start s in
-  Alcotest.(check bool) "finished immediately" true (Sweep.Cursor.finished c)
+  Alcotest.check_raises "no index 0" (Invalid_argument "Sweep: index 0 out of bounds")
+    (fun () -> ignore (Sweep.key s 0))
 
 let prop_sorted =
   QCheck.Test.make ~count:300 ~name:"events come out key-sorted"
@@ -68,8 +41,6 @@ let () =
         [
           Alcotest.test_case "sorting" `Quick test_sorting;
           Alcotest.test_case "stability" `Quick test_stability;
-          Alcotest.test_case "events up to" `Quick test_events_up_to;
-          Alcotest.test_case "cursor" `Quick test_cursor;
           Alcotest.test_case "empty" `Quick test_empty;
           Tq.to_alcotest prop_sorted;
         ] );
