@@ -31,15 +31,6 @@ let seed_arg =
   let doc = "Random seed (all runs are deterministic in the seed)." in
   Arg.(value & opt int 2020 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let verbose_arg =
-  let doc = "Enable debug logging of the recommendation pipeline." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let setup_logging verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let strategies_arg =
   let doc = "Number of synthetic strategies in the catalog." in
   Arg.(value & opt int 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
@@ -129,28 +120,15 @@ let with_log destination f =
                  ()))
       with Sys_error message -> Error (`Msg message))
 
-(* A log-attached registry forwards registry warnings (e.g. histogram
-   bucket-layout conflicts) into the structured log as warn records. *)
-let metrics_registry log =
-  if Obs.Log.enabled log then Some (Obs.Registry.create ~sink:(Obs.Log.warning_sink log) ())
-  else None
-
 (* The engine config every run-producing subcommand starts from, built
    through the setter surface so new config fields can't break the CLI. *)
 let engine_config ~log ~deploy ~domains ~profile ~cache =
-  let config =
-    Engine.(
-      with_cache
-        (with_log
-           (with_profile
-              (with_domains (with_deploy default_config deploy) domains)
-              profile)
-           log)
-        cache)
-  in
-  match metrics_registry log with
-  | None -> config
-  | Some metrics -> Engine.with_metrics config metrics
+  Engine.(
+    with_cache
+      (with_log
+         (with_profile (with_domains (with_deploy default_config deploy) domains) profile)
+         log)
+      cache)
 
 let render_metrics format snapshot =
   match format with
@@ -301,10 +279,9 @@ let emit_trace destination trace =
 
 (* recommend *)
 
-let recommend verbose seed n m k w dist objective catalog show_metrics metrics_format
-    metrics_out trace_dest log_dest profile deploy faults retries population capacity
-    window domains cache =
-  setup_logging verbose;
+let recommend seed n m k w dist objective catalog show_metrics metrics_format metrics_out
+    trace_dest log_dest profile deploy faults retries population capacity window domains
+    cache =
   with_log log_dest @@ fun log ->
   let rng = Rng.create seed in
   let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
@@ -345,11 +322,11 @@ let recommend_cmd =
   Cmd.v
     (Cmd.info "recommend" ~doc:"Batch deployment recommendation on a synthetic catalog")
     Term.(term_result
-            (const recommend $ verbose_arg $ seed_arg $ strategies_arg $ m_arg $ k_arg
-             $ w_arg $ dist_arg $ objective_arg $ catalog_arg $ metrics_arg
-             $ metrics_format_arg $ metrics_out_arg $ trace_arg $ log_arg $ profile_arg
-             $ deploy_arg $ faults_arg $ retries_arg $ population_arg $ capacity_arg
-             $ window_arg $ domains_arg $ cache_arg))
+            (const recommend $ seed_arg $ strategies_arg $ m_arg $ k_arg $ w_arg $ dist_arg
+             $ objective_arg $ catalog_arg $ metrics_arg $ metrics_format_arg
+             $ metrics_out_arg $ trace_arg $ log_arg $ profile_arg $ deploy_arg $ faults_arg
+             $ retries_arg $ population_arg $ capacity_arg $ window_arg $ domains_arg
+             $ cache_arg))
 
 (* adpar *)
 

@@ -4,10 +4,6 @@ module Deployment = Stratrec_model.Deployment
 module Availability = Stratrec_model.Availability
 module Obs = Stratrec_obs
 
-let src = Logs.Src.create "stratrec.aggregator" ~doc:"StratRec aggregation pipeline"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type config = {
   objective : Objective.t;
   aggregation : Workforce.aggregation;
@@ -62,15 +58,11 @@ let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
   | Some result when result.Adpar.distance < 1e-12 ->
       (* The parameters already admit k strategies: the request only
          lost out on the workforce budget. *)
-      Log.debug (fun m -> m "%s: workforce-limited" d.Deployment.label);
       count "aggregator.workforce_limited_total";
       Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "workforce_limited");
       decide (Obs.Trace.Rejected { binding = "workforce budget exhausted" });
       outcomes.(i) <- (d, Workforce_limited)
   | Some result ->
-      Log.debug (fun m ->
-          m "%s: ADPaR alternative at distance %.4f" d.Deployment.label
-            result.Adpar.distance);
       count "aggregator.alternative_total";
       Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "alternative");
       let p = result.Adpar.alternative in
@@ -84,7 +76,6 @@ let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
            });
       outcomes.(i) <- (d, Alternative result)
   | None ->
-      Log.debug (fun m -> m "%s: no alternative exists" d.Deployment.label);
       count "aggregator.no_alternative_total";
       Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "no_alternative");
       decide (Obs.Trace.Rejected { binding = "no alternative exists" });
@@ -146,9 +137,6 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     (Array.length requests);
   let w = Availability.expected availability in
   Obs.Registry.set (Obs.Registry.gauge metrics "aggregator.availability") w;
-  Log.debug (fun m ->
-      m "batch of %d requests over %d strategies at expected availability %.3f (%a)"
-        (Array.length requests) (Array.length strategies) w Objective.pp config.objective);
   let strategies =
     if config.reestimate_parameters then
       Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
@@ -245,10 +233,6 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     Batchstrat.run ~metrics ~trace ?pool ?requirements ~objective:config.objective
       ~aggregation:config.aggregation ~available:w matrix
   in
-  Log.debug (fun m ->
-      m "batchstrat satisfied %d/%d, objective %.4f, workforce %.4f/%.4f"
-        (Batchstrat.satisfied_count batch) (Array.length requests)
-        batch.Batchstrat.objective_value batch.Batchstrat.workforce_used w);
   let outcomes = Array.map (fun d -> (d, No_alternative)) requests in
   List.iter
     (fun { Batchstrat.request_index; strategy_indices; workforce } ->

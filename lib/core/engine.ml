@@ -209,8 +209,23 @@ type session = {
   mutable live_profile : bool;
 }
 
+(* Spawn the shared pool up front, so a domain count the runtime cannot
+   provide is a configuration error here instead of an exception at the
+   first epoch. *)
+let start_pool domains =
+  if domains <= 1 then Ok ()
+  else
+    match Stratrec_par.Pool.shared ~domains with
+    | _ -> Ok ()
+    | exception Failure message ->
+        Error
+          (`Invalid_config (Printf.sprintf "cannot start %d domains: %s" domains message))
+
 let create ?(config = default_config) ?rng ~availability ~strategies () =
-  match validate config ~strategies ~requests:[||] with
+  match
+    Result.bind (validate config ~strategies ~requests:[||]) (fun () ->
+        start_pool config.domains)
+  with
   | Error _ as e -> e
   | Ok () ->
       let metrics =

@@ -63,7 +63,7 @@ type config = {
   metrics : Stratrec_obs.Registry.t option;
       (** [None] (the default) gives every run/session a fresh private
           registry, so report snapshots are per-run; supply a registry to
-          accumulate across runs or to attach a sink *)
+          accumulate across runs *)
   trace : Stratrec_obs.Trace.t option;
       (** [None] (the default) gives every run/session a fresh private
           trace, so [report.decisions] is always populated; supply a
@@ -74,7 +74,9 @@ type config = {
       (** domains for the sharded triage path (see {!Aggregator.run});
           1 (the default) keeps everything on the calling domain. The
           report is bit-identical either way. Validated by {!run} and
-          {!create}: values below 1 are an [`Invalid_config] error *)
+          {!create}: values below 1, and counts the runtime cannot spawn
+          (the shared pool is started there), are an [`Invalid_config]
+          error *)
   profile : bool;
       (** when [true], wrap each run/epoch in {!Stratrec_obs.Profile.time}
           (recording [engine.run.wall_seconds] and the [engine.run.gc.*]

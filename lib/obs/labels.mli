@@ -36,7 +36,7 @@ val render_pairs : Buffer.t -> t -> unit
 
 val encode_series : string -> t -> string
 (** [name ^ render labels] — the unique series key used in snapshot JSON
-    documents and sink events. *)
+    documents. *)
 
 val decode_series : string -> (string * t, string) result
 (** Parses {!encode_series} back, normalizing the labels. Unlabeled

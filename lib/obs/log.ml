@@ -21,7 +21,6 @@ let create ?(level = Info) ?(clock = Registry.wall_clock) ~writer () =
   Active { threshold = level; clock; writer }
 
 let noop = Noop
-let enabled = function Noop -> false | Active _ -> true
 
 let would_log t level =
   match t with
@@ -50,10 +49,3 @@ let debug ?trace ?fields t msg = log ?trace ?fields t Debug msg
 let info ?trace ?fields t msg = log ?trace ?fields t Info msg
 let warn ?trace ?fields t msg = log ?trace ?fields t Warn msg
 let error ?trace ?fields t msg = log ?trace ?fields t Error msg
-
-let warning_sink ?trace t = function
-  | Sink.Warning { name; message } ->
-      warn ?trace
-        ~fields:[ ("metric", Json.String name); ("detail", Json.String message) ]
-        t "metric warning"
-  | Sink.Counter_incr _ | Sink.Gauge_set _ | Sink.Observe _ | Sink.Span_finish _ -> ()

@@ -37,9 +37,6 @@ val create :
 val noop : t
 (** The disabled logger every [?log] argument defaults to. *)
 
-val enabled : t -> bool
-(** [false] only for {!noop}. *)
-
 val would_log : t -> level -> bool
 (** Whether a record at [level] passes the threshold — for guarding
     expensive field computation. *)
@@ -68,9 +65,3 @@ val warn :
 
 val error :
   ?trace:Trace.t -> ?fields:(string * Stratrec_util.Json.t) list -> t -> string -> unit
-
-val warning_sink : ?trace:Trace.t -> t -> Sink.t
-(** A metric-event sink that forwards {!Sink.Warning} events into the
-    log as [warn] records (fields: [metric], [detail]) and ignores
-    everything else — fan it into a registry's sink so self-repair
-    warnings (e.g. bucket-layout conflicts) surface in the run log. *)

@@ -15,7 +15,6 @@ type series = { s_name : string; s_labels : Labels.t }
 
 type t = {
   enabled : bool;
-  sink : Sink.t;
   clock : unit -> float;
   table : (series, instrument) Hashtbl.t;
   (* One instrument kind per family, across every label combination —
@@ -28,30 +27,15 @@ type counter = { creg : t; cname : string; clabels : Labels.t }
 type gauge = { greg : t; gname : string; glabels : Labels.t }
 type histogram = { hreg : t; hname : string; hlabels : Labels.t; hbuckets : float array }
 
-let create ?(sink = Sink.silent) ?(clock = Sys.time) () =
-  { enabled = true; sink; clock; table = Hashtbl.create 32; kinds = Hashtbl.create 32 }
+let create ?(clock = Sys.time) () =
+  { enabled = true; clock; table = Hashtbl.create 32; kinds = Hashtbl.create 32 }
 
-let noop =
-  {
-    enabled = false;
-    sink = Sink.silent;
-    clock = (fun () -> 0.);
-    table = Hashtbl.create 1;
-    kinds = Hashtbl.create 1;
-  }
+let disabled ?(clock = fun () -> 0.) () =
+  { enabled = false; clock; table = Hashtbl.create 1; kinds = Hashtbl.create 1 }
 
-let disabled ?(sink = Sink.silent) ?(clock = fun () -> 0.) () =
-  {
-    enabled = false;
-    sink;
-    clock;
-    table = Hashtbl.create 1;
-    kinds = Hashtbl.create 1;
-  }
-
+let noop = disabled ()
 let enabled t = t.enabled
 let now t = if t.enabled then t.clock () else 0.
-let emit t event = if t.enabled then t.sink event
 
 (* Monotone wall clock: gettimeofday guarded by a high-water mark, so an
    NTP step backwards can stall it but never make a span negative. The
@@ -158,7 +142,6 @@ let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
   let labels = Labels.normalize labels in
   if t.enabled then begin
     check_family t name "histogram";
-    let series = Labels.encode_series name labels in
     match Hashtbl.find_opt t.table { s_name = name; s_labels = labels } with
     | None ->
         (* Materialize eagerly so a later registration under the same
@@ -170,22 +153,11 @@ let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
           || not (Array.for_all2 Float.equal h.bounds buckets)
         then begin
           (* Keep the original layout, but don't stay silent about it:
-             bump the self-metric and hand the sink a warning event. *)
+             count the conflict in the self-metric. *)
           let r = counter_state t bucket_layout_conflicts [] in
-          r := !r + 1;
-          t.sink (Sink.Counter_incr { name = bucket_layout_conflicts; by = 1; total = !r });
-          t.sink
-            (Sink.Warning
-               {
-                 name = series;
-                 message =
-                   Printf.sprintf
-                     "histogram %S re-registered with a conflicting bucket layout (%d \
-                      bounds vs %d); keeping the original"
-                     series (Array.length h.bounds) (Array.length buckets);
-               })
+          r := !r + 1
         end
-    | Some other -> kind_error series (instrument_kind other)
+    | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
   end;
   { hreg = t; hname = name; hlabels = labels; hbuckets = buckets }
 
@@ -193,14 +165,9 @@ let incr_by c by =
   if by < 0 then invalid_arg "Stratrec_obs.Registry.incr_by: negative increment";
   if c.creg.enabled then begin
     (* A zero increment still materializes the counter (at 0) so it shows
-       up in snapshots, but emits no event. *)
+       up in snapshots. *)
     let r = counter_state c.creg c.cname c.clabels in
-    if by > 0 then begin
-      r := !r + by;
-      c.creg.sink
-        (Sink.Counter_incr
-           { name = Labels.encode_series c.cname c.clabels; by; total = !r })
-    end
+    r := !r + by
   end
 
 let incr c = incr_by c 1
@@ -208,20 +175,12 @@ let incr c = incr_by c 1
 let counter_value c =
   if not c.creg.enabled then 0 else !(counter_state c.creg c.cname c.clabels)
 
-let set g value =
-  if g.greg.enabled then begin
-    let r = gauge_state g.greg g.gname g.glabels in
-    r := value;
-    g.greg.sink
-      (Sink.Gauge_set { name = Labels.encode_series g.gname g.glabels; value })
-  end
+let set g value = if g.greg.enabled then gauge_state g.greg g.gname g.glabels := value
 
 let add g delta =
   if g.greg.enabled then begin
     let r = gauge_state g.greg g.gname g.glabels in
-    r := !r +. delta;
-    g.greg.sink
-      (Sink.Gauge_set { name = Labels.encode_series g.gname g.glabels; value = !r })
+    r := !r +. delta
   end
 
 let gauge_value g =
@@ -252,9 +211,7 @@ let observe h value =
       if value > s.max_v then s.max_v <- value
     end;
     s.count <- s.count + 1;
-    s.sum <- s.sum +. value;
-    h.hreg.sink
-      (Sink.Observe { name = Labels.encode_series h.hname h.hlabels; value })
+    s.sum <- s.sum +. value
   end
 
 let absorb t (snapshot : Snapshot.t) =
@@ -269,7 +226,6 @@ let absorb t (snapshot : Snapshot.t) =
             let r = gauge_state t name labels in
             r := v
         | Snapshot.Histogram h ->
-            let series = Labels.encode_series name labels in
             let bounds =
               List.filter_map
                 (fun (le, _) -> if Float.is_finite le then Some le else None)
@@ -280,7 +236,7 @@ let absorb t (snapshot : Snapshot.t) =
               invalid_arg
                 (Printf.sprintf
                    "Stratrec_obs.Registry.absorb: histogram %S without finite buckets"
-                   series);
+                   (Labels.encode_series name labels));
             let s = histogram_state t name labels bounds in
             if
               Array.length s.counts <> List.length h.Snapshot.buckets
@@ -293,7 +249,7 @@ let absorb t (snapshot : Snapshot.t) =
               invalid_arg
                 (Printf.sprintf
                    "Stratrec_obs.Registry.absorb: histogram %S bucket layouts differ"
-                   series);
+                   (Labels.encode_series name labels));
             List.iteri (fun i (_, n) -> s.counts.(i) <- s.counts.(i) + n) h.Snapshot.buckets;
             if h.Snapshot.count > 0 then begin
               if s.count = 0 then begin
@@ -335,7 +291,3 @@ let snapshot t =
          Snapshot.compare_series
            (a.Snapshot.name, a.Snapshot.labels)
            (b.Snapshot.name, b.Snapshot.labels))
-
-let reset t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.kinds

@@ -2,8 +2,7 @@
 
     One registry instance is threaded through a pipeline run (every
     instrumented entry point takes [?metrics] defaulting to {!noop});
-    instruments are created on first use and accumulate in memory, while
-    every mutation is also forwarded to the registry's {!Sink.t}.
+    instruments are created on first use and accumulate in memory.
 
     Naming scheme: [<subsystem>.<metric>[_total]] with dot-separated
     subsystem prefixes ([aggregator.], [batchstrat.], [adpar.],
@@ -18,10 +17,9 @@
     asking for an existing family with a different kind raises
     [Invalid_argument]. Asking for an existing histogram series with a
     different bucket layout keeps the original layout, but counts the
-    conflict in the [obs.bucket_layout_conflicts_total] self-metric and
-    forwards a {!Sink.Warning} event instead of staying silent. The
-    registry is not thread-safe — one registry per run (the intended
-    sharding unit) needs no locking. *)
+    conflict in the [obs.bucket_layout_conflicts_total] self-metric
+    instead of staying silent. The registry is not thread-safe — one
+    registry per run (the intended sharding unit) needs no locking. *)
 
 type t
 
@@ -29,9 +27,9 @@ type counter
 type gauge
 type histogram
 
-val create : ?sink:Sink.t -> ?clock:(unit -> float) -> unit -> t
-(** Fresh registry. [sink] defaults to {!Sink.silent}; [clock] (used by
-    {!Span} timers) defaults to [Sys.time].
+val create : ?clock:(unit -> float) -> unit -> t
+(** Fresh registry. [clock] (used by {!Span} timers) defaults to
+    [Sys.time].
 
     Clock semantics: [Sys.time] is {e process CPU time} — monotone
     non-decreasing and cheap, but it only advances while this process
@@ -55,19 +53,15 @@ val noop : t
     are empty. The default for every [?metrics] argument, so
     un-instrumented callers pay one branch per operation. *)
 
-val disabled : ?sink:Sink.t -> ?clock:(unit -> float) -> unit -> t
-(** A fresh disabled registry carrying an (otherwise unused) sink and
-    clock — for tests asserting that the noop path stays truly silent:
-    no sink events, no clock reads. *)
+val disabled : ?clock:(unit -> float) -> unit -> t
+(** A fresh disabled registry carrying an (otherwise unused) clock — for
+    tests asserting that the noop path never reads the clock. *)
 
 val enabled : t -> bool
 (** [false] only for {!noop}. *)
 
 val now : t -> float
 (** The registry's clock reading (0. on {!noop}). *)
-
-val emit : t -> Sink.event -> unit
-(** Forward an event to the registry's sink (used by {!Span}). *)
 
 (** {1 Bucket layouts} *)
 
@@ -92,16 +86,15 @@ val histogram :
     (an implicit [+inf] bucket is appended); defaults to
     {!duration_buckets}. Registration is eager: the histogram appears in
     snapshots (at zero observations) from this call on. Re-registering an
-    existing series with a different layout keeps the original layout,
-    increments [obs.bucket_layout_conflicts_total] and emits a
-    {!Sink.Warning}. @raise Invalid_argument if [buckets] is empty or
-    unsorted. *)
+    existing series with a different layout keeps the original layout
+    and increments [obs.bucket_layout_conflicts_total].
+    @raise Invalid_argument if [buckets] is empty or unsorted. *)
 
 val incr : counter -> unit
 val incr_by : counter -> int -> unit
 (** @raise Invalid_argument on negative increments (counters are
     monotone). A zero increment registers the counter (so it appears in
-    snapshots at 0) without emitting a sink event. *)
+    snapshots at 0). *)
 
 val counter_value : counter -> int
 
@@ -123,11 +116,6 @@ val absorb : t -> Snapshot.t -> unit
     snapshot's bucket layout and labels). This is how the parallel
     triage path re-combines per-shard registries into the caller's —
     absorbing the shard snapshots in shard index order reproduces the
-    sequential totals exactly. State-only: no per-operation {!Sink}
-    events are re-emitted. No-op on a disabled registry.
+    sequential totals exactly. No-op on a disabled registry.
     @raise Invalid_argument when a series exists with a different
     instrument kind or bucket layout. *)
-
-val reset : t -> unit
-(** Drops every instrument. Existing handles keep working and re-create
-    their instrument on next use. *)

@@ -17,9 +17,7 @@ let finish t =
     if elapsed < 0. then
       Registry.incr (Registry.counter t.registry "trace.clock_regressions_total");
     let seconds = Float.max 0. elapsed in
-    let h = Registry.histogram t.registry t.name in
-    Registry.observe h seconds;
-    Registry.emit t.registry (Sink.Span_finish { name = t.name; seconds });
+    Registry.observe (Registry.histogram t.registry t.name) seconds;
     seconds
   end
 

@@ -4,10 +4,10 @@
     clock (process time by default, so durations never go negative even
     if the wall clock steps). Finishing a span records the elapsed
     seconds into a histogram named after the span (with
-    {!Registry.duration_buckets}) and emits a [Span_finish] event.
+    {!Registry.duration_buckets}).
 
     On a disabled registry spans cost two branches and record nothing —
-    no allocation, no sink event, and no clock read. *)
+    no allocation and no clock read. *)
 
 type t
 

@@ -103,6 +103,14 @@ let worker t ~slot =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.stopped <- true;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
+  List.iter Domain.join t.workers;
+  t.workers <- []
+
 let create ~domains =
   if domains < 1 then invalid_arg "Stratrec_par.Pool.create: domains must be >= 1";
   let t =
@@ -120,8 +128,17 @@ let create ~domains =
       workers = [];
     }
   in
-  t.workers <-
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker t ~slot:(i + 1)));
+  (* Spawn one worker at a time: when the runtime refuses one (it caps
+     the number of live domains), the workers already running are
+     stopped and joined before the failure propagates. *)
+  (try
+     for slot = 1 to domains - 1 do
+       t.workers <- Domain.spawn (fun () -> worker t ~slot) :: t.workers
+     done
+   with exn ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace exn bt);
   t
 
 let set_profiling t on = t.profiling <- on
@@ -216,14 +233,6 @@ let run t ~shards body =
     | None -> ()
   end
 
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stopped <- true;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
 (* Process-wide pools by size, grown on demand and never shut down — the
    "fixed pool reused across calls" the batch entry points lean on. *)
 
@@ -232,14 +241,10 @@ let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
 
 let shared ~domains =
   if domains < 1 then invalid_arg "Stratrec_par.Pool.shared: domains must be >= 1";
-  Mutex.lock shared_mutex;
-  let pool =
-    match Hashtbl.find_opt shared_pools domains with
-    | Some pool -> pool
-    | None ->
-        let pool = create ~domains in
-        Hashtbl.add shared_pools domains pool;
-        pool
-  in
-  Mutex.unlock shared_mutex;
-  pool
+  Mutex.protect shared_mutex (fun () ->
+      match Hashtbl.find_opt shared_pools domains with
+      | Some pool -> pool
+      | None ->
+          let pool = create ~domains in
+          Hashtbl.add shared_pools domains pool;
+          pool)

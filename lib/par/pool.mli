@@ -23,7 +23,9 @@ type t
 val create : domains:int -> t
 (** [create ~domains] spawns [domains - 1] worker domains that idle on a
     condition variable until work arrives. @raise Invalid_argument when
-    [domains < 1]. *)
+    [domains < 1]. When the runtime cannot spawn them all (it caps the
+    number of live domains), the workers already spawned are joined and
+    the runtime's [Failure] is re-raised. *)
 
 val size : t -> int
 (** The configured domain count (including the caller). *)
@@ -32,7 +34,8 @@ val shared : domains:int -> t
 (** The process-wide pool of this size, created on first request and
     reused by every later call — the Aggregator's entry point, so
     repeated [run ~domains:4] calls share one set of worker domains.
-    Shared pools are never shut down. *)
+    Shared pools are never shut down. A failed creation (see {!create})
+    caches nothing, so a later call can still succeed. *)
 
 val run : t -> shards:int -> (int -> unit) -> unit
 (** [run t ~shards f] executes [f 0 .. f (shards - 1)], shard [s] on

@@ -186,7 +186,8 @@ let of_string input =
     | Some _ | None -> ());
     let token = String.sub input start (!pos - start) in
     match float_of_string_opt token with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail (Printf.sprintf "number %S out of range" token)
     | None -> fail (Printf.sprintf "invalid number %S" token)
   in
   let rec parse_value () =

@@ -21,7 +21,9 @@ val to_string : ?indent:int -> t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error string carries a character
-    offset. Trailing non-whitespace input is an error. *)
+    offset. Trailing non-whitespace input is an error, and so is a number
+    too large for a finite float (e.g. [1e400]): every parsed [Number]
+    can be printed back by {!to_string}. *)
 
 (** {1 Accessors} — total functions returning [option]. *)
 

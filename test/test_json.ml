@@ -46,7 +46,7 @@ let test_errors () =
   List.iter is_error
     [
       ""; "tru"; "[1,"; "{\"a\":}"; "{\"a\" 1}"; "\"unterminated"; "[1] trailing"; "{1: 2}";
-      "nul"; "+1"; "\"bad\\escape\"" ;
+      "nul"; "+1"; "\"bad\\escape\"" ; "1e400"; "[-1e400]";
     ]
 
 let test_accessors () =

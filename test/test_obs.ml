@@ -5,7 +5,6 @@
 module Obs = Stratrec_obs
 module Registry = Obs.Registry
 module Snapshot = Obs.Snapshot
-module Sink = Obs.Sink
 module Span = Obs.Span
 module Trace = Obs.Trace
 module Json = Stratrec_util.Json
@@ -92,9 +91,8 @@ let test_noop_registry () =
 
 let test_disabled_span_skips_clock_and_sink () =
   let clock_calls = ref 0 in
-  let sink, events = Sink.memory () in
   let reg =
-    Registry.disabled ~sink
+    Registry.disabled
       ~clock:(fun () ->
         incr clock_calls;
         42.)
@@ -104,7 +102,7 @@ let test_disabled_span_skips_clock_and_sink () =
   Alcotest.(check (float 0.)) "zero elapsed" 0. (Span.finish span);
   Span.time reg "also_skipped_seconds" ignore;
   Alcotest.(check int) "the clock is never read" 0 !clock_calls;
-  Alcotest.(check int) "no sink events" 0 (List.length (events ()))
+  Alcotest.(check int) "nothing is recorded" 0 (List.length (Registry.snapshot reg))
 
 (* Spans against an injected clock *)
 
@@ -144,32 +142,6 @@ let test_span_time_wraps_raise () =
   Alcotest.(check int) "span finished despite the raise" 1
     (Snapshot.histogram_count (Registry.snapshot reg) "failing_seconds")
 
-(* Sinks *)
-
-let test_memory_sink_event_order () =
-  let sink, events = Sink.memory () in
-  let reg = Registry.create ~sink () in
-  Registry.incr (Registry.counter reg "a_total");
-  Registry.set (Registry.gauge reg "b") 0.5;
-  Registry.observe (Registry.histogram reg "c_seconds") 0.01;
-  Alcotest.(check (list string))
-    "events arrive oldest first, one per mutation"
-    [ "a_total"; "b"; "c_seconds" ]
-    (List.map Sink.event_name (events ()));
-  match events () with
-  | [ Sink.Counter_incr { by = 1; total = 1; _ }; Sink.Gauge_set { value = 0.5; _ };
-      Sink.Observe { value = 0.01; _ } ] ->
-      ()
-  | _ -> Alcotest.fail "unexpected event payloads"
-
-let test_fanout_sink () =
-  let s1, e1 = Sink.memory () in
-  let s2, e2 = Sink.memory () in
-  let reg = Registry.create ~sink:(Sink.fanout [ s1; s2 ]) () in
-  Registry.incr (Registry.counter reg "a_total");
-  Alcotest.(check int) "first sink" 1 (List.length (e1 ()));
-  Alcotest.(check int) "second sink" 1 (List.length (e2 ()))
-
 (* Snapshots *)
 
 let test_snapshot_determinism () =
@@ -188,17 +160,6 @@ let test_snapshot_determinism () =
     "sorted by name"
     [ "a_total"; "b_total"; "m_gauge"; "z_total" ]
     (List.map (fun e -> e.Snapshot.name) a)
-
-let test_snapshot_reset () =
-  let reg = Registry.create () in
-  Registry.incr (Registry.counter reg "a_total");
-  Registry.reset reg;
-  Alcotest.(check int) "reset clears state" 0
-    (List.length (Registry.snapshot reg));
-  (* Handles survive a reset and re-materialize state. *)
-  Registry.incr (Registry.counter reg "a_total");
-  Alcotest.(check int) "counter restarts from zero" 1
-    (Snapshot.counter_value (Registry.snapshot reg) "a_total")
 
 let test_snapshot_json_infinity () =
   let reg = Registry.create () in
@@ -697,15 +658,14 @@ let test_wall_clock_monotone () =
   Alcotest.(check bool) "tracks real wall time" true (abs_float (Unix.gettimeofday () -. c) < 60.)
 
 let test_bucket_layout_conflict () =
-  let sink, events = Sink.memory () in
-  let reg = Registry.create ~sink () in
+  let reg = Registry.create () in
   let h = Registry.histogram ~buckets:[| 1.; 2. |] reg "h_seconds" in
   Registry.observe h 1.5;
   (* Same layout: no conflict. *)
   ignore (Registry.histogram ~buckets:[| 1.; 2. |] reg "h_seconds");
   Alcotest.(check int) "same layout is silent" 0
     (Snapshot.counter_value (Registry.snapshot reg) "obs.bucket_layout_conflicts_total");
-  (* Conflicting layout: counted, warned, original layout kept. *)
+  (* Conflicting layout: counted, original layout kept. *)
   let h2 = Registry.histogram ~buckets:[| 10.; 20. |] reg "h_seconds" in
   Registry.observe h2 1.5;
   let snap = Registry.snapshot reg in
@@ -717,17 +677,6 @@ let test_bucket_layout_conflict () =
       Alcotest.(check (list (float 0.))) "original bounds kept" [ 1.; 2.; infinity ]
         (List.map fst buckets)
   | _ -> Alcotest.fail "histogram missing");
-  let warnings =
-    List.filter_map
-      (function Sink.Warning { name; message } -> Some (name, message) | _ -> None)
-      (events ())
-  in
-  (match warnings with
-  | [ (name, message) ] ->
-      Alcotest.(check string) "warning names the metric" "h_seconds" name;
-      Alcotest.(check bool) "warning explains the repair" true
-        (String.length message > 0)
-  | _ -> Alcotest.fail "expected exactly one warning event");
   (* A second conflicting registration counts again. *)
   ignore (Registry.histogram ~buckets:[| 10.; 20. |] reg "h_seconds");
   Alcotest.(check int) "repeat conflict counted" 2
@@ -806,7 +755,7 @@ let test_log_span_correlation () =
       Alcotest.(check string) "span id of the innermost open span"
         {|{"ts":1.5,"level":"info","span":1,"msg":"inside"}|} inside
   | _ -> Alcotest.fail "expected two records");
-  Alcotest.(check bool) "noop logger stays silent" true (not (Log.enabled Log.noop))
+  Alcotest.(check bool) "noop logger stays silent" false (Log.would_log Log.noop Log.Error)
 
 let test_log_level_threshold () =
   let log, lines = buffer_log ~level:Log.Warn () in
@@ -836,24 +785,6 @@ let test_log_escaping () =
             (Option.bind (Json.member "path" json) Json.to_string_value)
       | Error m -> Alcotest.failf "record is not valid JSON: %s" m)
   | _ -> Alcotest.fail "expected one record"
-
-let test_log_warning_sink () =
-  let log, lines = buffer_log () in
-  let reg = Registry.create ~sink:(Log.warning_sink log) () in
-  ignore (Registry.histogram ~buckets:[| 1. |] reg "h_seconds");
-  ignore (Registry.histogram ~buckets:[| 2. |] reg "h_seconds");
-  Registry.incr (Registry.counter reg "c_total");
-  (* Only warnings forward; counter/observe events do not become records. *)
-  match lines () with
-  | [ line ] -> (
-      match Json.of_string line with
-      | Ok json ->
-          Alcotest.(check (option string)) "level" (Some "warn")
-            (Option.bind (Json.member "level" json) Json.to_string_value);
-          Alcotest.(check (option string)) "metric field" (Some "h_seconds")
-            (Option.bind (Json.member "metric" json) Json.to_string_value)
-      | Error m -> Alcotest.failf "record is not valid JSON: %s" m)
-  | other -> Alcotest.failf "expected one warn record, got %d" (List.length other)
 
 (* OpenMetrics exposition *)
 
@@ -1403,15 +1334,9 @@ let () =
           Alcotest.test_case "chrome trace events" `Quick test_trace_chrome_json;
           Alcotest.test_case "engine trace file hierarchy" `Quick test_engine_trace_file;
         ] );
-      ( "sinks",
-        [
-          Alcotest.test_case "memory event order" `Quick test_memory_sink_event_order;
-          Alcotest.test_case "fanout" `Quick test_fanout_sink;
-        ] );
       ( "snapshots",
         [
           Alcotest.test_case "determinism" `Quick test_snapshot_determinism;
-          Alcotest.test_case "reset" `Quick test_snapshot_reset;
           Alcotest.test_case "json +inf" `Quick test_snapshot_json_infinity;
           Alcotest.test_case "json round-trip with +inf bucket" `Quick
             test_snapshot_roundtrip_inf_bucket;
@@ -1433,7 +1358,6 @@ let () =
           Alcotest.test_case "span correlation" `Quick test_log_span_correlation;
           Alcotest.test_case "level threshold" `Quick test_log_level_threshold;
           Alcotest.test_case "escaping" `Quick test_log_escaping;
-          Alcotest.test_case "warning sink" `Quick test_log_warning_sink;
         ] );
       ( "openmetrics",
         [

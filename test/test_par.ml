@@ -90,6 +90,18 @@ let test_shared_pool_is_memoized () =
   Alcotest.(check bool) "same pool" true (a == b);
   Alcotest.(check int) "requested size" 3 (Pool.size a)
 
+let test_shared_pool_after_failed_call () =
+  (* The runtime caps live domains below 200, so this creation fails. It
+     must join the workers it did spawn and release the shared lock. *)
+  (match Pool.shared ~domains:200 with
+  | _ -> Alcotest.fail "expected the runtime to refuse 200 domains"
+  | exception Failure _ -> ());
+  Pool.shutdown (Pool.create ~domains:2);
+  let pool = Pool.shared ~domains:5 in
+  let hits = Array.make 10 0 in
+  Pool.run pool ~shards:10 (fun s -> hits.(s) <- hits.(s) + 1);
+  Alcotest.(check (array int)) "every shard ran once" (Array.make 10 1) hits
+
 (* --- Pool utilization --- *)
 
 let total_tasks stats = Array.fold_left (fun acc s -> acc + s.Pool.tasks) 0 stats
@@ -373,6 +385,8 @@ let () =
           Alcotest.test_case "propagates failure" `Quick test_pool_propagates_failure;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "shared pool memoized" `Quick test_shared_pool_is_memoized;
+          Alcotest.test_case "shared pool after a failed call" `Quick
+            test_shared_pool_after_failed_call;
           Alcotest.test_case "utilization stats" `Quick test_pool_stats_accounting;
           Alcotest.test_case "export gauges" `Quick test_pool_export_gauges;
           Alcotest.test_case "profiling preserves determinism" `Quick
