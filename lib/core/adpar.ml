@@ -2,7 +2,6 @@ module Params = Stratrec_model.Params
 module Strategy = Stratrec_model.Strategy
 module Deployment = Stratrec_model.Deployment
 module Point3 = Stratrec_geom.Point3
-module Kselect = Stratrec_util.Kselect
 module Obs = Stratrec_obs
 
 type result = {
@@ -37,94 +36,206 @@ let relaxations_of ~strategies request =
 
 let epsilon = 1e-9
 
-let covers ~alternative s =
-  let a = Params.to_point alternative and p = Strategy.point s in
-  Point3.coord p 0 <= Point3.coord a 0 +. epsilon
-  && Point3.coord p 1 <= Point3.coord a 1 +. epsilon
-  && Point3.coord p 2 <= Point3.coord a 2 +. epsilon
+(* The inverted-space comparison of [Params.to_point] coordinates,
+   written on the params themselves so a catalog scan allocates nothing. *)
+let covers ~(alternative : Params.t) s =
+  let p = s.Strategy.params in
+  1. -. p.Params.quality <= 1. -. alternative.quality +. epsilon
+  && p.Params.cost <= alternative.cost +. epsilon
+  && p.Params.latency <= alternative.latency +. epsilon
+
+(* The relaxation triples of the whole catalog as three flat float
+   arrays in catalog order: the same float expressions as
+   [relaxations_of], without a record or a Point3 per strategy. *)
+type flat = { q : float array; c : float array; l : float array }
+
+let flat_relaxations ~strategies request =
+  let rp = request.Deployment.params in
+  let n = Array.length strategies in
+  let q = Array.create_float n and c = Array.create_float n and l = Array.create_float n in
+  for i = 0 to n - 1 do
+    let sp = strategies.(i).Strategy.params in
+    q.(i) <- Float.max 0. ((1. -. sp.Params.quality) -. (1. -. rp.Params.quality));
+    c.(i) <- Float.max 0. (sp.Params.cost -. rp.Params.cost);
+    l.(i) <- Float.max 0. (sp.Params.latency -. rp.Params.latency)
+  done;
+  { q; c; l }
+
+(* Indices of [key] ordered by Float.compare, ties by index: a bottom-up
+   merge sort, stable from the identity order. Unlike [Array.sort] on an
+   index array it is monomorphic, so no comparison is a closure call and
+   no element read checks for a float array. *)
+let order_by (key : float array) =
+  let n = Array.length key in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let width = ref 1 in
+  while !width < n do
+    let a = !src and b = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min (!lo + !width) n and hi = Int.min (!lo + (2 * !width)) n in
+      let i = ref !lo and j = ref mid in
+      for d = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || Float.compare key.(a.(!j)) key.(a.(!i)) >= 0) then begin
+          b.(d) <- a.(!i);
+          incr i
+        end
+        else begin
+          b.(d) <- a.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := b;
+    dst := a;
+    width := 2 * !width
+  done;
+  !src
+
+(* A max-heap of the k smallest latency relaxations seen on one cost
+   sweep, ordered by Float.compare; once full, its root is the k-th
+   smallest. [push] inserts [src.(j)], which must belong: the heap is
+   not full, or the value is below the root, which it evicts. Taking the
+   value by index keeps it unboxed. *)
+type kheap = { data : float array; mutable size : int }
+
+let push h (src : float array) j =
+  let v = src.(j) and k = Array.length h.data in
+  if h.size < k then begin
+    let pos = ref h.size in
+    h.size <- h.size + 1;
+    while !pos > 0 && Float.compare h.data.((!pos - 1) / 2) v < 0 do
+      h.data.(!pos) <- h.data.((!pos - 1) / 2);
+      pos := (!pos - 1) / 2
+    done;
+    h.data.(!pos) <- v
+  end
+  else begin
+    let pos = ref 0 and sifting = ref true in
+    while !sifting do
+      let left = (2 * !pos) + 1 in
+      let child =
+        if left + 1 < k && Float.compare h.data.(left + 1) h.data.(left) > 0 then left + 1
+        else left
+      in
+      if child < k && Float.compare h.data.(child) v > 0 then begin
+        h.data.(!pos) <- h.data.(child);
+        pos := child
+      end
+      else sifting := false
+    done;
+    h.data.(!pos) <- v
+  end
 
 (* Exhaustive-but-pruned scan over the discrete candidate space of Lemma 1/2:
    the optimal relaxation triple (x, y, z) has x among the distinct quality
    relaxations (plus 0), y among the cost relaxations of strategies eligible
    at x, and z the k-th smallest latency relaxation of the strategies
    eligible at (x, y). The objective is the paper's plain L2,
-   x^2 + y^2 + z^2. Returns the best triple, or None when n < k. *)
-let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k relax =
-  let sweep_events = Obs.Registry.counter metrics "adpar.sweep_events_total" in
-  let prune_cutoffs = Obs.Registry.counter metrics "adpar.prune_cutoffs_total" in
-  let n = Array.length relax in
+   x^2 + y^2 + z^2. Returns the best triple, or None when n < k. Sweep
+   events and prune cut-offs are counted in locals and flushed once. *)
+let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k { q; c; l } =
+  let n = Array.length q in
   if n < k then None
   else begin
-    let xs =
-      Array.to_list relax
-      |> List.map (fun r -> r.quality)
-      |> List.cons 0.
-      |> List.sort_uniq Float.compare
-    in
-    (* Strategy indices sorted by cost relaxation ascending — the cost
-       sweep line, shared by every quality step. *)
-    let by_cost = Array.init n Fun.id in
-    Array.sort
-      (fun i j ->
-        let c = Float.compare relax.(i).cost relax.(j).cost in
-        if c <> 0 then c else Int.compare i j)
+    (* Quality candidates, ascending and distinct. Relaxations are never
+       below 0, so 0 leads. *)
+    let by_quality = order_by q in
+    let xs = Array.make (n + 1) 0. in
+    let nx = ref 1 in
+    Array.iter
+      (fun i ->
+        if Float.compare q.(i) xs.(!nx - 1) <> 0 then begin
+          xs.(!nx) <- q.(i);
+          incr nx
+        end)
+      by_quality;
+    (* The cost sweep line, shared by every quality step: strategies by
+       cost relaxation, then index, with their triples gathered in that
+       order. *)
+    let by_cost = order_by c in
+    let sq = Array.create_float n and sc = Array.create_float n and sl = Array.create_float n in
+    Array.iteri
+      (fun j i ->
+        sq.(j) <- q.(i);
+        sc.(j) <- c.(i);
+        sl.(j) <- l.(i))
       by_cost;
-    let best_sq = ref infinity in
-    let best = ref None in
-    let consider x y z =
-      let sq = (x *. x) +. (y *. y) +. (z *. z) in
-      if sq < !best_sq then begin
-        best_sq := sq;
-        best := Some (x, y, z)
-      end
-    in
+    let heap = { data = Array.create_float k; size = 0 } in
+    let events = ref 0 and cutoffs = ref 0 in
+    let best_sq = ref infinity and found = ref false in
+    let bx = ref 0. and by = ref 0. and bz = ref 0. in
     (* Ascending x: once the x term alone reaches the incumbent, no later x
        can improve (objective monotone in each coordinate, cf. Lemma 2). *)
-    let rec quality_sweep = function
-      | [] -> ()
-      | x :: rest ->
-          if (not prune) || x *. x < !best_sq then begin
-            let tracker = Kselect.Tracker.create ~cmp:Float.compare k in
-            (let exception Break in
-             try
-               Array.iter
-                 (fun i ->
-                   let r = relax.(i) in
-                   if r.quality <= x then begin
-                     Obs.Registry.incr sweep_events;
-                     let y = r.cost in
-                     if prune && (x *. x) +. (y *. y) >= !best_sq then begin
-                       Obs.Registry.incr prune_cutoffs;
-                       raise Break
-                     end;
-                     Kselect.Tracker.add tracker r.latency;
-                     match Kselect.Tracker.kth tracker with
-                     | Some z -> consider x y z
-                     | None -> ()
-                   end)
-                 by_cost
-             with Break -> ());
-            quality_sweep rest
-          end
-          else Obs.Registry.incr prune_cutoffs
+    let i = ref 0 in
+    while !i < !nx do
+      let x = xs.(!i) in
+      if (not prune) || x *. x < !best_sq then begin
+        heap.size <- 0;
+        let j = ref 0 in
+        while !j < n do
+          if sq.(!j) <= x then begin
+            incr events;
+            let y = sc.(!j) in
+            if prune && (x *. x) +. (y *. y) >= !best_sq then begin
+              incr cutoffs;
+              j := n
+            end
+            else begin
+              if heap.size < k || Float.compare sl.(!j) heap.data.(0) < 0 then
+                push heap sl !j;
+              if heap.size = k then begin
+                let z = heap.data.(0) in
+                let d = (x *. x) +. (y *. y) +. (z *. z) in
+                if d < !best_sq then begin
+                  best_sq := d;
+                  found := true;
+                  bx := x;
+                  by := y;
+                  bz := z
+                end
+              end
+            end
+          end;
+          incr j
+        done;
+        incr i
+      end
+      else begin
+        incr cutoffs;
+        i := !nx
+      end
+    done;
+    let flush name count =
+      if count > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) count
     in
-    quality_sweep xs;
-    !best
+    flush "adpar.sweep_events_total" !events;
+    flush "adpar.prune_cutoffs_total" !cutoffs;
+    if !found then Some (!bx, !by, !bz) else None
   end
 
+(* One pass over the catalog: the first k covered strategies in catalog
+   order, and how many are covered in all. *)
 let build_result ~k ~strategies request (x, y, z) =
   let rp = Params.to_point request.Deployment.params in
   let alternative_point =
     Point3.make (Point3.coord rp 0 +. x) (Point3.coord rp 1 +. y) (Point3.coord rp 2 +. z)
   in
   let alternative = Params.of_point alternative_point in
-  let covered = Array.to_list strategies |> List.filter (covers ~alternative) in
-  let recommended = List.filteri (fun i _ -> i < k) covered in
+  let covered = ref 0 and recommended = ref [] in
+  Array.iter
+    (fun s ->
+      if covers ~alternative s then begin
+        if !covered < k then recommended := s :: !recommended;
+        incr covered
+      end)
+    strategies;
   {
     alternative;
     distance = sqrt ((x *. x) +. (y *. y) +. (z *. z));
-    recommended;
-    covered_count = List.length covered;
+    recommended = List.rev !recommended;
+    covered_count = !covered;
   }
 
 let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = true) ?k
@@ -146,7 +257,7 @@ let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = tru
            reconstruct the envelope d' and its k-cover. *)
         let relax =
           Obs.Trace.span trace "adpar.relaxations" (fun () ->
-              relaxations_of ~strategies request)
+              flat_relaxations ~strategies request)
         in
         let best =
           Obs.Trace.span trace "adpar.sweep" (fun () -> search ~metrics ~prune ~k relax)

@@ -44,7 +44,14 @@ val exact :
     [adpar.calls_total], [adpar.sweep_events_total] (one per (x, y)
     candidate visited on the cost sweep line), [adpar.prune_cutoffs_total]
     (one per monotone-objective cut, on either sweep), the
-    [adpar.search_seconds] span and [adpar.no_alternative_total].
+    [adpar.search_seconds] span and [adpar.no_alternative_total]. The
+    sweep counts are per-call totals, added once at the end of the sweep
+    and only when non-zero, so a call without cut-offs leaves
+    [adpar.prune_cutoffs_total] absent as before.
+
+    The sweep works on flat float arrays with one reused k-element heap:
+    a call allocates a handful of length-n arrays, and no record per
+    strategy or per sweep event.
 
     [trace] (default {!Stratrec_obs.Trace.noop}) opens an [adpar.exact]
     span (attributes: k, catalog size, and the resulting distance or

@@ -474,10 +474,6 @@ let deploy_satisfied session ~policy ~rng deploy (aggregate : Aggregator.report)
   Obs.Registry.set (Obs.Registry.gauge metrics "resilience.sim_clock_hours") !clock;
   deployed
 
-(* Drop the first [n] elements — the decisions previous epochs already
-   reported. *)
-let rec drop n = function xs when n <= 0 -> xs | [] -> [] | _ :: rest -> drop (n - 1) rest
-
 let submit ?deadline_hours session requests_in =
   if session.closed then Error `Session_closed
   else if Option.fold ~none:false ~some:(fun h -> not (h > 0.)) deadline_hours then
@@ -626,9 +622,8 @@ let submit ?deadline_hours session requests_in =
         (* Bookkeeping always reads the session's real trace: while the
            live switch is off the real buffer does not grow, so the
            fresh-decision arithmetic stays consistent across toggles. *)
-        let all_decisions = Obs.Trace.decisions session.trace in
-        let fresh = drop session.decisions_seen all_decisions in
-        session.decisions_seen <- List.length all_decisions;
+        let fresh = Obs.Trace.decisions_after session.trace session.decisions_seen in
+        session.decisions_seen <- session.decisions_seen + List.length fresh;
         Ok
           {
             report with

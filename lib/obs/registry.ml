@@ -23,9 +23,27 @@ type t = {
   kinds : (string, string) Hashtbl.t;
 }
 
-type counter = { creg : t; cname : string; clabels : Labels.t }
-type gauge = { greg : t; gname : string; glabels : Labels.t }
-type histogram = { hreg : t; hname : string; hlabels : Labels.t; hbuckets : float array }
+(* Counter and gauge handles resolve their cell on the first update and
+   keep it, so later updates skip the table. Resolution waits for an
+   update because a handle alone must not add a series to snapshots. No
+   series is ever removed or replaced, so a kept cell never goes stale. *)
+type counter = {
+  creg : t;
+  cname : string;
+  clabels : Labels.t;
+  mutable ccell : int ref option;
+}
+
+type gauge = {
+  greg : t;
+  gname : string;
+  glabels : Labels.t;
+  mutable gcell : float ref option;
+}
+
+(* Histogram registration is eager, so the handle holds its state from
+   creation; [None] on a disabled registry. *)
+type histogram = hstate option
 
 let create ?(clock = Sys.time) () =
   { enabled = true; clock; table = Hashtbl.create 32; kinds = Hashtbl.create 32 }
@@ -75,12 +93,12 @@ let check_family t name kind =
 let counter ?(labels = []) t name =
   let labels = Labels.normalize labels in
   check_family t name "counter";
-  { creg = t; cname = name; clabels = labels }
+  { creg = t; cname = name; clabels = labels; ccell = None }
 
 let gauge ?(labels = []) t name =
   let labels = Labels.normalize labels in
   check_family t name "gauge";
-  { greg = t; gname = name; glabels = labels }
+  { greg = t; gname = name; glabels = labels; gcell = None }
 
 let validate_buckets buckets =
   if Array.length buckets = 0 then
@@ -140,13 +158,14 @@ let bucket_layout_conflicts = "obs.bucket_layout_conflicts_total"
 let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
   validate_buckets buckets;
   let labels = Labels.normalize labels in
-  if t.enabled then begin
+  if not t.enabled then None
+  else begin
     check_family t name "histogram";
     match Hashtbl.find_opt t.table { s_name = name; s_labels = labels } with
     | None ->
         (* Materialize eagerly so a later registration under the same
            series can be checked against this layout. *)
-        ignore (histogram_state t name labels buckets)
+        Some (histogram_state t name labels buckets)
     | Some (H h) ->
         if
           Array.length h.bounds <> Array.length buckets
@@ -156,35 +175,44 @@ let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
              count the conflict in the self-metric. *)
           let r = counter_state t bucket_layout_conflicts [] in
           r := !r + 1
-        end
+        end;
+        Some h
     | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
-  end;
-  { hreg = t; hname = name; hlabels = labels; hbuckets = buckets }
+  end
+
+let counter_cell c =
+  match c.ccell with
+  | Some r -> r
+  | None ->
+      let r = counter_state c.creg c.cname c.clabels in
+      c.ccell <- Some r;
+      r
+
+let gauge_cell g =
+  match g.gcell with
+  | Some r -> r
+  | None ->
+      let r = gauge_state g.greg g.gname g.glabels in
+      g.gcell <- Some r;
+      r
 
 let incr_by c by =
   if by < 0 then invalid_arg "Stratrec_obs.Registry.incr_by: negative increment";
   if c.creg.enabled then begin
     (* A zero increment still materializes the counter (at 0) so it shows
        up in snapshots. *)
-    let r = counter_state c.creg c.cname c.clabels in
+    let r = counter_cell c in
     r := !r + by
   end
 
 let incr c = incr_by c 1
-
-let counter_value c =
-  if not c.creg.enabled then 0 else !(counter_state c.creg c.cname c.clabels)
-
-let set g value = if g.greg.enabled then gauge_state g.greg g.gname g.glabels := value
+let set g value = if g.greg.enabled then gauge_cell g := value
 
 let add g delta =
   if g.greg.enabled then begin
-    let r = gauge_state g.greg g.gname g.glabels in
+    let r = gauge_cell g in
     r := !r +. delta
   end
-
-let gauge_value g =
-  if not g.greg.enabled then 0. else !(gauge_state g.greg g.gname g.glabels)
 
 let bucket_index bounds value =
   (* First bound >= value; the +inf bucket is Array.length bounds. *)
@@ -198,21 +226,21 @@ let bucket_index bounds value =
   go 0 n
 
 let observe h value =
-  if h.hreg.enabled then begin
-    let s = histogram_state h.hreg h.hname h.hlabels h.hbuckets in
-    let i = bucket_index s.bounds value in
-    s.counts.(i) <- s.counts.(i) + 1;
-    if s.count = 0 then begin
-      s.min_v <- value;
-      s.max_v <- value
-    end
-    else begin
-      if value < s.min_v then s.min_v <- value;
-      if value > s.max_v then s.max_v <- value
-    end;
-    s.count <- s.count + 1;
-    s.sum <- s.sum +. value
-  end
+  match h with
+  | None -> ()
+  | Some s ->
+      let i = bucket_index s.bounds value in
+      s.counts.(i) <- s.counts.(i) + 1;
+      if s.count = 0 then begin
+        s.min_v <- value;
+        s.max_v <- value
+      end
+      else begin
+        if value < s.min_v then s.min_v <- value;
+        if value > s.max_v then s.max_v <- value
+      end;
+      s.count <- s.count + 1;
+      s.sum <- s.sum +. value
 
 let absorb t (snapshot : Snapshot.t) =
   if t.enabled then

@@ -19,7 +19,15 @@
     different bucket layout keeps the original layout, but counts the
     conflict in the [obs.bucket_layout_conflicts_total] self-metric
     instead of staying silent. The registry is not thread-safe — one
-    registry per run (the intended sharding unit) needs no locking. *)
+    registry per run (the intended sharding unit) needs no locking.
+
+    Handles keep their cell. A counter or gauge handle looks its series
+    up on its first update and holds on to it, so every later update is
+    a branch and a write, with no table lookup; creating a handle alone
+    adds no series. A histogram handle holds its series from
+    registration. No series is ever removed, so a kept cell stays the
+    one {!snapshot} reads and {!absorb} adds to — hot loops should
+    create a handle once and reuse it. *)
 
 type t
 
@@ -96,11 +104,8 @@ val incr_by : counter -> int -> unit
     monotone). A zero increment registers the counter (so it appears in
     snapshots at 0). *)
 
-val counter_value : counter -> int
-
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 

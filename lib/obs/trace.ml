@@ -62,15 +62,20 @@ let span ?(attrs = []) t name f =
       let parent = match s.stack with r :: _ -> Some r.id | [] -> None in
       let id = s.next_id in
       s.next_id <- id + 1;
-      let r = { id; parent; name; start_ts = s.clock (); end_ts = Float.nan; rattrs = attrs } in
-      if s.retained_count < s.capacity then begin
+      (* A dropped span still goes on the stack, so its children get
+         their parent id, but nothing reads its timestamps: it skips the
+         clock, which costs a system call with the default [Sys.time]. *)
+      let retained = s.retained_count < s.capacity in
+      let start_ts = if retained then s.clock () else Float.nan in
+      let r = { id; parent; name; start_ts; end_ts = Float.nan; rattrs = attrs } in
+      if retained then begin
         s.retained <- r :: s.retained;
         s.retained_count <- s.retained_count + 1
       end
       else s.dropped <- s.dropped + 1;
       s.stack <- r :: s.stack;
       let finish () =
-        r.end_ts <- s.clock ();
+        if retained then r.end_ts <- s.clock ();
         (* Pop back to (and including) this span — tolerant of an
            unbalanced stack after an exception skipped inner finishes. *)
         let rec pop = function
@@ -105,7 +110,20 @@ let decide t ~id ~label verdict =
       end
       else s.dropped <- s.dropped + 1
 
-let decisions = function Noop -> [] | Active s -> List.rev s.decided
+let decisions_after t n =
+  match t with
+  | Noop -> []
+  | Active s ->
+      (* [decided] is newest first, so the fresh ones are its first
+         [decided_count - n] cells; taking them reverses them into
+         decision order. *)
+      let rec take fresh acc = function
+        | d :: older when fresh > 0 -> take (fresh - 1) (d :: acc) older
+        | _ -> acc
+      in
+      take (s.decided_count - n) [] s.decided
+
+let decisions t = decisions_after t 0
 
 let merge t children =
   match t with

@@ -34,7 +34,8 @@ val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** Fresh enabled trace. [capacity] (default 4096) bounds the number of
     retained spans and decision records; [clock] defaults to [Sys.time]
     — the process clock, monotone non-decreasing like
-    {!Registry.create}'s. *)
+    {!Registry.create}'s. Only retained spans and decisions read the
+    clock. *)
 
 val noop : t
 (** The disabled trace every [?trace] argument defaults to: {!span}
@@ -84,6 +85,12 @@ val decide : t -> id:int -> label:string -> verdict -> unit
 
 val decisions : t -> decision list
 (** In decision order. *)
+
+val decisions_after : t -> int -> decision list
+(** [decisions_after t n] is every retained decision after the first
+    [n], in decision order — what was decided since a reader last saw
+    [n] of them. Costs O(decisions returned), not O(all retained), so a
+    full buffer answers [[]] at once. *)
 
 val merge : t -> t list -> unit
 (** [merge t shards] splices per-shard traces into [t], in shard order:

@@ -2,7 +2,7 @@
 
     The paper's workforce aggregation (§3.2) retrieves the [k] smallest
     workforce values of each matrix row with min-heaps; this module provides
-    that primitive, plus order statistics used by ADPaR's sweep lines. *)
+    that primitive and its incremental form. *)
 
 val k_smallest : cmp:('a -> 'a -> int) -> int -> 'a array -> 'a list
 (** [k_smallest ~cmp k arr] is the [k] smallest elements of [arr] in
@@ -18,7 +18,9 @@ val k_smallest_indices : cmp:('a -> 'a -> int) -> int -> 'a array -> int list
     ascending element order. Ties broken by index. *)
 
 (** Incremental k-smallest tracker: feed elements one by one and query the
-    current k-th smallest in O(log k). Used by the ADPaR cost/latency sweep. *)
+    current k-th smallest in O(log k). Used by [Stratrec_model.Workforce]'s
+    streaming requirement; the ADPaR sweep keeps its own flat float heap,
+    which boxes nothing per element. *)
 module Tracker : sig
   type 'a t
 

@@ -159,6 +159,158 @@ let prop_monotone_in_k =
       in
       dist 1 <= dist 2 +. 1e-9 && dist 2 <= dist 3 +. 1e-9)
 
+(* Reference implementation for the oracle below: the record-based sweep,
+   Point3-based cover test and list-based selection [Adpar.exact] ran
+   before its flat, allocation-lean rewrite, counting every sweep event
+   and cut-off as it happens. *)
+module Reference = struct
+  module Registry = Stratrec_obs.Registry
+  module Kselect = Stratrec_util.Kselect
+  module Point3 = Stratrec_geom.Point3
+
+  let search ~metrics ~prune ~k (relax : Adpar.relaxation array) =
+    let sweep_events = Registry.counter metrics "adpar.sweep_events_total" in
+    let prune_cutoffs = Registry.counter metrics "adpar.prune_cutoffs_total" in
+    let n = Array.length relax in
+    if n < k then None
+    else begin
+      let xs =
+        Array.to_list relax
+        |> List.map (fun (r : Adpar.relaxation) -> r.quality)
+        |> List.cons 0.
+        |> List.sort_uniq Float.compare
+      in
+      let by_cost = Array.init n Fun.id in
+      Array.sort
+        (fun i j ->
+          let c = Float.compare relax.(i).cost relax.(j).cost in
+          if c <> 0 then c else Int.compare i j)
+        by_cost;
+      let best_sq = ref infinity in
+      let best = ref None in
+      let consider x y z =
+        let sq = (x *. x) +. (y *. y) +. (z *. z) in
+        if sq < !best_sq then begin
+          best_sq := sq;
+          best := Some (x, y, z)
+        end
+      in
+      let rec quality_sweep = function
+        | [] -> ()
+        | x :: rest ->
+            if (not prune) || x *. x < !best_sq then begin
+              let tracker = Kselect.Tracker.create ~cmp:Float.compare k in
+              (let exception Break in
+               try
+                 Array.iter
+                   (fun i ->
+                     let r = relax.(i) in
+                     if r.quality <= x then begin
+                       Registry.incr sweep_events;
+                       let y = r.cost in
+                       if prune && (x *. x) +. (y *. y) >= !best_sq then begin
+                         Registry.incr prune_cutoffs;
+                         raise Break
+                       end;
+                       Kselect.Tracker.add tracker r.latency;
+                       match Kselect.Tracker.kth tracker with
+                       | Some z -> consider x y z
+                       | None -> ()
+                     end)
+                   by_cost
+               with Break -> ());
+              quality_sweep rest
+            end
+            else Registry.incr prune_cutoffs
+      in
+      quality_sweep xs;
+      !best
+    end
+
+  let covers ~alternative s =
+    let a = Params.to_point alternative and p = Strategy.point s in
+    Point3.coord p 0 <= Point3.coord a 0 +. 1e-9
+    && Point3.coord p 1 <= Point3.coord a 1 +. 1e-9
+    && Point3.coord p 2 <= Point3.coord a 2 +. 1e-9
+
+  let build_result ~k ~strategies request (x, y, z) =
+    let rp = Params.to_point request.Deployment.params in
+    let alternative =
+      Params.of_point
+        (Point3.make (Point3.coord rp 0 +. x) (Point3.coord rp 1 +. y) (Point3.coord rp 2 +. z))
+    in
+    let covered = Array.to_list strategies |> List.filter (covers ~alternative) in
+    {
+      Adpar.alternative;
+      distance = sqrt ((x *. x) +. (y *. y) +. (z *. z));
+      recommended = List.filteri (fun i _ -> i < k) covered;
+      covered_count = List.length covered;
+    }
+
+  let exact ~metrics ~prune ~k ~strategies request =
+    search ~metrics ~prune ~k (Adpar.relaxations_of ~strategies request)
+    |> Option.map (build_result ~k ~strategies request)
+end
+
+(* Catalogs of up to 300 strategies (often fewer than k), uniform or on a
+   0.2 grid where relaxations tie, against demanding, grid or
+   already-satisfiable requests. *)
+let oracle_case =
+  let open QCheck.Gen in
+  let grid = map (fun i -> float_of_int i *. 0.2) (int_range 0 5) in
+  let gen =
+    let* on_grid = bool in
+    let coord = if on_grid then grid else float_range 0. 1. in
+    let* n = oneof [ int_range 0 6; int_range 0 300 ] in
+    let* triples = list_repeat n (triple coord coord coord) in
+    let* rq =
+      oneof
+        [
+          triple coord coord coord;
+          triple (float_range 0.5 1.) (float_range 0. 0.5) (float_range 0. 0.5);
+          triple (float_range 0. 0.1) (float_range 0.9 1.) (float_range 0.9 1.);
+        ]
+    in
+    let* k = int_range 1 5 in
+    let* prune = bool in
+    return (triples, rq, k, prune)
+  in
+  let print (triples, (q, c, l), k, prune) =
+    Printf.sprintf "n=%d k=%d prune=%b request=(%h,%h,%h) catalog=[%s]" (List.length triples)
+      k prune q c l
+      (String.concat "; " (List.map (fun (q, c, l) -> Printf.sprintf "(%h,%h,%h)" q c l) triples))
+  in
+  QCheck.make ~print gen
+
+let prop_flat_sweep_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"flat ADPaR sweep is bit-identical to the reference"
+    oracle_case
+    (fun (triples, rq, k, prune) ->
+      let strategies = catalog triples in
+      let d = request ~k rq in
+      let m_flat = Stratrec_obs.Registry.create () and m_ref = Stratrec_obs.Registry.create () in
+      let flat = Adpar.exact ~metrics:m_flat ~prune ~strategies d in
+      let reference = Reference.exact ~metrics:m_ref ~prune ~k ~strategies d in
+      let same_result =
+        match (flat, reference) with
+        | None, None -> true
+        | Some a, Some b ->
+            let pa = a.Adpar.alternative and pb = b.Adpar.alternative in
+            Float.equal pa.Params.quality pb.Params.quality
+            && Float.equal pa.Params.cost pb.Params.cost
+            && Float.equal pa.Params.latency pb.Params.latency
+            && Float.equal a.Adpar.distance b.Adpar.distance
+            && List.map (fun s -> s.Strategy.id) a.Adpar.recommended
+               = List.map (fun s -> s.Strategy.id) b.Adpar.recommended
+            && a.Adpar.covered_count = b.Adpar.covered_count
+        | _ -> false
+      in
+      let counter m name = Stratrec_obs.Snapshot.find (Stratrec_obs.Registry.snapshot m) name in
+      same_result
+      && List.for_all
+           (fun name -> counter m_flat name = counter m_ref name)
+           [ "adpar.sweep_events_total"; "adpar.prune_cutoffs_total" ])
+
 let () =
   Alcotest.run "adpar"
     [
@@ -180,5 +332,6 @@ let () =
             prop_never_tightens;
             prop_distance_consistent;
             prop_monotone_in_k;
+            prop_flat_sweep_matches_reference;
           ] );
     ]

@@ -18,19 +18,24 @@ module Resilience = Stratrec_resilience
 let test_counter_semantics () =
   let reg = Registry.create () in
   let c = Registry.counter reg "requests_total" in
-  Alcotest.(check int) "starts absent" 0 (Registry.counter_value c);
+  let value () = Snapshot.counter_value (Registry.snapshot reg) "requests_total" in
+  Alcotest.(check int) "starts absent" 0 (value ());
   Registry.incr c;
   Registry.incr_by c 4;
-  Alcotest.(check int) "accumulates" 5 (Registry.counter_value c);
+  Alcotest.(check int) "accumulates" 5 (value ());
   Registry.incr_by c 0;
-  Alcotest.(check int) "zero incr is a no-op on the value" 5 (Registry.counter_value c);
+  Alcotest.(check int) "zero incr is a no-op on the value" 5 (value ());
   Alcotest.check_raises "negative increment"
     (Invalid_argument "Stratrec_obs.Registry.incr_by: negative increment") (fun () ->
       Registry.incr_by c (-1))
 
 let test_zero_incr_registers () =
   let reg = Registry.create () in
-  Registry.incr_by (Registry.counter reg "touched_total") 0;
+  let c = Registry.counter reg "touched_total" in
+  ignore (Registry.gauge reg "untouched");
+  Alcotest.(check int) "handles alone add no series" 0
+    (List.length (Registry.snapshot reg));
+  Registry.incr_by c 0;
   Alcotest.(check int) "appears in the snapshot at 0" 0
     (Snapshot.counter_value (Registry.snapshot reg) "touched_total");
   Alcotest.(check bool) "present" true
@@ -39,12 +44,37 @@ let test_zero_incr_registers () =
 let test_gauge_semantics () =
   let reg = Registry.create () in
   let g = Registry.gauge reg "workforce" in
+  let value () = Snapshot.gauge_value (Registry.snapshot reg) "workforce" in
   Registry.set g 0.75;
-  Alcotest.(check (float 0.)) "set" 0.75 (Registry.gauge_value g);
+  Alcotest.(check (float 0.)) "set" 0.75 (value ());
   Registry.add g 0.15;
-  Alcotest.(check (float 1e-12)) "add accumulates" 0.9 (Registry.gauge_value g);
+  Alcotest.(check (float 1e-12)) "add accumulates" 0.9 (value ());
   Registry.set g 0.1;
-  Alcotest.(check (float 0.)) "set overwrites" 0.1 (Registry.gauge_value g)
+  Alcotest.(check (float 0.)) "set overwrites" 0.1 (value ())
+
+(* A handle's kept cell is the series itself: handles resolved before an
+   absorb, resolved after it, or created after it all reach one series. *)
+let test_handle_cells_shared () =
+  let reg = Registry.create () in
+  let resolved = Registry.counter reg "jobs_total" in
+  Registry.incr resolved;
+  let unresolved = Registry.counter reg "jobs_total" in
+  let level = Registry.gauge reg "level" in
+  Registry.add level 1.;
+  let shard = Registry.create () in
+  Registry.incr_by (Registry.counter shard "jobs_total") 10;
+  Registry.set (Registry.gauge shard "level") 5.;
+  Registry.absorb reg (Registry.snapshot shard);
+  let late = Registry.counter reg "jobs_total" in
+  Registry.incr resolved;
+  Registry.incr_by unresolved 100;
+  Registry.incr_by late 1000;
+  Registry.add level 0.5;
+  let snap = Registry.snapshot reg in
+  Alcotest.(check int) "one series" 1112 (Snapshot.counter_value snap "jobs_total");
+  Alcotest.(check (float 0.)) "gauge handle sees the absorbed value" 5.5
+    (Snapshot.gauge_value snap "level");
+  Alcotest.(check int) "no duplicate series" 2 (List.length snap)
 
 let test_histogram_buckets () =
   let reg = Registry.create () in
@@ -82,7 +112,13 @@ let test_kind_mismatch () =
 let test_noop_registry () =
   let c = Registry.counter Registry.noop "n" in
   Registry.incr c;
-  Alcotest.(check int) "noop counter stays 0" 0 (Registry.counter_value c);
+  Registry.incr_by c 2;
+  let g = Registry.gauge Registry.noop "g" in
+  Registry.set g 1.;
+  Registry.add g 1.;
+  Registry.observe (Registry.histogram Registry.noop "h_seconds") 1.;
+  Alcotest.(check int) "noop counter stays 0" 0
+    (Snapshot.counter_value (Registry.snapshot Registry.noop) "n");
   Alcotest.(check bool) "noop disabled" false (Registry.enabled Registry.noop);
   Alcotest.(check int) "noop snapshot empty" 0
     (List.length (Registry.snapshot Registry.noop));
@@ -221,12 +257,18 @@ let test_trace_attrs () =
   | _ -> Alcotest.fail "expected 2 nodes"
 
 let test_trace_capacity () =
-  let t = Trace.create ~capacity:2 ~clock:(fun () -> 0.) () in
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    0.
+  in
+  let t = Trace.create ~capacity:2 ~clock () in
   for i = 1 to 4 do
     Trace.span t (Printf.sprintf "s%d" i) ignore
   done;
   Alcotest.(check int) "retained stops at capacity" 2 (Trace.span_count t);
   Alcotest.(check int) "overflow counted" 2 (Trace.dropped t);
+  Alcotest.(check int) "dropped spans read no clock" 4 !reads;
   Alcotest.(check (list string))
     "oldest spans kept" [ "s1"; "s2" ]
     (List.map (fun n -> n.Trace.name) (Trace.nodes t))
@@ -266,7 +308,11 @@ let test_trace_decisions () =
       "d1 -> triaged {q=0.400; c=0.500; l=0.280} distance 0.3300";
       "d2 -> rejected (no alternative exists)";
     ]
-    (List.map (Format.asprintf "%a" Trace.pp_decision) (Trace.decisions t))
+    (List.map (Format.asprintf "%a" Trace.pp_decision) (Trace.decisions t));
+  let labels ds = List.map (fun d -> d.Trace.label) ds in
+  Alcotest.(check (list string)) "after the first one" [ "d1"; "d2" ]
+    (labels (Trace.decisions_after t 1));
+  Alcotest.(check (list string)) "after all of them" [] (labels (Trace.decisions_after t 3))
 
 let test_trace_chrome_json () =
   let t, now = fake_trace () in
@@ -675,8 +721,13 @@ let test_bucket_layout_conflict () =
   | Some (Snapshot.Histogram { buckets; count; _ }) ->
       Alcotest.(check int) "observations land in the original layout" 2 count;
       Alcotest.(check (list (float 0.))) "original bounds kept" [ 1.; 2.; infinity ]
-        (List.map fst buckets)
+        (List.map fst buckets);
+      Alcotest.(check (list int)) "the conflicting handle bins by the original bounds"
+        [ 0; 2; 0 ] (List.map snd buckets)
   | _ -> Alcotest.fail "histogram missing");
+  Registry.observe h 0.5;
+  Alcotest.(check int) "both handles share one series" 3
+    (Snapshot.histogram_count (Registry.snapshot reg) "h_seconds");
   (* A second conflicting registration counts again. *)
   ignore (Registry.histogram ~buckets:[| 10.; 20. |] reg "h_seconds");
   Alcotest.(check int) "repeat conflict counted" 2
@@ -1310,6 +1361,7 @@ let () =
           Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
           Alcotest.test_case "zero incr registers" `Quick test_zero_incr_registers;
           Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
+          Alcotest.test_case "handle cells shared" `Quick test_handle_cells_shared;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;

@@ -1235,6 +1235,27 @@ let test_session_lifecycle () =
   | Error `Session_closed -> ()
   | _ -> Alcotest.fail "closed wins over validation"
 
+(* A full decision buffer reports no fresh decisions: capacity 5 holds
+   the first epoch's three and two of the second's. *)
+let test_decisions_at_capacity () =
+  let availability, strategies, requests = paper_inputs () in
+  let config = { Engine.default_config with trace = Some (Obs.Trace.create ~capacity:5 ()) } in
+  let session =
+    match Engine.create ~config ~availability ~strategies () with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+  in
+  let batch = List.map Request.of_deployment (Array.to_list requests) in
+  let labels () =
+    match Engine.submit session batch with
+    | Ok report -> List.map (fun d -> d.Obs.Trace.label) report.Engine.decisions
+    | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+  in
+  Alcotest.(check (list string)) "epoch 1: all three" [ "d3"; "d1"; "d2" ] (labels ());
+  Alcotest.(check (list string)) "epoch 2: the two that fit" [ "d3"; "d1" ] (labels ());
+  Alcotest.(check (list string)) "epoch 3: none" [] (labels ());
+  Engine.close session
+
 let test_submit_deadline_validation () =
   let availability, strategies, requests = paper_inputs () in
   let session =
@@ -1349,6 +1370,7 @@ let () =
           Alcotest.test_case "submit = run with deploy stage" `Quick
             test_submit_equals_run_deploy;
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
+          Alcotest.test_case "decisions at trace capacity" `Quick test_decisions_at_capacity;
           Alcotest.test_case "deadline budget validation" `Quick
             test_submit_deadline_validation;
         ] );
