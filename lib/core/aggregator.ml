@@ -108,16 +108,6 @@ let replay_capture ~metrics ~trace (capture : Triage_cache.triage_capture) =
   Obs.Trace.merge trace [ capture.Triage_cache.trace ];
   capture.Triage_cache.result
 
-(* Requirement-row computation for one request on a cache miss: a
-   single-row matrix through the exact same [Workforce.row] +
-   [request_requirement] pair the uncached prune phase uses, so the
-   cached value is the recomputation, bit for bit. *)
-let compute_requirement ~rule ~aggregation ~strategies (d : Deployment.t) =
-  let row = Workforce.row ~rule ~strategies d in
-  Workforce.request_requirement
-    { Workforce.requests = [| d |]; strategies; cells = [| row |] }
-    aggregation ~k:d.Deployment.k 0
-
 let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     ?(trace = Obs.Trace.noop) ?(domains = 1) ?cache ~availability ~strategies ~requests
     () =
@@ -137,10 +127,14 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     (Array.length requests);
   let w = Availability.expected availability in
   Obs.Registry.set (Obs.Registry.gauge metrics "aggregator.availability") w;
+  (* With a cache, re-estimation is memoized on the catalog array: a
+     session re-estimates its catalog once, not every epoch. *)
   let strategies =
-    if config.reestimate_parameters then
-      Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
-    else strategies
+    if not config.reestimate_parameters then strategies
+    else
+      match cache with
+      | Some c -> Triage_cache.instantiate c ~availability:w strategies
+      | None -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
   in
   (* Bind the cache to this epoch's scope before any probe: a workforce
      change, another objective/aggregation/rule or a different
@@ -156,21 +150,29 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
           strategies;
         })
     cache;
+  (* Every request's BatchStrat requirement, by the one catalog scan of
+     [Workforce.streaming_requirement]: requests are independent, so
+     they are computed sharded when a pool is up, and no path builds a
+     matrix. *)
+  let m = Array.length requests in
+  let requirement i =
+    let d = requests.(i) in
+    Workforce.streaming_requirement ~rule:config.inversion_rule config.aggregation
+      ~k:d.Deployment.k ~strategies d
+  in
   let requirements =
     match cache with
-    | None -> None
-    | Some c ->
-        (* Memoized prune rows: probe sequentially; compute the misses —
-           sharded when a pool is up, since each row is independent —
-           and store them back sequentially. Hit or miss, the value is
-           exactly what the in-matrix aggregation would produce, so
+    | None -> (
+        match pool with
+        | Some pool when Stratrec_par.Pool.size pool > 1 ->
+            Stratrec_par.Shard.init pool m ~f:requirement
+        | Some _ | None -> Array.init m requirement)
+    | Some c -> (
+        (* Memoized requirements: probe sequentially; compute the misses —
+           sharded when a pool is up — and store them back sequentially.
+           Hit or miss, the value is exactly what the scan produces, so
            BatchStrat's candidates (and everything downstream) are
            unchanged. *)
-        let m = Array.length requests in
-        let compute i =
-          compute_requirement ~rule:config.inversion_rule
-            ~aggregation:config.aggregation ~strategies requests.(i)
-        in
         let probe i =
           let d = requests.(i) in
           Triage_cache.find_requirement c ~params:d.Deployment.params ~k:d.Deployment.k
@@ -180,7 +182,7 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
           Triage_cache.store_requirement c ~params:d.Deployment.params ~k:d.Deployment.k
             req
         in
-        (match pool with
+        match pool with
         | Some pool when Stratrec_par.Pool.size pool > 1 && m > 1 ->
             let lookups = Array.init m probe in
             let misses =
@@ -189,49 +191,32 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
             in
             let computed =
               if Array.length misses > 1 then
-                Stratrec_par.Shard.map pool ~f:compute misses
-              else Array.map compute misses
+                Stratrec_par.Shard.map pool ~f:requirement misses
+              else Array.map requirement misses
             in
             Array.iteri
               (fun slot i ->
                 store i computed.(slot);
                 lookups.(i) <- Some computed.(slot))
               misses;
-            Some (Array.map Option.get lookups)
+            Array.map Option.get lookups
         | Some _ | None ->
             (* Interleaved probe/compute/store so repeats inside one
                batch already hit. *)
-            Some
-              (Array.init m (fun i ->
-                   match probe i with
-                   | Some req -> req
-                   | None ->
-                       let req = compute i in
-                       store i req;
-                       req)))
-  in
-  let matrix =
-    match requirements with
-    | Some _ ->
-        (* Rows are never read when the aggregations come precomputed. *)
-        { Workforce.requests; strategies; cells = [||] }
-    | None -> (
-        match pool with
-        | Some pool when Stratrec_par.Pool.size pool > 1 ->
-            (* Rows are independent (one request each): compute them sharded
-               and assemble in request order — exactly [Workforce.compute]. *)
-            let row = Workforce.row ~rule:config.inversion_rule ~strategies in
-            {
-              Workforce.requests;
-              strategies;
-              cells = Stratrec_par.Shard.map pool ~f:row requests;
-            }
-        | Some _ | None ->
-            Workforce.compute ~rule:config.inversion_rule ~requests ~strategies ())
+            Array.init m (fun i ->
+                match probe i with
+                | Some req -> req
+                | None ->
+                    let req = requirement i in
+                    store i req;
+                    req))
   in
   let batch =
-    Batchstrat.run ~metrics ~trace ?pool ?requirements ~objective:config.objective
-      ~aggregation:config.aggregation ~available:w matrix
+    (* The matrix only carries the requests: BatchStrat never reads its
+       cells when the requirements come precomputed. *)
+    Batchstrat.run ~metrics ~trace ~requirements ~objective:config.objective
+      ~aggregation:config.aggregation ~available:w
+      { Workforce.requests; strategies; cells = [||] }
   in
   let outcomes = Array.map (fun d -> (d, No_alternative)) requests in
   List.iter

@@ -3,10 +3,12 @@
     The Aggregator receives a batch of deployment requests, estimates
     worker availability from its pdf, re-estimates every strategy's
     parameters at that availability (Deployment Strategy Modeling), computes
-    the workforce-requirement matrix and vector (Workforce Requirement
-    Computation), runs the optimization-guided batch deployment
-    (BatchStrat), and forwards each unsatisfied request to ADPaR for an
-    alternative-parameter recommendation. *)
+    each request's workforce requirement — the paper's vector, one catalog
+    scan per request ({!Stratrec_model.Workforce.streaming_requirement}),
+    without materializing the matrix (Workforce Requirement Computation) —
+    runs the optimization-guided batch deployment (BatchStrat), and
+    forwards each unsatisfied request to ADPaR for an alternative-parameter
+    recommendation. *)
 
 type config = {
   objective : Objective.t;
@@ -16,7 +18,7 @@ type config = {
           are recomputed from their linear models at the estimated
           availability before matching *)
   inversion_rule : [ `Direction_aware | `Paper_equality ];
-      (** workforce-matrix inversion rule, see
+      (** workforce inversion rule, see
           {!Stratrec_model.Workforce.compute} *)
 }
 
@@ -62,8 +64,8 @@ val run :
 (** One batch run.
 
     [domains] (default 1) runs the embarrassingly parallel phases —
-    workforce-matrix rows, BatchStrat's per-request row aggregation,
-    and the per-request ADPaR triage of unsatisfied requests — sharded
+    the per-request workforce requirements and the per-request ADPaR
+    triage of unsatisfied requests — sharded
     over a {!Stratrec_par.Pool.shared} pool of that many domains. The
     batch is sliced deterministically ({!Stratrec_par.Shard.plan}),
     each triage shard records into its own registry and trace buffer,
@@ -77,8 +79,12 @@ val run :
     @raise Invalid_argument when [domains < 1].
 
     [cache] memoizes the two pure per-request computations across runs
-    ({!Triage_cache}): the BatchStrat requirement rows and the ADPaR
-    triage of unsatisfied requests. The run binds the cache to this
+    ({!Triage_cache}): the BatchStrat requirements and the ADPaR
+    triage of unsatisfied requests. It also memoizes the re-estimated
+    catalog on the identity of [strategies]
+    ({!Triage_cache.instantiate}), so runs that pass the same array
+    re-estimate it once; do not mutate that array between runs that
+    share a cache. The run binds the cache to this
     epoch's context first (objective, aggregation, rule, W, instantiated
     catalog — any change flushes), probes and stores only from the
     calling domain, and computes misses sharded when [domains > 1].

@@ -30,8 +30,8 @@ let greedy_fill candidates ~available =
 let total_value taken = List.fold_left (fun acc c -> acc +. c.value) 0. taken
 let total_weight taken = List.fold_left (fun acc c -> acc +. c.weight) 0. taken
 
-let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?pool ?requirements
-    ~objective ~aggregation ~available matrix =
+let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?requirements ~objective
+    ~aggregation ~available matrix =
   Obs.Trace.span trace "batchstrat.run"
     ~attrs:
       [
@@ -48,28 +48,19 @@ let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?pool ?requirem
      surface in [unsatisfied] below. *)
   let sorted =
     Obs.Trace.span trace "batchstrat.prune" @@ fun () ->
-    (* Per-request scoring is independent row aggregation: with a pool it
-       runs sharded, results landing at their index so the candidate
-       order (and everything downstream) is identical to the sequential
-       path. *)
-    let requirement i =
-      let d = requests.(i) in
-      Workforce.request_requirement matrix aggregation ~k:d.Stratrec_model.Deployment.k i
-    in
     let requirements =
       match requirements with
       | Some provided ->
-          (* The aggregator's triage cache hands rows in precomputed
-             (hits replayed, misses via [Workforce.row] — the exact
-             same code path), so nothing here recomputes them. *)
+          (* The aggregator hands every request's requirement in, computed
+             by the same scan as [Workforce.request_requirement] (or
+             replayed from its cache), so nothing here recomputes them. *)
           if Array.length provided <> m then
             invalid_arg "Batchstrat.run: requirements length mismatch";
           provided
-      | None -> (
-          match pool with
-          | Some pool when Stratrec_par.Pool.size pool > 1 ->
-              Stratrec_par.Shard.init pool m ~f:requirement
-          | Some _ | None -> Array.init m requirement)
+      | None ->
+          Array.init m (fun i ->
+              Workforce.request_requirement matrix aggregation
+                ~k:requests.(i).Stratrec_model.Deployment.k i)
     in
     let candidates = ref [] in
     for i = m - 1 downto 0 do

@@ -28,7 +28,6 @@ type outcome = {
 val run :
   ?metrics:Stratrec_obs.Registry.t ->
   ?trace:Stratrec_obs.Trace.t ->
-  ?pool:Stratrec_par.Pool.t ->
   ?requirements:Stratrec_model.Workforce.request_requirement option array ->
   objective:Objective.t ->
   aggregation:Stratrec_model.Workforce.aggregation ->
@@ -40,20 +39,22 @@ val run :
     workforce W in [\[0, 1\]] (values above 1 are allowed and simply relax
     the budget).
 
-    [pool] shards the per-request row aggregation of the prune phase
-    across domains (see {!Stratrec_par.Pool}); the density sort, greedy
-    fill and every observable output are bit-identical to the
-    sequential path because results land at their request index before
-    any order-dependent step runs. Omitted (or with a pool of size 1)
-    everything runs on the calling domain.
-
     [requirements] supplies the per-request row aggregations directly
     (one slot per matrix request, [None] for rows without k feasible
-    strategies), skipping the prune phase's own computation — the
-    {!Aggregator}'s triage cache uses this to replay memoized rows. The
-    array must agree with what {!Stratrec_model.Workforce.request_requirement}
-    would return; everything downstream (and every observable output)
-    is then identical (raises [Invalid_argument] on a length mismatch).
+    strategies), and the prune phase then never reads the matrix cells.
+    The {!Aggregator} always passes
+    them: it computes each with
+    {!Stratrec_model.Workforce.streaming_requirement}, sharded over its
+    domain pool or replayed from its triage cache, so no triage path
+    builds a matrix. The array must agree with what
+    {!Stratrec_model.Workforce.request_requirement} would return;
+    everything downstream (and every observable output) is then
+    identical (raises [Invalid_argument] on a length mismatch). Without
+    it the prune phase aggregates the matrix rows itself.
+
+    Everything here runs on the calling domain; there is no pool
+    argument. Parallelism belongs to whoever computes [requirements]:
+    the aggregator shards that over its pool.
 
     [metrics] (default {!Stratrec_obs.Registry.noop}) records
     [batchstrat.runs_total], [batchstrat.candidates_total],

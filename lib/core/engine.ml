@@ -249,7 +249,10 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
         {
           config;
           availability;
-          strategies;
+          (* The session's own copy: the cache memoizes re-estimation on
+             this array's identity (Triage_cache.instantiate), so no
+             caller may be able to mutate it. *)
+          strategies = Array.copy strategies;
           metrics;
           trace;
           rng;

@@ -96,10 +96,12 @@ type config = {
   cache : Triage_cache.config option;
       (** [Some config] gives the session an epoch-scoped {!Triage_cache}
           (bound to the session registry for its [cache.*] counters):
-          BatchStrat requirement rows and ADPaR triage results are
+          BatchStrat requirements and ADPaR triage results are
           memoized across epochs on quantized (params, k) keys, flushed
           whenever the epoch context (workforce, catalog, objective,
-          aggregation, rule) or the model version changes. Reports stay
+          aggregation, rule) or the model version changes, and the
+          catalog is re-estimated once per session instead of every
+          epoch. Reports stay
           bit-identical to an uncached run at any domain count — the
           [cache.*] counters and gauges are the only additions. Default
           [None] (no cache). Capacity must be >= 1
@@ -245,6 +247,10 @@ val create :
     and trace (fresh private ones unless the config supplies them), the
     circuit breaker (when the deploy policy carries one — its failure
     history then spans epochs), and the simulated deploy clock at 0.
+    The session keeps its own copy of [strategies]: mutating the
+    caller's array afterwards changes nothing the session computes (its
+    triage cache memoizes re-estimation on the copy's identity, see
+    {!Triage_cache.instantiate}).
     [rng] drives the deploy stage only; when absent, a seed-2020
     generator is created lazily at the first deploying epoch, exactly as
     {!run} always did. *)

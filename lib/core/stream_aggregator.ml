@@ -49,10 +49,8 @@ let create ?(config = Aggregator.default_config) ?(metrics = Obs.Registry.noop)
   t
 
 let requirement t request =
-  let matrix =
-    Workforce.compute ~rule:t.inversion_rule ~requests:[| request |] ~strategies:t.catalog ()
-  in
-  Workforce.request_requirement matrix t.aggregation ~k:request.Deployment.k 0
+  Workforce.streaming_requirement ~rule:t.inversion_rule t.aggregation ~k:request.Deployment.k
+    ~strategies:t.catalog request
 
 let is_active t id = List.exists (fun a -> a.request.Deployment.id = id) t.active
 

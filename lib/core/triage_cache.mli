@@ -2,7 +2,7 @@
 
     Heavy traffic repeats a small space of (threshold, availability)
     shapes: both the BatchStrat per-request workforce requirement
-    ({!Stratrec_model.Workforce.request_requirement}) and the ADPaR
+    ({!Stratrec_model.Workforce.streaming_requirement}) and the ADPaR
     alternative ({!Adpar.exact}) are pure functions of (models, W,
     request params, k), so they can be memoized exactly. This module is
     a bounded LRU over both, keyed on the quantized request parameters
@@ -26,7 +26,7 @@
       ({!Stratrec_obs.Registry.absorb} + {!Stratrec_obs.Trace.merge})
       reconstructs the sequential counters, span tree and span ids
       exactly — the recombination machinery the sharded triage path
-      already relies on. Requirement rows have no observability side
+      already relies on. Requirements have no observability side
       effects, so they are cached as plain values.
 
     The cache itself is {e not} thread-safe: under the domain pool the
@@ -73,8 +73,30 @@ val set_context : t -> context -> unit
     entry. Call once per epoch before probing. *)
 
 val bump_model_version : t -> unit
-(** Force-invalidate: flushes the cache and increments the version, for
-    model refits that leave the catalog structurally unchanged. *)
+(** Force-invalidate: flushes the cache, forgets the {!instantiate} memo
+    and increments the version, for model refits that leave the catalog
+    structurally unchanged. *)
+
+val instantiate :
+  t ->
+  availability:float ->
+  Stratrec_model.Strategy.t array ->
+  Stratrec_model.Strategy.t array
+(** [instantiate t ~availability strategies] is the catalog re-estimated
+    at the expected availability ({!Stratrec_model.Strategy.instantiate}
+    per strategy), memoized: while [strategies] is physically the array
+    of the previous call and [availability] is equal, it returns that
+    call's result, the very same array, so the epoch {!context} built
+    from it matches the previous one at {!set_context}'s physical-equality
+    fast path.
+
+    {b Identity precondition.} The memo is keyed on the identity of
+    [strategies], not its contents: the caller must not mutate an array
+    it has passed here and pass it again, or it gets the re-estimation of
+    the old contents (and the cache its entries). Pass a fresh array, or
+    call {!bump_model_version}, after changing a catalog in place. An
+    {!Engine} session copies its catalog at creation, so nothing
+    outside the session can mutate it. *)
 
 val model_version : t -> int
 

@@ -57,6 +57,16 @@ val workforce_requirement_paper : t -> request:Params.t -> float option
     0, take the max; [None] if any axis is unsolvable or its solution
     exceeds 1. Matches the synthetic experiments of §5.2.2. *)
 
+val min_workforce : t -> request:Params.t -> float
+(** {!workforce_requirement} as a bare float, [infinity] when infeasible
+    (no feasible requirement exceeds 1). Both are this one straight-line
+    definition: a call allocates nothing but the box of its result, which
+    is what the per-cell workforce scan ({!Workforce}) calls. *)
+
+val min_workforce_paper : t -> request:Params.t -> float
+(** {!workforce_requirement_paper} as a bare float, [infinity] when
+    infeasible. *)
+
 val fit : observations:(float * Params.t) array -> t
 (** Least-squares fit of each parameter against availability. Requires at
     least 2 observations with non-constant availabilities. *)

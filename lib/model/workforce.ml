@@ -7,64 +7,134 @@ type matrix = {
   cells : cell array array;
 }
 
-let row_with ~requirement ~strategies d =
-  Array.map
-    (fun s ->
-      match requirement d s with
-      | Some w -> Feasible w
-      | None -> Infeasible)
-    strategies
+let matrix_of ~cell ~requests ~strategies =
+  { requests; strategies; cells = Array.map (fun d -> Array.map (cell d) strategies) requests }
 
 let compute_with ~requirement ~requests ~strategies =
-  { requests; strategies; cells = Array.map (row_with ~requirement ~strategies) requests }
+  let cell d s = match requirement d s with Some w -> Feasible w | None -> Infeasible in
+  matrix_of ~cell ~requests ~strategies
 
-let requirement_of_rule rule =
-  let invert =
-    match rule with
-    | `Direction_aware -> Linear_model.workforce_requirement
-    | `Paper_equality -> Linear_model.workforce_requirement_paper
-  in
-  fun d s ->
-    if Deployment.satisfied_by d s then invert s.Strategy.model ~request:d.Deployment.params
-    else None
+let inversion = function
+  | `Direction_aware -> Linear_model.min_workforce
+  | `Paper_equality -> Linear_model.min_workforce_paper
 
-let row ?(rule = `Direction_aware) ~strategies d =
-  row_with ~requirement:(requirement_of_rule rule) ~strategies d
+(* Strategy [s]'s requirement for request [d]: [infinity] when [s] does
+   not satisfy [d] or no workforce meets its thresholds. *)
+let[@inline] requirement invert d s =
+  if Deployment.satisfied_by d s then invert s.Strategy.model ~request:d.Deployment.params
+  else infinity
 
 let compute ?(rule = `Direction_aware) ~requests ~strategies () =
-  compute_with ~requirement:(requirement_of_rule rule) ~requests ~strategies
+  let invert = inversion rule in
+  let cell d s =
+    let w = requirement invert d s in
+    if w = infinity then Infeasible else Feasible w
+  in
+  matrix_of ~cell ~requests ~strategies
 
 type request_requirement = { workforce : float; chosen : int list }
 
-(* (requirement, strategy index) pairs: cheapest first, catalog-order
-   tie-break. Typed — the polymorphic compare would box every float. *)
-let cmp_weighted (w, i) (w', j) =
-  let c = Float.compare w w' in
-  if c <> 0 then c else Int.compare i j
+(* The scan's state: the k cheapest feasible (w, j) pairs offered so far,
+   a max-heap over two flat k-slot arrays ordered by Float.compare on w,
+   then by j, so slot 0 holds the costliest of them. *)
+type cheapest = {
+  ws : float array;
+  js : int array;
+  mutable size : int;
+  mutable feasible : int;  (* pairs offered *)
+}
 
+let cheapest k = { ws = Array.create_float k; js = Array.make k 0; size = 0; feasible = 0 }
+
+let costlier h a b =
+  let c = Float.compare h.ws.(a) h.ws.(b) in
+  c > 0 || (c = 0 && h.js.(a) > h.js.(b))
+
+let swap h a b =
+  let w = h.ws.(a) and j = h.js.(a) in
+  h.ws.(a) <- h.ws.(b);
+  h.js.(a) <- h.js.(b);
+  h.ws.(b) <- w;
+  h.js.(b) <- j
+
+let sift_up h pos =
+  let pos = ref pos in
+  while !pos > 0 && costlier h !pos ((!pos - 1) / 2) do
+    swap h !pos ((!pos - 1) / 2);
+    pos := (!pos - 1) / 2
+  done
+
+(* Restores the heap order of slots [0, size) below [pos]. *)
+let sift_down h pos size =
+  let pos = ref pos and sifting = ref true in
+  while !sifting do
+    let left = (2 * !pos) + 1 in
+    let child = if left + 1 < size && costlier h (left + 1) left then left + 1 else left in
+    if child < size && costlier h child !pos then begin
+      swap h child !pos;
+      pos := child
+    end
+    else sifting := false
+  done
+
+(* Offers one feasible pair, [j] above every index offered before. It
+   stays while the heap has room, or when it is cheaper than the root,
+   which it replaces; at an equal w the root's lower index wins. *)
+let offer h w j =
+  h.feasible <- h.feasible + 1;
+  let k = Array.length h.ws in
+  if h.size < k then begin
+    h.ws.(h.size) <- w;
+    h.js.(h.size) <- j;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+  end
+  else if Float.compare w h.ws.(0) < 0 then begin
+    h.ws.(0) <- w;
+    h.js.(0) <- j;
+    sift_down h 0 k
+  end
+
+(* The aggregate of a finished scan: [None] below k feasible pairs. A
+   heap sort puts the k pairs in ascending order, which the Sum-case
+   adds from 0. and the Max-case takes the last of. *)
+let aggregate h aggregation =
+  let k = Array.length h.ws in
+  if h.feasible < k then None
+  else begin
+    for last = k - 1 downto 1 do
+      swap h 0 last;
+      sift_down h 0 last
+    done;
+    let workforce =
+      match aggregation with
+      | Sum_case ->
+          let sum = ref 0. in
+          for i = 0 to k - 1 do
+            sum := !sum +. h.ws.(i)
+          done;
+          !sum
+      | Max_case -> h.ws.(k - 1)
+    in
+    let chosen = ref [] in
+    for i = k - 1 downto 0 do
+      chosen := h.js.(i) :: !chosen
+    done;
+    Some { workforce; chosen = !chosen }
+  end
+
+(* k above the row width can never be met, and must not size the heap:
+   k comes straight from the request. *)
 let request_requirement t aggregation ~k i =
   if k < 1 then invalid_arg "Workforce.request_requirement: k must be >= 1";
   let row = t.cells.(i) in
-  (* k smallest feasible requirements with their strategy indices. *)
-  let feasible =
-    Array.to_seq row
-    |> Seq.mapi (fun j cell -> (j, cell))
-    |> Seq.filter_map (function j, Feasible w -> Some (w, j) | _, Infeasible -> None)
-    |> Array.of_seq
-  in
-  if Array.length feasible < k then None
+  if k > Array.length row then None
   else begin
-    let smallest = Stratrec_util.Kselect.k_smallest ~cmp:cmp_weighted k feasible in
-    let chosen = List.map snd smallest in
-    let workforce =
-      match aggregation with
-      | Sum_case -> List.fold_left (fun acc (w, _) -> acc +. w) 0. smallest
-      | Max_case -> (
-          match List.rev smallest with
-          | (w, _) :: _ -> w
-          | [] -> assert false (* k >= 1 and length >= k *))
-    in
-    Some { workforce; chosen }
+    let h = cheapest k in
+    for j = 0 to Array.length row - 1 do
+      match row.(j) with Feasible w -> offer h w j | Infeasible -> ()
+    done;
+    aggregate h aggregation
   end
 
 let vector t aggregation ~k =
@@ -72,37 +142,14 @@ let vector t aggregation ~k =
 
 let streaming_requirement ?(rule = `Direction_aware) aggregation ~k ~strategies d =
   if k < 1 then invalid_arg "Workforce.streaming_requirement: k must be >= 1";
-  let invert =
-    match rule with
-    | `Direction_aware -> Linear_model.workforce_requirement
-    | `Paper_equality -> Linear_model.workforce_requirement_paper
-  in
-  (* Track the k smallest (requirement, strategy index) pairs in one pass;
-     ties break by catalog index like the matrix-based path. *)
-  let tracker = Stratrec_util.Kselect.Tracker.create ~cmp:cmp_weighted k in
-  let feasible = ref 0 in
-  Array.iteri
-    (fun j s ->
-      if Deployment.satisfied_by d s then
-        match invert s.Strategy.model ~request:d.Deployment.params with
-        | Some w ->
-            incr feasible;
-            Stratrec_util.Kselect.Tracker.add tracker (w, j)
-        | None -> ())
-    strategies;
-  if !feasible < k then None
+  if k > Array.length strategies then None
   else begin
-    let smallest = Stratrec_util.Kselect.Tracker.contents tracker in
-    let chosen = List.map snd smallest in
-    let workforce =
-      match aggregation with
-      | Sum_case -> List.fold_left (fun acc (w, _) -> acc +. w) 0. smallest
-      | Max_case -> (
-          match List.rev smallest with
-          | (w, _) :: _ -> w
-          | [] -> assert false (* feasible >= k >= 1 *))
-    in
-    Some { workforce; chosen }
+    let invert = inversion rule and h = cheapest k in
+    for j = 0 to Array.length strategies - 1 do
+      let w = requirement invert d strategies.(j) in
+      if w <> infinity then offer h w j
+    done;
+    aggregate h aggregation
   end
 
 let feasible_count t i =

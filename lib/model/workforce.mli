@@ -5,7 +5,17 @@
     strategy's estimated parameters satisfy the request at all). Step 2
     aggregates each row into the request's workforce requirement under the
     Sum-case (deploy all k recommended strategies) or Max-case (deploy only
-    one of them), using k-smallest selection. *)
+    one of them), using k-smallest selection.
+
+    Step 2 is one scan, shared by {!request_requirement} (over a matrix
+    row) and {!streaming_requirement} (over the catalog, inverting each
+    cell as it goes). It keeps the k cheapest feasible (requirement,
+    strategy index) pairs in a max-heap over two flat k-slot arrays,
+    ordered by [Float.compare] on the requirement, then by index: O(|S|
+    log k) time, O(k) memory, and no allocation per cell beyond the box
+    of an inverted requirement. A [k] above |S| answers [None] before
+    any k-slot array exists, so an unbounded [k] from a request costs
+    nothing. *)
 
 type aggregation = Sum_case | Max_case
 
@@ -32,16 +42,6 @@ val compute :
     {!Linear_model.workforce_requirement_paper} used by the synthetic
     experiments. O(m |S|). *)
 
-val row :
-  ?rule:[ `Direction_aware | `Paper_equality ] ->
-  strategies:Strategy.t array ->
-  Deployment.t ->
-  cell array
-(** One matrix row, independent of every other request — the unit the
-    parallel triage path shards over. [compute] is [row] per request;
-    assembling rows computed in any order into {!matrix} (in request
-    order) agrees exactly with {!compute}. *)
-
 val compute_with :
   requirement:(Deployment.t -> Strategy.t -> float option) ->
   requests:Deployment.t array ->
@@ -58,8 +58,10 @@ type request_requirement = {
 val request_requirement :
   matrix -> aggregation -> k:int -> int -> request_requirement option
 (** Row aggregation (§3.2 step 2): the [k] smallest feasible cells of row
-    [i]; Sum-case sums them, Max-case takes the k-th smallest. [None] when
-    fewer than [k] cells are feasible. O(|S| log k). *)
+    [i]; Sum-case sums them in ascending order from [0.], Max-case takes
+    the k-th smallest. Equal requirements go to the lower strategy index.
+    [None] when fewer than [k] cells are feasible. O(|S| log k).
+    @raise Invalid_argument when [k < 1]. *)
 
 val vector : matrix -> aggregation -> k:int -> request_requirement option array
 (** {!request_requirement} for every row — the paper's vector \vec{W}. *)
@@ -71,11 +73,14 @@ val streaming_requirement :
   strategies:Strategy.t array ->
   Deployment.t ->
   request_requirement option
-(** Single-request aggregation without materializing a matrix row: one
-    pass over the catalog with an incremental k-smallest tracker, O(k)
-    memory. Agrees exactly with {!compute} + {!request_requirement}; use
-    it when m x |S| is too large to hold (e.g. the Fig. 14 sweep at
-    m = |S| = 10000). *)
+(** Single-request aggregation without materializing a matrix row: the
+    same scan as {!request_requirement}, inverting each cell with
+    {!Linear_model.min_workforce} (or {!Linear_model.min_workforce_paper})
+    as it goes. Agrees exactly with {!compute} + {!request_requirement}.
+    This is the serving path: [Stratrec.Aggregator.run] computes every
+    request's requirement with it, and it also keeps the Fig. 14 sweep
+    at m = |S| = 10000 in O(k) memory.
+    @raise Invalid_argument when [k < 1]. *)
 
 val feasible_count : matrix -> int -> int
 (** Number of feasible cells in row [i]. *)

@@ -2,7 +2,11 @@
 
     The paper's workforce aggregation (§3.2) retrieves the [k] smallest
     workforce values of each matrix row with min-heaps; this module provides
-    that primitive and its incremental form. *)
+    that primitive and its incremental form, generic over the element type.
+    The hot paths keep their own flat float heaps, which box nothing per
+    element ([Stratrec_model.Workforce]'s requirement scan, ADPaR's
+    sweep); this module is the reference their QCheck oracles compare
+    against. *)
 
 val k_smallest : cmp:('a -> 'a -> int) -> int -> 'a array -> 'a list
 (** [k_smallest ~cmp k arr] is the [k] smallest elements of [arr] in
@@ -18,9 +22,8 @@ val k_smallest_indices : cmp:('a -> 'a -> int) -> int -> 'a array -> int list
     ascending element order. Ties broken by index. *)
 
 (** Incremental k-smallest tracker: feed elements one by one and query the
-    current k-th smallest in O(log k). Used by [Stratrec_model.Workforce]'s
-    streaming requirement; the ADPaR sweep keeps its own flat float heap,
-    which boxes nothing per element. *)
+    current k-th smallest in O(log k). The record-based ADPaR sweep kept
+    in [test/test_adpar.ml] as an oracle runs on it. *)
 module Tracker : sig
   type 'a t
 

@@ -274,6 +274,81 @@ let test_session_stats () =
   let b = Option.get bumped in
   Alcotest.(check bool) "bump costs extra misses" true (b.C.misses > s.C.misses)
 
+(* --- the re-estimated catalog --- *)
+
+(* Runs sharing one cache re-estimate a catalog array once per W: the
+   context they bind is then physically the same. Another W or another
+   catalog still flushes; an equal copy of a catalog is re-estimated
+   afresh but compares equal, so it keeps the entries. *)
+let test_catalog_memo () =
+  let rng = Rng.create 5 in
+  let strategies = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
+  let other = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
+  let requests = Model.Workload.requests rng ~m:4 ~k:2 in
+  let t = C.create ~metrics:(Obs.Registry.create ()) () in
+  let run ?(w = 0.7) strategies =
+    (Aggregator.run ~cache:t ~availability:(Model.Availability.certain w) ~strategies
+       ~requests ())
+      .Aggregator.strategies
+  in
+  let first = run strategies in
+  let v = C.model_version t in
+  Alcotest.(check bool) "same array and W: same re-estimated catalog" true
+    (run strategies == first);
+  Alcotest.(check int) "same catalog keeps the cache" v (C.model_version t);
+  Alcotest.(check bool) "entries kept" true ((C.stats t).C.size > 0);
+  ignore (run ~w:0.6 strategies);
+  Alcotest.(check int) "another W flushes" (v + 1) (C.model_version t);
+  ignore (run ~w:0.6 other);
+  Alcotest.(check int) "another catalog flushes" (v + 2) (C.model_version t);
+  ignore (run ~w:0.6 (Array.copy other));
+  Alcotest.(check int) "an equal copy keeps the cache" (v + 2) (C.model_version t);
+  let before = run ~w:0.6 other in
+  C.bump_model_version t;
+  Alcotest.(check bool) "a bump forgets the re-estimated catalog" false
+    (run ~w:0.6 other == before)
+
+(* The session copies its catalog: mutating the caller's array after
+   [create] changes nothing a later epoch reports. *)
+let test_session_owns_catalog () =
+  let rng = Rng.create 11 in
+  let original = Model.Workload.strategies rng ~n:24 ~kind:Model.Workload.Uniform in
+  let other = Model.Workload.strategies rng ~n:24 ~kind:Model.Workload.Uniform in
+  let first = batch_of (Model.Workload.requests rng ~m:6 ~k:2) in
+  let second = batch_of (Model.Workload.requests rng ~m:6 ~k:2) in
+  List.iter
+    (fun cache ->
+      let config = Engine.with_cache Engine.default_config cache in
+      let epochs ?(between = ignore) strategies =
+        match
+          Engine.create ~config ~availability:(Model.Availability.certain 0.8) ~strategies ()
+        with
+        | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+        | Ok session ->
+            let submit batch =
+              match Engine.submit session batch with
+              | Ok report -> report_fingerprint report
+              | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+            in
+            ignore (submit first);
+            between strategies;
+            let report = submit second in
+            Engine.close session;
+            report
+      in
+      let mutated =
+        epochs (Array.copy original) ~between:(fun caller ->
+            Array.blit other 0 caller 0 (Array.length caller))
+      in
+      Alcotest.(check bool) "the mutation would change the report" false
+        (epochs other = epochs original);
+      Alcotest.(check bool)
+        (Printf.sprintf "report of the original catalog (cache %s)"
+           (C.policy_to_string cache))
+        true
+        (mutated = epochs original))
+    [ None; Some C.default_config ]
+
 let () =
   Alcotest.run "cache"
     [
@@ -286,6 +361,11 @@ let () =
           Alcotest.test_case "context/version invalidation" `Quick
             test_context_and_version_invalidation;
           Alcotest.test_case "session stats" `Quick test_session_stats;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "re-estimation memo and flushes" `Quick test_catalog_memo;
+          Alcotest.test_case "session owns its catalog" `Quick test_session_owns_catalog;
         ] );
       ( "identity",
         List.map Tq.to_alcotest

@@ -55,6 +55,18 @@ let test_k_validation () =
   Alcotest.check_raises "k=0" (Invalid_argument "Workforce.request_requirement: k must be >= 1")
     (fun () -> ignore (W.request_requirement matrix W.Sum_case ~k:0 0))
 
+(* The Sum-case adds from 0., so a lone -0. requirement sums to +0.;
+   the Max-case returns the requirement itself. *)
+let test_sum_starts_at_zero () =
+  let matrix = matrix_of_rows [| [| None; Some (-0.) |] |] in
+  let workforce aggregation =
+    match W.request_requirement matrix aggregation ~k:1 0 with
+    | Some { W.workforce; _ } -> workforce
+    | None -> Alcotest.fail "expected a requirement"
+  in
+  Alcotest.(check bool) "sum is +0." false (Float.sign_bit (workforce W.Sum_case));
+  Alcotest.(check bool) "max is -0." true (Float.sign_bit (workforce W.Max_case))
+
 let test_vector () =
   let matrix =
     matrix_of_rows [| [| Some 0.1; Some 0.2 |]; [| None; Some 0.3 |]; [| Some 0.4; Some 0.5 |] |]
@@ -125,8 +137,238 @@ let prop_streaming_equals_matrix =
              match (via_matrix, via_stream) with
              | None, None -> true
              | Some a, Some b ->
-                 Float.abs (a.W.workforce -. b.W.workforce) < 1e-12 && a.W.chosen = b.W.chosen
+                 Float.equal a.W.workforce b.W.workforce && a.W.chosen = b.W.chosen
              | _ -> false))
+
+(* --- the scan against the code it replaced --- *)
+
+module LM = Model.Linear_model
+
+(* The list-fold inversions, the matrix row and the Kselect aggregation
+   the allocation-free scan replaced, kept verbatim as its oracle. *)
+module Reference = struct
+  let solve c ~target =
+    if c.LM.alpha = 0. then if c.LM.beta = target then Some 0. else None
+    else Some ((target -. c.LM.beta) /. c.LM.alpha)
+
+  let axis_constraint t axis ~target =
+    let c = LM.coeffs t axis in
+    let needs_at_least =
+      match axis with Params.Quality -> true | Params.Cost | Params.Latency -> false
+    in
+    if c.LM.alpha = 0. then begin
+      let met = if needs_at_least then c.LM.beta >= target else c.LM.beta <= target in
+      if met then LM.Always else LM.Never
+    end
+    else begin
+      let w = (target -. c.LM.beta) /. c.LM.alpha in
+      let lower = if needs_at_least then c.LM.alpha > 0. else c.LM.alpha < 0. in
+      if lower then LM.Lower_bound w else LM.Upper_bound w
+    end
+
+  let workforce_requirement t ~request =
+    let fold (lower, upper) axis =
+      match axis_constraint t axis ~target:(Params.get request axis) with
+      | LM.Always -> Some (lower, upper)
+      | LM.Never -> None
+      | LM.Lower_bound w -> Some (Float.max lower w, upper)
+      | LM.Upper_bound w -> Some (lower, Float.min upper w)
+    in
+    let rec go acc = function
+      | [] -> Some acc
+      | axis :: rest -> ( match fold acc axis with None -> None | Some acc -> go acc rest)
+    in
+    match go (0., 1.) Params.all_axes with
+    | None -> None
+    | Some (lower, upper) ->
+        if lower <= upper +. 1e-9 then Some (Float.min lower upper) else None
+
+  let workforce_requirement_paper t ~request =
+    let rec max_requirement acc = function
+      | [] -> Some acc
+      | axis :: rest -> (
+          match solve (LM.coeffs t axis) ~target:(Params.get request axis) with
+          | None -> None
+          | Some w ->
+              let w = Float.max 0. w in
+              if w > 1. then None else max_requirement (Float.max acc w) rest)
+    in
+    max_requirement 0. Params.all_axes
+
+  let invert = function
+    | `Direction_aware -> workforce_requirement
+    | `Paper_equality -> workforce_requirement_paper
+
+  let row ~rule ~strategies d =
+    Array.map
+      (fun s ->
+        if Deployment.satisfied_by d s then
+          match invert rule s.Strategy.model ~request:d.Deployment.params with
+          | Some w -> W.Feasible w
+          | None -> W.Infeasible
+        else W.Infeasible)
+      strategies
+
+  let cmp_weighted (w, i) (w', j) =
+    let c = Float.compare w w' in
+    if c <> 0 then c else Int.compare i j
+
+  let request_requirement row aggregation ~k =
+    let feasible =
+      Array.to_seq row
+      |> Seq.mapi (fun j cell -> (j, cell))
+      |> Seq.filter_map (function j, W.Feasible w -> Some (w, j) | _, W.Infeasible -> None)
+      |> Array.of_seq
+    in
+    if Array.length feasible < k then None
+    else begin
+      let smallest = Stratrec_util.Kselect.k_smallest ~cmp:cmp_weighted k feasible in
+      let chosen = List.map snd smallest in
+      let workforce =
+        match aggregation with
+        | W.Sum_case -> List.fold_left (fun acc (w, _) -> acc +. w) 0. smallest
+        | W.Max_case -> fst (List.hd (List.rev smallest))
+      in
+      Some { W.workforce; chosen }
+    end
+end
+
+module Rng = Stratrec_util.Rng
+
+(* Coefficients of every shape the inversion distinguishes: constant
+   (alpha = 0), negative and positive slopes. *)
+let coeffs rng =
+  match Rng.int rng 6 with
+  | 0 -> { LM.alpha = 0.; beta = Rng.uniform rng ~lo:0. ~hi:1. }
+  | 1 -> { LM.alpha = -.Rng.uniform rng ~lo:0.05 ~hi:1.; beta = Rng.uniform rng ~lo:0. ~hi:1. }
+  | _ ->
+      let alpha = Rng.uniform rng ~lo:0.05 ~hi:1. in
+      { LM.alpha; beta = Rng.uniform rng ~lo:(-0.2) ~hi:(1. -. alpha) }
+
+(* A catalog in which about a quarter of the strategies duplicate an
+   earlier one: equal requirements, so the lower index must win. *)
+let catalog rng n =
+  let strategies = Array.make n (strategy 0) in
+  for id = 0 to n - 1 do
+    strategies.(id) <-
+      (if id > 0 && Rng.int rng 4 = 0 then
+         let twin = strategies.(Rng.int rng id) in
+         Strategy.single ~id combo ~params:twin.Strategy.params ~model:twin.Strategy.model
+       else
+         Strategy.single ~id combo
+           ~params:
+             (Params.make
+                ~quality:(Rng.uniform rng ~lo:0.4 ~hi:1.)
+                ~cost:(Rng.uniform rng ~lo:0. ~hi:0.6)
+                ~latency:(Rng.uniform rng ~lo:0. ~hi:0.6))
+           ~model:{ LM.quality = coeffs rng; cost = coeffs rng; latency = coeffs rng })
+  done;
+  strategies
+
+(* Thresholds: lenient (most strategies qualify), arbitrary, equal to a
+   strategy's intercepts (a constant axis then meets its threshold
+   exactly), or placing one strategy's cost cap within a few 1e-9 of its
+   quality and latency requirement, the inversion's equality tolerance. *)
+let thresholds rng strategies =
+  let n = Array.length strategies in
+  let u lo hi = Rng.uniform rng ~lo ~hi in
+  match if n = 0 then 0 else Rng.int rng 4 with
+  | 0 -> Params.make_unchecked ~quality:(u 0. 0.4) ~cost:(u 0.6 1.) ~latency:(u 0.6 1.)
+  | 1 -> Params.make_unchecked ~quality:(u 0. 1.) ~cost:(u 0. 1.) ~latency:(u 0. 1.)
+  | 2 ->
+      let m = strategies.(Rng.int rng n).Strategy.model in
+      Params.make_unchecked ~quality:m.LM.quality.LM.beta ~cost:m.LM.cost.LM.beta
+        ~latency:m.LM.latency.LM.beta
+  | _ ->
+      let m = strategies.(Rng.int rng n).Strategy.model in
+      let w = u 0.05 0.95 in
+      let delta = [| -2e-9; -1e-9; -5e-10; 0.; 5e-10; 1e-9; 2e-9 |].(Rng.int rng 7) in
+      Params.make_unchecked
+        ~quality:(LM.response m.LM.quality w)
+        ~cost:(LM.response m.LM.cost (w +. delta))
+        ~latency:(LM.response m.LM.latency w)
+
+(* Float.equal, and the same sign: Float.equal alone takes -0. for 0. *)
+let same_float a b = Float.equal a b && Float.sign_bit a = Float.sign_bit b
+
+let same_requirement a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> same_float a.W.workforce b.W.workforce && a.W.chosen = b.W.chosen
+  | Some _, None | None, Some _ -> false
+
+let same_inversion a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> same_float a b
+  | Some _, None | None, Some _ -> false
+
+let same_cell a b =
+  match (a, b) with
+  | W.Infeasible, W.Infeasible -> true
+  | W.Feasible a, W.Feasible b -> same_float a b
+  | W.Feasible _, W.Infeasible | W.Infeasible, W.Feasible _ -> false
+
+(* k in 1-6, or k = n and k = n + 1 (an answer of None, early). *)
+let prop_scan_equals_reference =
+  QCheck.Test.make ~count:300 ~name:"scan equals the matrix + Kselect reference"
+    QCheck.(quad small_nat (int_range 0 300) (int_range 1 8) (pair bool bool))
+    (fun (seed, n, kk, (paper, sum_case)) ->
+      let rng = Rng.create seed in
+      let strategies = catalog rng n in
+      let k = if kk <= 6 then kk else max 1 (n + kk - 7) in
+      let rule = if paper then `Paper_equality else `Direction_aware in
+      let aggregation = if sum_case then W.Sum_case else W.Max_case in
+      List.for_all
+        (fun id ->
+          let d = Deployment.make ~id ~params:(thresholds rng strategies) ~k () in
+          let request = d.Deployment.params in
+          let inversions_agree =
+            Array.for_all
+              (fun s ->
+                let m = s.Strategy.model in
+                same_inversion
+                  (LM.workforce_requirement m ~request)
+                  (Reference.workforce_requirement m ~request)
+                && same_inversion
+                     (LM.workforce_requirement_paper m ~request)
+                     (Reference.workforce_requirement_paper m ~request))
+              strategies
+          in
+          let row = Reference.row ~rule ~strategies d in
+          let expected = Reference.request_requirement row aggregation ~k in
+          let matrix = W.compute ~rule ~requests:[| d |] ~strategies () in
+          inversions_agree
+          && Array.for_all2 same_cell matrix.W.cells.(0) row
+          && same_requirement (W.request_requirement matrix aggregation ~k 0) expected
+          && same_requirement
+               (W.streaming_requirement ~rule aggregation ~k ~strategies d)
+               expected)
+        [ 0; 1; 2; 3 ])
+
+(* k comes straight from a request: one far above the catalog size must
+   be answered None before anything is sized by it. *)
+let test_unbounded_k () =
+  let strategies =
+    Model.Workload.strategies (Rng.create 2020) ~n:1000 ~kind:Model.Workload.Uniform
+  in
+  let k = 1_000_000_000 in
+  let d =
+    Deployment.make ~id:0 ~params:(Params.make ~quality:0.1 ~cost:0.95 ~latency:0.95) ~k ()
+  in
+  let matrix = W.compute ~requests:[| d |] ~strategies () in
+  let check name f =
+    let words = Gc.minor_words () and bytes = Gc.allocated_bytes () in
+    let result = f () in
+    let words = Gc.minor_words () -. words and bytes = Gc.allocated_bytes () -. bytes in
+    Alcotest.(check bool) (name ^ " is None") true (result = None);
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f minor words" name words) true (words < 64.);
+    (* Gc.allocated_bytes also counts direct major-heap allocations,
+       where a huge array would go. *)
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f bytes" name bytes) true (bytes < 4096.)
+  in
+  check "streaming" (fun () -> W.streaming_requirement W.Max_case ~k ~strategies d);
+  check "row" (fun () -> W.request_requirement matrix W.Sum_case ~k 0)
 
 let () =
   Alcotest.run "workforce"
@@ -136,10 +378,13 @@ let () =
           Alcotest.test_case "sum and max aggregation" `Quick test_aggregation_sum_and_max;
           Alcotest.test_case "insufficient candidates" `Quick test_insufficient_candidates;
           Alcotest.test_case "k validation" `Quick test_k_validation;
+          Alcotest.test_case "sum starts at 0." `Quick test_sum_starts_at_zero;
           Alcotest.test_case "vector" `Quick test_vector;
           Alcotest.test_case "compute respects satisfaction" `Quick
             test_compute_respects_satisfaction;
           Alcotest.test_case "inversion rules differ" `Quick test_compute_rules_differ;
           Tq.to_alcotest prop_streaming_equals_matrix;
+          Tq.to_alcotest prop_scan_equals_reference;
+          Alcotest.test_case "unbounded k" `Quick test_unbounded_k;
         ] );
     ]
