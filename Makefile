@@ -13,7 +13,7 @@ test:
 # One tiny traced iteration of every experiment: proves each bench still
 # executes end to end (non-zero exit fails the target) and that the trace
 # file is produced. Runs in seconds.
-BENCH_EXPERIMENTS = example real-data fig14 fig15-16 fig17 fig18 ablation par cache chaos serve
+BENCH_EXPERIMENTS = example real-data fig14 fig15-16 fig17 fig18 ablation par cache chaos
 bench-smoke: build
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \

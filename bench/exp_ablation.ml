@@ -1,5 +1,6 @@
 (* Ablation studies for the design choices called out in DESIGN.md:
-   (a) ADPaR-Exact's monotone-objective pruning,
+   (a) ADPaR-Exact's monotone-objective pruning, and (a') its sweep over
+       the catalog's k-skyband,
    (b) BatchStrat's best-single correction for pay-off (vs plain greedy),
    (c) Sum-case vs Max-case workforce aggregation,
    (d) R-tree construction method behind Baseline3 (STR bulk load vs
@@ -45,6 +46,49 @@ let adpar_pruning () =
         ])
     (Bench_common.values (if !Bench_common.quick then [ 500; 1000 ] else [ 500; 1000; 2000; 4000 ]));
   Bench_common.print_table ~title:"(a) ADPaR-Exact pruning (identical results, wall-clock)" t
+
+(* The same calls with and without the catalog's k-skyband, built
+   outside the sweep timing as a session builds it once. *)
+let adpar_skyband () =
+  let t =
+    Tabular.create
+      ~columns:[ "|S|"; "members"; "build (s)"; "skyband (s)"; "full sweep (s)"; "speedup" ]
+  in
+  List.iter
+    (fun n ->
+      let build_total = ref 0. and on_total = ref 0. and off_total = ref 0. in
+      let members = ref 0 in
+      for i = 1 to runs () do
+        let request = (Bench_common.hard_requests (Rng.create (21_000 + i)) ~m:1 ~k:5).(0) in
+        let strategies =
+          Model.Workload.strategies (Rng.create (22_000 + i)) ~n ~kind:Model.Workload.Uniform
+        in
+        let db, skyband = Bench_common.time (fun () -> Stratrec.Adpar.skyband strategies) in
+        let d_on, a =
+          Bench_common.time (fun () -> Stratrec.Adpar.exact ~skyband ~strategies request)
+        in
+        let d_off, b = Bench_common.time (fun () -> Stratrec.Adpar.exact ~strategies request) in
+        (match (a, b) with
+        | Some a, Some b when Float.equal a.Stratrec.Adpar.distance b.Stratrec.Adpar.distance -> ()
+        | _ -> failwith "ablation: the skyband changed the result");
+        build_total := !build_total +. db;
+        on_total := !on_total +. d_on;
+        off_total := !off_total +. d_off;
+        members := !members + Stratrec.Adpar.skyband_size skyband ~k:5
+      done;
+      let avg v = v /. float_of_int (runs ()) in
+      Tabular.add_row t
+        [
+          string_of_int n;
+          Printf.sprintf "%.0f" (avg (float_of_int !members));
+          Printf.sprintf "%.5f" (avg !build_total);
+          Printf.sprintf "%.5f" (avg !on_total);
+          Printf.sprintf "%.5f" (avg !off_total);
+          Printf.sprintf "%.1fx" (!off_total /. Float.max 1e-9 !on_total);
+        ])
+    (Bench_common.values (if !Bench_common.quick then [ 500; 1000 ] else [ 500; 1000; 2000; 4000 ]));
+  Bench_common.print_table
+    ~title:"(a') ADPaR-Exact over the k-skyband (k = 5, identical results, wall-clock)" t
 
 let best_single_correction () =
   (* Adversarial pay-off instances: many low-value high-density fillers and
@@ -247,6 +291,7 @@ let online_vs_offline () =
 let run () =
   Bench_common.section "Ablations";
   adpar_pruning ();
+  adpar_skyband ();
   best_single_correction ();
   aggregation_cases ();
   rtree_construction ();

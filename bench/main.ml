@@ -25,7 +25,6 @@ let experiments =
     ("par", Exp_par.run);
     ("cache", Exp_cache.run);
     ("chaos", Exp_chaos.run);
-    ("serve", Exp_serve.run);
     ("bechamel", Bechamel_suite.run);
   ]
 

@@ -61,13 +61,27 @@ let flat_relaxations ~strategies request =
   done;
   { q; c; l }
 
-(* Indices of [key] ordered by Float.compare, ties by index: a bottom-up
-   merge sort, stable from the identity order. Unlike [Array.sort] on an
-   index array it is monomorphic, so no comparison is a closure call and
-   no element read checks for a float array. *)
-let order_by (key : float array) =
+(* The triples of [members] (catalog indices, ascending), in that order. *)
+let gather { q; c; l } members =
+  let b = Array.length members in
+  let q' = Array.create_float b and c' = Array.create_float b and l' = Array.create_float b in
+  Array.iteri
+    (fun j i ->
+      q'.(j) <- q.(i);
+      c'.(j) <- c.(i);
+      l'.(j) <- l.(i))
+    members;
+  { q = q'; c = c'; l = l' }
+
+(* Indices of [key] ordered by Float.compare, ties in [start]'s order
+   (default: by index; the array is consumed): a bottom-up merge sort,
+   stable. Unlike [Array.sort] on an index array it is monomorphic, so no
+   comparison is a closure call and no element read checks for a float
+   array. *)
+let order_by ?start (key : float array) =
   let n = Array.length key in
-  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let src = ref (match start with Some order -> order | None -> Array.init n Fun.id)
+  and dst = ref (Array.make n 0) in
   let width = ref 1 in
   while !width < n do
     let a = !src and b = !dst in
@@ -92,6 +106,71 @@ let order_by (key : float array) =
     width := 2 * !width
   done;
   !src
+
+(* --- The k-skyband ---
+
+   Each relaxation is a monotone function of one inverted coordinate
+   (1 - quality, cost, latency), taken as the very floats
+   [flat_relaxations] subtracts from. So when [j] dominates [i] (<= on
+   all three, and < on one or earlier in the array), [j]'s relaxation
+   triple is <= [i]'s for every request, and a strategy with k
+   dominators can be exchanged out of any k-cover without raising its
+   envelope (DESIGN.md §5). The sweep then needs only the strategies
+   with fewer than k dominators. Counts stop at [skyband_cap]. *)
+
+let skyband_cap = 10
+
+type skyband = { source : Strategy.t array; dominators : int array }
+
+let skyband strategies =
+  let n = Array.length strategies in
+  let a = Array.create_float n and b = Array.create_float n and d = Array.create_float n in
+  for i = 0 to n - 1 do
+    let p = strategies.(i).Strategy.params in
+    a.(i) <- 1. -. p.Params.quality;
+    b.(i) <- p.Params.cost;
+    d.(i) <- p.Params.latency
+  done;
+  let by_a = order_by a in
+  let dominators = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let ai = a.(i) and bi = b.(i) and di = d.(i) in
+    (* A dominator's first coordinate is <= a_i: scan the ascending
+       order up to the first larger one, or to the cap-th dominator. *)
+    let count = ref 0 and r = ref 0 in
+    while !count < skyband_cap && !r < n && not (a.(by_a.(!r)) > ai) do
+      let j = by_a.(!r) in
+      if
+        j <> i
+        && a.(j) <= ai && b.(j) <= bi && d.(j) <= di
+        && (a.(j) < ai || b.(j) < bi || d.(j) < di || j < i)
+      then incr count;
+      incr r
+    done;
+    dominators.(i) <- !count
+  done;
+  { source = strategies; dominators }
+
+let skyband_size sb ~k =
+  if k > skyband_cap then Array.length sb.dominators
+  else Array.fold_left (fun size count -> if count < k then size + 1 else size) 0 sb.dominators
+
+(* The catalog indices the sweep needs for [k], ascending; [None] when
+   that is the whole catalog, or [k] is above the cap. *)
+let members sb ~k =
+  let size = skyband_size sb ~k in
+  if size = Array.length sb.dominators then None
+  else begin
+    let members = Array.make size 0 and next = ref 0 in
+    Array.iteri
+      (fun i count ->
+        if count < k then begin
+          members.(!next) <- i;
+          incr next
+        end)
+      sb.dominators;
+    Some members
+  end
 
 (* A max-heap of the k smallest latency relaxations seen on one cost
    sweep, ordered by Float.compare; once full, its root is the k-th
@@ -135,7 +214,8 @@ let push h (src : float array) j =
    eligible at (x, y). The objective is the paper's plain L2,
    x^2 + y^2 + z^2. Returns the best triple, or None when n < k. Sweep
    events and prune cut-offs are counted in locals and flushed once. *)
-let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k { q; c; l } =
+let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(latency_ties = false) ~k
+    { q; c; l } =
   let n = Array.length q in
   if n < k then None
   else begin
@@ -153,8 +233,10 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k { q; c; l } =
       by_quality;
     (* The cost sweep line, shared by every quality step: strategies by
        cost relaxation, then index, with their triples gathered in that
-       order. *)
-    let by_cost = order_by c in
+       order. A skyband sweep breaks cost ties by latency relaxation
+       first, so inside a tie it reaches its smallest z no later than
+       the full sweep does, and never visits more events (DESIGN.md §5). *)
+    let by_cost = if latency_ties then order_by ~start:(order_by l) c else order_by c in
     let sq = Array.create_float n and sc = Array.create_float n and sl = Array.create_float n in
     Array.iteri
       (fun j i ->
@@ -215,6 +297,34 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ~k { q; c; l } =
     if !found then Some (!bx, !by, !bz) else None
   end
 
+(* The full sweep's z at its first optimum. The skyband sweep finds the
+   full sweep's optimal x, y and squared distance, but among strategies
+   that share the cost relaxation y the full sweep may reach that
+   distance one strategy earlier, at a larger z whose square vanishes in
+   the rounding of x^2 + y^2 + z^2. One pass over the whole catalog
+   replays the full sweep's heap at x: the strategies it visits before
+   y, then those at y in catalog order, its tie order, up to the first
+   that reaches the optimum. *)
+let first_optimum ~k { q; c; l } (x, y, z) =
+  let best = (x *. x) +. (y *. y) +. (z *. z) in
+  let heap = { data = Array.create_float k; size = 0 } in
+  let offer i = if heap.size < k || Float.compare l.(i) heap.data.(0) < 0 then push heap l i in
+  let n = Array.length q in
+  for i = 0 to n - 1 do
+    if q.(i) <= x && Float.compare c.(i) y < 0 then offer i
+  done;
+  let rec at_y i =
+    if i = n then z
+    else if q.(i) <= x && Float.compare c.(i) y = 0 then begin
+      offer i;
+      if heap.size = k && (x *. x) +. (y *. y) +. (heap.data.(0) *. heap.data.(0)) <= best
+      then heap.data.(0)
+      else at_y (i + 1)
+    end
+    else at_y (i + 1)
+  in
+  (x, y, at_y 0)
+
 (* One pass over the catalog: the first k covered strategies in catalog
    order, and how many are covered in all. *)
 let build_result ~k ~strategies request (x, y, z) =
@@ -238,10 +348,16 @@ let build_result ~k ~strategies request (x, y, z) =
     covered_count = !covered;
   }
 
-let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = true) ?k
-    ~strategies request =
+let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = true) ?skyband
+    ?k ~strategies request =
   let k = Option.value k ~default:request.Deployment.k in
   if k < 1 then invalid_arg "Adpar.exact: k must be >= 1";
+  let members =
+    Option.bind skyband (fun sb ->
+        if sb.source != strategies then
+          invalid_arg "Adpar.exact: the skyband was built from another catalog";
+        members sb ~k)
+  in
   Obs.Registry.incr (Obs.Registry.counter metrics "adpar.calls_total");
   let result =
     Obs.Trace.span trace "adpar.exact"
@@ -255,15 +371,21 @@ let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = tru
         (* The three sweep-line phases of ADPaR-Exact, each its own
            trace span: build the relaxation event queue, sweep it, then
            reconstruct the envelope d' and its k-cover. *)
-        let relax =
+        let relax, swept =
           Obs.Trace.span trace "adpar.relaxations" (fun () ->
-              flat_relaxations ~strategies request)
+              let relax = flat_relaxations ~strategies request in
+              (relax, match members with Some m -> gather relax m | None -> relax))
         in
         let best =
-          Obs.Trace.span trace "adpar.sweep" (fun () -> search ~metrics ~prune ~k relax)
+          Obs.Trace.span trace "adpar.sweep" (fun () ->
+              search ~metrics ~prune ~latency_ties:(Option.is_some members) ~k swept)
         in
         let result =
           Obs.Trace.span trace "adpar.select" (fun () ->
+              let best =
+                if Option.is_some members then Option.map (first_optimum ~k relax) best
+                else best
+              in
               Option.map (build_result ~k ~strategies request) best)
         in
         (match result with

@@ -82,9 +82,9 @@ let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
       outcomes.(i) <- (d, No_alternative));
   ignore (Obs.Span.finish triage)
 
-let triage_unsatisfied ~metrics ~trace ~strategies ~requests ~outcomes i =
+let triage_unsatisfied ?skyband ~metrics ~trace ~strategies ~requests ~outcomes i =
   triage_with
-    ~adpar:(fun d -> Adpar.exact ~metrics ~trace ~strategies d)
+    ~adpar:(fun d -> Adpar.exact ~metrics ~trace ?skyband ~strategies d)
     ~metrics ~trace ~requests ~outcomes i
 
 (* One triage computation, recorded into a fresh registry/trace pair so
@@ -97,10 +97,10 @@ let triage_unsatisfied ~metrics ~trace ~strategies ~requests ~outcomes i =
    request-specific attributes (only k, catalog size and the distance),
    which is what makes one capture valid for every request with the
    same (params, k). *)
-let capture_triage ~strategies d =
+let capture_triage ?skyband ~strategies d =
   let metrics = Obs.Registry.create () in
   let trace = Obs.Trace.create () in
-  let result = Adpar.exact ~metrics ~trace ~strategies d in
+  let result = Adpar.exact ~metrics ~trace ?skyband ~strategies d in
   { Triage_cache.result; metrics = Obs.Registry.snapshot metrics; trace }
 
 let replay_capture ~metrics ~trace (capture : Triage_cache.triage_capture) =
@@ -108,9 +108,40 @@ let replay_capture ~metrics ~trace (capture : Triage_cache.triage_capture) =
   Obs.Trace.merge trace [ capture.Triage_cache.trace ];
   capture.Triage_cache.result
 
+(* The catalog one run matches against: [given] re-estimated at [at]
+   (or as given when [at] is None), and the ADPaR skyband of the result,
+   built at the first ADPaR call that needs it. *)
+type prepared = {
+  given : Strategy.t array;
+  at : float option;
+  catalog : Strategy.t array;
+  mutable skyband : Adpar.skyband option;
+}
+
+type memo = { mutable last : prepared option }
+
+let memo () = { last = None }
+
+(* Keyed on the array's identity, not its contents: comparing contents
+   would cost what re-estimating does. Handing back the same array every
+   run is also what lets [Triage_cache.set_context] stop at its
+   physical-equality fast path. *)
+let prepare memo ~at strategies =
+  match memo with
+  | Some { last = Some p } when p.given == strategies && Option.equal Float.equal p.at at -> p
+  | Some _ | None ->
+      let catalog =
+        match at with
+        | Some w -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
+        | None -> strategies
+      in
+      let p = { given = strategies; at; catalog; skyband = None } in
+      Option.iter (fun m -> m.last <- Some p) memo;
+      p
+
 let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
-    ?(trace = Obs.Trace.noop) ?(domains = 1) ?cache ~availability ~strategies ~requests
-    () =
+    ?(trace = Obs.Trace.noop) ?(domains = 1) ?cache ?memo ~availability ~strategies
+    ~requests () =
   if domains < 1 then invalid_arg "Aggregator.run: domains must be >= 1";
   let pool = if domains > 1 then Some (Stratrec_par.Pool.shared ~domains) else None in
   Obs.Trace.span trace "aggregator.batch"
@@ -127,14 +158,18 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     (Array.length requests);
   let w = Availability.expected availability in
   Obs.Registry.set (Obs.Registry.gauge metrics "aggregator.availability") w;
-  (* With a cache, re-estimation is memoized on the catalog array: a
-     session re-estimates its catalog once, not every epoch. *)
-  let strategies =
-    if not config.reestimate_parameters then strategies
-    else
-      match cache with
-      | Some c -> Triage_cache.instantiate c ~availability:w strategies
-      | None -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
+  (* With a memo, a session re-estimates its catalog once, not every
+     epoch, and keeps one skyband for it. *)
+  let prepared =
+    prepare memo ~at:(if config.reestimate_parameters then Some w else None) strategies
+  in
+  let strategies = prepared.catalog in
+  (* Only a memo's holder sweeps the skyband, built on this domain at the
+     first ADPaR computation of its catalog, before any shard starts. *)
+  let skyband () =
+    if Option.is_some memo && Option.is_none prepared.skyband then
+      prepared.skyband <- Some (Adpar.skyband strategies);
+    prepared.skyband
   in
   (* Bind the cache to this epoch's scope before any probe: a workforce
      change, another objective/aggregation/rule or a different
@@ -276,15 +311,11 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
                  (fun slot -> Option.is_none lookups.(slot))
                  (List.init n_unsatisfied Fun.id))
           in
+          let skyband = if Array.length misses > 0 then skyband () else None in
+          let capture slot = capture_triage ?skyband ~strategies requests.(unsatisfied.(slot)) in
           let computed =
-            if Array.length misses > 1 then
-              Stratrec_par.Shard.map pool
-                ~f:(fun slot -> capture_triage ~strategies requests.(unsatisfied.(slot)))
-                misses
-            else
-              Array.map
-                (fun slot -> capture_triage ~strategies requests.(unsatisfied.(slot)))
-                misses
+            if Array.length misses > 1 then Stratrec_par.Shard.map pool ~f:capture misses
+            else Array.map capture misses
           in
           Array.iteri
             (fun k slot ->
@@ -298,13 +329,17 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
               match probe slot with
               | Some capture -> apply slot capture
               | None ->
-                  let capture = capture_triage ~strategies requests.(unsatisfied.(slot)) in
+                  let capture =
+                    capture_triage ?skyband:(skyband ()) ~strategies
+                      requests.(unsatisfied.(slot))
+                  in
                   store slot capture;
                   apply slot capture)
             unsatisfied)
   | None -> (
       match pool with
       | Some pool when Stratrec_par.Pool.size pool > 1 && n_unsatisfied > 1 ->
+      let skyband = skyband () in
       (* Sharded triage: each shard gets a contiguous slice of the
          unsatisfied list, a fresh registry and a fresh trace buffer.
          Merging shard registries/traces in shard index order
@@ -324,7 +359,7 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
       Stratrec_par.Pool.run pool ~shards (fun s ->
           let start, stop = plan.(s) in
           for slot = start to stop - 1 do
-            triage_unsatisfied ~metrics:shard_metrics.(s) ~trace:shard_traces.(s)
+            triage_unsatisfied ?skyband ~metrics:shard_metrics.(s) ~trace:shard_traces.(s)
               ~strategies ~requests ~outcomes unsatisfied.(slot)
           done);
       Array.iter
@@ -332,9 +367,11 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
         shard_metrics;
       Obs.Trace.merge trace (Array.to_list shard_traces)
       | Some _ | None ->
-          Array.iter
-            (triage_unsatisfied ~metrics ~trace ~strategies ~requests ~outcomes)
-            unsatisfied));
+          if n_unsatisfied > 0 then
+            Array.iter
+              (triage_unsatisfied ?skyband:(skyband ()) ~metrics ~trace ~strategies ~requests
+                 ~outcomes)
+              unsatisfied));
   Obs.Registry.set
     (Obs.Registry.gauge metrics "aggregator.workforce_used")
     batch.Batchstrat.workforce_used;

@@ -50,12 +50,22 @@ type report = {
   workforce_used : float;
 }
 
+type memo
+(** What a caller that runs many batches over one catalog keeps between
+    runs: the catalog re-estimated at the last W, and the ADPaR
+    {!Adpar.skyband} of that re-estimated array. An {!Engine} session
+    holds one. Not thread-safe: pass it to one run at a time. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
 val run :
   ?config:config ->
   ?metrics:Stratrec_obs.Registry.t ->
   ?trace:Stratrec_obs.Trace.t ->
   ?domains:int ->
   ?cache:Triage_cache.t ->
+  ?memo:memo ->
   availability:Stratrec_model.Availability.t ->
   strategies:Stratrec_model.Strategy.t array ->
   requests:Stratrec_model.Deployment.t array ->
@@ -78,13 +88,23 @@ val run :
     O(m log m) and order-dependent.
     @raise Invalid_argument when [domains < 1].
 
+    [memo] keeps the re-estimated catalog across runs, keyed on the
+    identity of [strategies] and on W: runs that pass the same array at
+    the same W re-estimate it once and match against the very same
+    array. Do not mutate an array between runs that share a memo; pass a
+    fresh array, or a fresh {!memo}, after changing a catalog. Beside
+    it the memo keeps the catalog's {!Adpar.skyband}, built on the
+    calling domain at the first run that computes an ADPaR triage, before
+    any shard starts; every [Adpar.exact] call of the run, live,
+    captured or sharded, then sweeps only the skyband. The report, every
+    decision and span are those of a run without a memo, and so is every
+    counter except [adpar.sweep_events_total] and
+    [adpar.prune_cutoffs_total], which count the smaller sweep. Without
+    a memo each run re-estimates the catalog and ADPaR sweeps all of it.
+
     [cache] memoizes the two pure per-request computations across runs
     ({!Triage_cache}): the BatchStrat requirements and the ADPaR
-    triage of unsatisfied requests. It also memoizes the re-estimated
-    catalog on the identity of [strategies]
-    ({!Triage_cache.instantiate}), so runs that pass the same array
-    re-estimate it once; do not mutate that array between runs that
-    share a cache. The run binds the cache to this
+    triage of unsatisfied requests. The run binds the cache to this
     epoch's context first (objective, aggregation, rule, W, instantiated
     catalog — any change flushes), probes and stores only from the
     calling domain, and computes misses sharded when [domains > 1].

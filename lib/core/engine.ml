@@ -197,6 +197,9 @@ type session = {
   cache : Triage_cache.t option;
       (* epoch-scoped triage cache — context-bound each epoch by the
          aggregator, flushed on workforce/model change *)
+  mutable memo : Aggregator.memo;
+      (* the re-estimated catalog and its ADPaR skyband, cached or not;
+         a model-version bump starts a fresh one *)
   clock : float ref;  (* simulated deploy hours, shared across epochs *)
   mutable decisions_seen : int;
   mutable epochs : int;
@@ -249,15 +252,15 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
         {
           config;
           availability;
-          (* The session's own copy: the cache memoizes re-estimation on
-             this array's identity (Triage_cache.instantiate), so no
-             caller may be able to mutate it. *)
+          (* The session's own copy: the memo keys re-estimation on this
+             array's identity, so no caller may be able to mutate it. *)
           strategies = Array.copy strategies;
           metrics;
           trace;
           rng;
           breaker;
           cache;
+          memo = Aggregator.memo ();
           clock = ref 0.;
           decisions_seen = 0;
           epochs = 0;
@@ -276,6 +279,7 @@ let cache_stats session = Option.map Triage_cache.stats session.cache
 let cache_hit_ratio session = Option.map Triage_cache.hit_ratio session.cache
 
 let bump_model_version session =
+  session.memo <- Aggregator.memo ();
   Option.iter Triage_cache.bump_model_version session.cache
 let breaker_state session = Option.map Res.Breaker.state session.breaker
 let session_metrics session = Obs.Registry.snapshot session.metrics
@@ -535,7 +539,7 @@ let submit ?deadline_hours session requests_in =
               let stage_start = Obs.Registry.now metrics in
               let aggregate =
                 Aggregator.run ~config:config.aggregator ~metrics ~trace
-                  ~domains:config.domains ?cache:session.cache
+                  ~domains:config.domains ?cache:session.cache ~memo:session.memo
                   ~availability:session.availability ~strategies:session.strategies
                   ~requests ()
               in

@@ -99,9 +99,7 @@ type config = {
           BatchStrat requirements and ADPaR triage results are
           memoized across epochs on quantized (params, k) keys, flushed
           whenever the epoch context (workforce, catalog, objective,
-          aggregation, rule) or the model version changes, and the
-          catalog is re-estimated once per session instead of every
-          epoch. Reports stay
+          aggregation, rule) or the model version changes. Reports stay
           bit-identical to an uncached run at any domain count — the
           [cache.*] counters and gauges are the only additions. Default
           [None] (no cache). Capacity must be >= 1
@@ -248,9 +246,15 @@ val create :
     circuit breaker (when the deploy policy carries one — its failure
     history then spans epochs), and the simulated deploy clock at 0.
     The session keeps its own copy of [strategies]: mutating the
-    caller's array afterwards changes nothing the session computes (its
-    triage cache memoizes re-estimation on the copy's identity, see
-    {!Triage_cache.instantiate}).
+    caller's array afterwards changes nothing the session computes. It
+    holds an {!Aggregator.memo} over that copy, cached or not: the
+    catalog is re-estimated once per session instead of every epoch, and
+    the first epoch that runs ADPaR builds the catalog's
+    {!Adpar.skyband}, which every later ADPaR triage sweeps. Reports,
+    decisions and spans are unchanged by it; [adpar.sweep_events_total]
+    and [adpar.prune_cutoffs_total] count the skyband sweep, whose
+    events never exceed what a stateless {!Adpar.exact} over the same
+    catalog would record.
     [rng] drives the deploy stage only; when absent, a seed-2020
     generator is created lazily at the first deploying epoch, exactly as
     {!run} always did. *)
@@ -307,9 +311,10 @@ val cache_hit_ratio : session -> float option
     health surface reports this. *)
 
 val bump_model_version : session -> unit
-(** Force-invalidate the triage cache (flush + version bump) without
-    touching the catalog — the hook model refitting will drive. No-op on
-    an uncached session. *)
+(** Forget the session's re-estimated catalog and skyband, and
+    force-invalidate the triage cache (flush + version bump) when the
+    session has one, without touching the catalog — the hook model
+    refitting will drive. *)
 
 val set_observability : session -> ?trace:bool -> ?profile:bool -> unit -> unit
 (** Flip the session's live observability between epochs — the serve

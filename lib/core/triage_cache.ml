@@ -66,8 +66,6 @@ type t = {
   mutable tail : entry option;
   mutable size : int;
   mutable context : context option;
-  mutable catalog : (Strategy.t array * float * Strategy.t array) option;
-      (* the last catalog re-estimated: (as given, at W, re-estimated) *)
   mutable version : int;
   mutable hits : int;
   mutable misses : int;
@@ -95,7 +93,6 @@ let create ?(config = default_config) ~metrics () =
     tail = None;
     size = 0;
     context = None;
-    catalog = None;
     version = 0;
     hits = 0;
     misses = 0;
@@ -171,20 +168,7 @@ let set_context t context =
 
 let bump_model_version t =
   flush t;
-  t.catalog <- None;
   t.version <- t.version + 1
-
-(* Keyed on the array's identity, not its contents: comparing contents
-   would cost what re-estimating does. Handing back the same array every
-   epoch is also what lets [set_context] stop at its physical-equality
-   fast path. *)
-let instantiate t ~availability strategies =
-  match t.catalog with
-  | Some (given, w, catalog) when given == strategies && Float.equal w availability -> catalog
-  | Some _ | None ->
-      let catalog = Array.map (fun s -> Strategy.instantiate s ~availability) strategies in
-      t.catalog <- Some (strategies, availability, catalog);
-      catalog
 
 let model_version t = t.version
 

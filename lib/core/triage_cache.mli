@@ -57,7 +57,10 @@ val create : ?config:config -> metrics:Stratrec_obs.Registry.t -> unit -> t
 
 (** The epoch scope: everything besides the request itself that the
     cached computations depend on. [strategies] must be the
-    {e instantiated} catalog (after availability re-estimation). *)
+    {e instantiated} catalog (after availability re-estimation). Runs
+    that share an {!Aggregator.memo} (an {!Engine} session's) bind the
+    very same re-estimated array every epoch, so the comparison stops at
+    its physical-equality fast path. *)
 type context = {
   objective : Objective.t;
   aggregation : Stratrec_model.Workforce.aggregation;
@@ -73,30 +76,8 @@ val set_context : t -> context -> unit
     entry. Call once per epoch before probing. *)
 
 val bump_model_version : t -> unit
-(** Force-invalidate: flushes the cache, forgets the {!instantiate} memo
-    and increments the version, for model refits that leave the catalog
-    structurally unchanged. *)
-
-val instantiate :
-  t ->
-  availability:float ->
-  Stratrec_model.Strategy.t array ->
-  Stratrec_model.Strategy.t array
-(** [instantiate t ~availability strategies] is the catalog re-estimated
-    at the expected availability ({!Stratrec_model.Strategy.instantiate}
-    per strategy), memoized: while [strategies] is physically the array
-    of the previous call and [availability] is equal, it returns that
-    call's result, the very same array, so the epoch {!context} built
-    from it matches the previous one at {!set_context}'s physical-equality
-    fast path.
-
-    {b Identity precondition.} The memo is keyed on the identity of
-    [strategies], not its contents: the caller must not mutate an array
-    it has passed here and pass it again, or it gets the re-estimation of
-    the old contents (and the cache its entries). Pass a fresh array, or
-    call {!bump_model_version}, after changing a catalog in place. An
-    {!Engine} session copies its catalog at creation, so nothing
-    outside the session can mutate it. *)
+(** Force-invalidate: flushes the cache and increments the version, for
+    model refits that leave the catalog structurally unchanged. *)
 
 val model_version : t -> int
 

@@ -23,7 +23,6 @@ let weakly_dominates a b = a.x <= b.x && a.y <= b.y && a.z <= b.z
    reflexive on nan), where (=) would make a nan point unequal to itself
    while [compare] says 0. *)
 let equal a b = Float.equal a.x b.x && Float.equal a.y b.y && Float.equal a.z b.z
-let dominates a b = weakly_dominates a b && not (equal a b)
 
 let squared_distance a b =
   let dx = a.x -. b.x and dy = a.y -. b.y and dz = a.z -. b.z in

@@ -16,10 +16,6 @@ val coord : t -> int -> float
 
 val with_coord : t -> int -> float -> t
 
-val dominates : t -> t -> bool
-(** [dominates a b] iff [a <= b] componentwise and [a <> b] — [a] is at
-    least as good on every axis and strictly better somewhere. *)
-
 val weakly_dominates : t -> t -> bool
 (** Componentwise [a <= b]. *)
 

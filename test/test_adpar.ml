@@ -165,7 +165,6 @@ let prop_monotone_in_k =
    and cut-off as it happens. *)
 module Reference = struct
   module Registry = Stratrec_obs.Registry
-  module Kselect = Stratrec_util.Kselect
   module Point3 = Stratrec_geom.Point3
 
   let search ~metrics ~prune ~k (relax : Adpar.relaxation array) =
@@ -199,7 +198,7 @@ module Reference = struct
         | [] -> ()
         | x :: rest ->
             if (not prune) || x *. x < !best_sq then begin
-              let tracker = Kselect.Tracker.create ~cmp:Float.compare k in
+              let tracker = Kselect_ref.Tracker.create ~cmp:Float.compare k in
               (let exception Break in
                try
                  Array.iter
@@ -212,8 +211,8 @@ module Reference = struct
                          Registry.incr prune_cutoffs;
                          raise Break
                        end;
-                       Kselect.Tracker.add tracker r.latency;
-                       match Kselect.Tracker.kth tracker with
+                       Kselect_ref.Tracker.add tracker r.latency;
+                       match Kselect_ref.Tracker.kth tracker with
                        | Some z -> consider x y z
                        | None -> ()
                      end)
@@ -311,6 +310,126 @@ let prop_flat_sweep_matches_reference =
            (fun name -> counter m_flat name = counter m_ref name)
            [ "adpar.sweep_events_total"; "adpar.prune_cutoffs_total" ])
 
+(* The skyband path against the full sweep, its oracle: catalogs of up to
+   300 strategies (often fewer than k), uniform or on a 0.2 grid, with
+   repeated strategies and ids shuffled away from array positions, and
+   k up to two past the cap. Some requests sit a few ulps from one
+   strategy's parameters on each axis, so relaxations of a few ulps make
+   x^2 + y^2 + z^2 round to the same value for different z. *)
+let skyband_case =
+  let open QCheck.Gen in
+  let grid = map (fun i -> float_of_int i *. 0.2) (int_range 0 5) in
+  let gen =
+    let* on_grid = bool in
+    let coord = if on_grid then grid else float_range 0. 1. in
+    let* n = oneof [ int_range 0 12; int_range 0 300 ] in
+    let* fresh = list_repeat n (triple coord coord coord) in
+    let fresh = Array.of_list fresh in
+    (* Each strategy repeats an earlier one's triple one time in four. *)
+    let* repeats = list_repeat n (pair (int_bound 3) (int_bound 1_000_000)) in
+    let triples =
+      List.mapi
+        (fun i (roll, pick) -> if roll = 0 && i > 0 then fresh.(pick mod i) else fresh.(i))
+        repeats
+    in
+    let* ids = shuffle_l (List.init n Fun.id) in
+    let near v =
+      let* steps = int_range (-3) 3 in
+      let rec walk v s =
+        if s = 0 then v else if s > 0 then walk (Float.succ v) (s - 1) else walk (Float.pred v) (s + 1)
+      in
+      return (Float.min 1. (Float.max 0. (walk v steps)))
+    in
+    let near_strategy axis =
+      if n = 0 then float_range 0. 1.
+      else
+        let* i = int_bound (n - 1) in
+        let q, c, l = List.nth triples i in
+        near (match axis with 0 -> q | 1 -> c | _ -> l)
+    in
+    let* rq =
+      oneof
+        [
+          triple coord coord coord;
+          triple (float_range 0.5 1.) (float_range 0. 0.5) (float_range 0. 0.5);
+          triple (near_strategy 0) (near_strategy 1) (near_strategy 2);
+          triple (float_range 0.6 1.) (near_strategy 1) (near_strategy 2);
+        ]
+    in
+    let* k = int_range 1 (Adpar.skyband_cap + 2) in
+    let* prune = bool in
+    return (List.combine ids triples, rq, k, prune)
+  in
+  let print (strategies, (q, c, l), k, prune) =
+    Printf.sprintf "n=%d k=%d prune=%b request=(%h,%h,%h) catalog=[%s]"
+      (List.length strategies) k prune q c l
+      (String.concat "; "
+         (List.map
+            (fun (id, (q, c, l)) -> Printf.sprintf "%d:(%h,%h,%h)" id q c l)
+            strategies))
+  in
+  QCheck.make ~print gen
+
+let same_answer (a : Adpar.result option) (b : Adpar.result option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      let pa = a.Adpar.alternative and pb = b.Adpar.alternative in
+      Float.equal pa.Params.quality pb.Params.quality
+      && Float.equal pa.Params.cost pb.Params.cost
+      && Float.equal pa.Params.latency pb.Params.latency
+      && Float.equal a.Adpar.distance b.Adpar.distance
+      && List.map (fun s -> s.Strategy.id) a.Adpar.recommended
+         = List.map (fun s -> s.Strategy.id) b.Adpar.recommended
+      && a.Adpar.covered_count = b.Adpar.covered_count
+  | _ -> false
+
+let sweep_events m =
+  Stratrec_obs.Snapshot.counter_value (Stratrec_obs.Registry.snapshot m)
+    "adpar.sweep_events_total"
+
+let prop_skyband_matches_full_sweep =
+  QCheck.Test.make ~count:1000 ~name:"skyband sweep gives the full sweep's answer"
+    skyband_case
+    (fun (strategies, rq, k, prune) ->
+      let strategies =
+        Array.of_list (List.map (fun (id, triple) -> strategy id triple) strategies)
+      in
+      let d = request ~k rq in
+      let m_full = Stratrec_obs.Registry.create () and m_sky = Stratrec_obs.Registry.create () in
+      let skyband = Adpar.skyband strategies in
+      let full = Adpar.exact ~metrics:m_full ~prune ~strategies d in
+      let sky = Adpar.exact ~metrics:m_sky ~prune ~skyband ~strategies d in
+      same_answer sky full
+      && Adpar.skyband_size skyband ~k >= min (Array.length strategies) k
+      &&
+      if k > Adpar.skyband_cap then sweep_events m_sky = sweep_events m_full
+      else sweep_events m_sky <= sweep_events m_full)
+
+let test_skyband_of_another_catalog () =
+  let strategies = catalog [ (0.9, 0.4, 0.1); (0.8, 0.5, 0.2) ] in
+  let skyband = Adpar.skyband (Array.copy strategies) in
+  Alcotest.check_raises "another array"
+    (Invalid_argument "Adpar.exact: the skyband was built from another catalog") (fun () ->
+      ignore (Adpar.exact ~skyband ~strategies (request ~k:1 (0.95, 0.1, 0.1))))
+
+(* Strategy 0 is dominated by strategy 1 (cheaper, same quality and
+   latency: both costs below the request's, so both cost relaxations are
+   0). At k = 1 the skyband is {1}, but the full sweep reaches the
+   optimum x^2 = 0.25 at strategy 0 first, with z = 1e-10, whose square
+   vanishes in the sum: the skyband answer must carry that z too. *)
+let test_skyband_rounding_tie () =
+  let strategies = catalog [ (0.5, 0.2, 0.3 +. 1e-10); (0.5, 0.1, 0.3) ] in
+  let skyband = Adpar.skyband strategies in
+  Alcotest.(check int) "skyband" 1 (Adpar.skyband_size skyband ~k:1);
+  let d = request ~k:1 (1.0, 0.3, 0.3) in
+  match (Adpar.exact ~skyband ~strategies d, Adpar.exact ~strategies d) with
+  | Some sky, Some full ->
+      Alcotest.(check (float 0.)) "latency of the full sweep"
+        full.Adpar.alternative.Params.latency sky.Adpar.alternative.Params.latency;
+      Alcotest.(check bool) "same answer" true (same_answer (Some sky) (Some full))
+  | _ -> Alcotest.fail "expected results"
+
 let () =
   Alcotest.run "adpar"
     [
@@ -323,6 +442,10 @@ let () =
           Alcotest.test_case "multi-axis tradeoff" `Quick test_multi_axis_tradeoff;
           Alcotest.test_case "covers helper" `Quick test_covers_helper;
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
+          Alcotest.test_case "skyband of another catalog" `Quick
+            test_skyband_of_another_catalog;
+          Alcotest.test_case "skyband keeps the full sweep's z" `Quick
+            test_skyband_rounding_tie;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
@@ -333,5 +456,6 @@ let () =
             prop_distance_consistent;
             prop_monotone_in_k;
             prop_flat_sweep_matches_reference;
+            prop_skyband_matches_full_sweep;
           ] );
     ]

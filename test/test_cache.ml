@@ -276,18 +276,20 @@ let test_session_stats () =
 
 (* --- the re-estimated catalog --- *)
 
-(* Runs sharing one cache re-estimate a catalog array once per W: the
+(* Runs sharing one memo re-estimate a catalog array once per W: the
    context they bind is then physically the same. Another W or another
    catalog still flushes; an equal copy of a catalog is re-estimated
-   afresh but compares equal, so it keeps the entries. *)
+   afresh but compares equal, so it keeps the entries. A session holds
+   the memo, cached or not, and a model-version bump forgets it. *)
 let test_catalog_memo () =
   let rng = Rng.create 5 in
   let strategies = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
   let other = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
   let requests = Model.Workload.requests rng ~m:4 ~k:2 in
   let t = C.create ~metrics:(Obs.Registry.create ()) () in
+  let memo = Aggregator.memo () in
   let run ?(w = 0.7) strategies =
-    (Aggregator.run ~cache:t ~availability:(Model.Availability.certain w) ~strategies
+    (Aggregator.run ~cache:t ~memo ~availability:(Model.Availability.certain w) ~strategies
        ~requests ())
       .Aggregator.strategies
   in
@@ -303,10 +305,117 @@ let test_catalog_memo () =
   Alcotest.(check int) "another catalog flushes" (v + 2) (C.model_version t);
   ignore (run ~w:0.6 (Array.copy other));
   Alcotest.(check int) "an equal copy keeps the cache" (v + 2) (C.model_version t);
-  let before = run ~w:0.6 other in
-  C.bump_model_version t;
-  Alcotest.(check bool) "a bump forgets the re-estimated catalog" false
-    (run ~w:0.6 other == before)
+  List.iter
+    (fun cache ->
+      let session =
+        match
+          Engine.create
+            ~config:(Engine.with_cache Engine.default_config cache)
+            ~availability:(Model.Availability.certain 0.6) ~strategies:other ()
+        with
+        | Ok session -> session
+        | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+      in
+      let submit () =
+        match Engine.submit session (batch_of requests) with
+        | Ok report -> report.Engine.aggregate.Aggregator.strategies
+        | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+      in
+      let before = submit () in
+      Alcotest.(check bool) "the session keeps its re-estimated catalog" true
+        (submit () == before);
+      Engine.bump_model_version session;
+      Alcotest.(check bool) "a bump forgets the re-estimated catalog" false
+        (submit () == before))
+    [ None; Some C.default_config ]
+
+(* A session sweeps its catalog's k-skyband in every ADPaR triage. On an
+   n = 200 catalog whose skyband is a strict subset, everything a session
+   reports is what the full sweep gives: at domains 4 as at 1, cached as
+   uncached, and in a first epoch as in Engine.run. Only the sweep counts
+   fall below those of stateless full sweeps. *)
+let skyband_catalog =
+  Model.Workload.strategies (Rng.create 2020) ~n:200 ~kind:Model.Workload.Uniform
+
+let skyband_requests =
+  let rng = Rng.create 2021 in
+  Array.init 24 (fun id ->
+      let params =
+        Params.make
+          ~quality:(Rng.uniform rng ~lo:0.85 ~hi:1.)
+          ~cost:(Rng.uniform rng ~lo:0. ~hi:0.3)
+          ~latency:(Rng.uniform rng ~lo:0. ~hi:0.3)
+      in
+      (* one request above the skyband cap takes the full sweep *)
+      let k = if id = 23 then Stratrec.Adpar.skyband_cap + 1 else 1 + (id mod 4) in
+      Deployment.make ~id ~params ~k ())
+
+let skyband_epochs ?cache ~domains () =
+  let config = Engine.with_cache (Engine.with_domains Engine.default_config domains) cache in
+  match
+    Engine.create ~config ~availability:(Model.Availability.certain 0.75)
+      ~strategies:skyband_catalog ()
+  with
+  | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+  | Ok session ->
+      let batch = Array.to_list (Array.map Request.of_deployment skyband_requests) in
+      let reports =
+        List.init 2 (fun _ ->
+            match Engine.submit session batch with
+            | Ok report -> report
+            | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
+      in
+      let tree =
+        List.map
+          (fun n -> (n.Obs.Trace.id, n.Obs.Trace.parent, n.Obs.Trace.name, n.Obs.Trace.attrs))
+          (Obs.Trace.nodes (Engine.session_trace session))
+      in
+      Engine.close session;
+      (reports, tree)
+
+let test_sessions_sweep_skyband () =
+  let observed ?cache ~domains () =
+    let reports, tree = skyband_epochs ?cache ~domains () in
+    (List.map report_fingerprint reports, tree)
+  in
+  let uncached = observed ~domains:1 () in
+  Alcotest.(check bool) "domains=4 = domains=1" true (observed ~domains:4 () = uncached);
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cached = uncached (domains=%d)" domains)
+        true
+        (observed ~cache:C.default_config ~domains () = uncached))
+    [ 1; 4 ];
+  let first = List.hd (fst (skyband_epochs ~domains:1 ())) in
+  (match
+     Engine.run ~availability:(Model.Availability.certain 0.75) ~strategies:skyband_catalog
+       ~requests:skyband_requests ()
+   with
+  | Ok run ->
+      Alcotest.(check bool) "submit = run" true
+        (report_fingerprint run = report_fingerprint first)
+  | Error e -> Alcotest.failf "run failed: %s" (Engine.error_message e));
+  let catalog = first.Engine.aggregate.Aggregator.strategies in
+  Alcotest.(check bool) "the skyband is a strict subset" true
+    (Stratrec.Adpar.skyband_size (Stratrec.Adpar.skyband catalog) ~k:2 < Array.length catalog);
+  (* The stateless full sweep of every request the epoch triaged. *)
+  let full = Obs.Registry.create () in
+  Array.iter
+    (fun (d, outcome) ->
+      match outcome with
+      | Aggregator.Satisfied _ -> ()
+      | Aggregator.Alternative _ | Aggregator.Workforce_limited | Aggregator.No_alternative
+        ->
+          ignore (Stratrec.Adpar.exact ~metrics:full ~strategies:catalog d))
+    first.Engine.aggregate.Aggregator.outcomes;
+  let events snapshot = Snapshot.counter_value snapshot "adpar.sweep_events_total" in
+  let session = events first.Engine.metrics
+  and stateless = events (Obs.Registry.snapshot full) in
+  Alcotest.(check bool)
+    (Printf.sprintf "session sweep events %d below the full sweep's %d" session stateless)
+    true
+    (session > 0 && session < stateless)
 
 (* The session copies its catalog: mutating the caller's array after
    [create] changes nothing a later epoch reports. *)
@@ -366,6 +475,7 @@ let () =
         [
           Alcotest.test_case "re-estimation memo and flushes" `Quick test_catalog_memo;
           Alcotest.test_case "session owns its catalog" `Quick test_session_owns_catalog;
+          Alcotest.test_case "sessions sweep the skyband" `Quick test_sessions_sweep_skyband;
         ] );
       ( "identity",
         List.map Tq.to_alcotest

@@ -16,13 +16,12 @@ let test_coords () =
 
 let test_dominance () =
   let a = P.make 0.1 0.2 0.3 and b = P.make 0.2 0.2 0.4 in
-  Alcotest.(check bool) "a dominates b" true (P.dominates a b);
-  Alcotest.(check bool) "b does not dominate a" false (P.dominates b a);
-  Alcotest.(check bool) "no self domination" false (P.dominates a a);
+  Alcotest.(check bool) "a dominates b" true (P.weakly_dominates a b);
+  Alcotest.(check bool) "b does not dominate a" false (P.weakly_dominates b a);
   Alcotest.(check bool) "weak self domination" true (P.weakly_dominates a a);
   let c = P.make 0.05 0.5 0.3 in
-  Alcotest.(check bool) "incomparable 1" false (P.dominates a c);
-  Alcotest.(check bool) "incomparable 2" false (P.dominates c a)
+  Alcotest.(check bool) "incomparable 1" false (P.weakly_dominates a c);
+  Alcotest.(check bool) "incomparable 2" false (P.weakly_dominates c a)
 
 let test_distance () =
   let a = P.make 0. 0. 0. and b = P.make 1. 2. 2. in

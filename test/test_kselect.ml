@@ -1,6 +1,7 @@
-(* Unit and property tests for k-smallest selection. *)
+(* Unit and property tests for the test-local k-smallest reference that
+   the ADPaR and workforce oracles compare against. *)
 
-module Kselect = Stratrec_util.Kselect
+module Kselect = Kselect_ref
 
 let test_basic () =
   let arr = [| 5.; 1.; 4.; 2.; 3. |] in
@@ -44,10 +45,10 @@ let test_tracker () =
   Alcotest.(check int) "count" 5 (Kselect.Tracker.count t)
 
 let test_invalid () =
-  Alcotest.check_raises "negative k" (Invalid_argument "Kselect.k_smallest: negative k")
+  Alcotest.check_raises "negative k" (Invalid_argument "Kselect_ref.k_smallest: negative k")
     (fun () -> ignore (Kselect.k_smallest ~cmp:compare (-1) [| 1 |]));
   Alcotest.check_raises "tracker k=0"
-    (Invalid_argument "Kselect.Tracker.create: k must be >= 1") (fun () ->
+    (Invalid_argument "Kselect_ref.Tracker.create: k must be >= 1") (fun () ->
       ignore (Kselect.Tracker.create ~cmp:compare 0))
 
 let prop_matches_sort =

@@ -144,8 +144,9 @@ let prop_streaming_equals_matrix =
 
 module LM = Model.Linear_model
 
-(* The list-fold inversions, the matrix row and the Kselect aggregation
-   the allocation-free scan replaced, kept verbatim as its oracle. *)
+(* The list-fold inversions, the matrix row and the k-smallest
+   aggregation the allocation-free scan replaced, kept as its oracle (the
+   selection itself is the test-local [Kselect_ref]). *)
 module Reference = struct
   let solve c ~target =
     if c.LM.alpha = 0. then if c.LM.beta = target then Some 0. else None
@@ -222,7 +223,7 @@ module Reference = struct
     in
     if Array.length feasible < k then None
     else begin
-      let smallest = Stratrec_util.Kselect.k_smallest ~cmp:cmp_weighted k feasible in
+      let smallest = Kselect_ref.k_smallest ~cmp:cmp_weighted k feasible in
       let chosen = List.map snd smallest in
       let workforce =
         match aggregation with
