@@ -30,7 +30,9 @@ bench-smoke: build
 # scrape OpenMetrics over the same socket, and shut down cleanly. The
 # grep assertions pin the zero-leak invariants: every accepted request
 # was triaged (accepted == epoch_requests, no admission leak), the
-# queue drained to zero, and the socket was unlinked on exit. Uses the
+# queue drained to zero, and the socket was unlinked on exit. A tick
+# that would overflow the daemon clock must be answered with a typed
+# error and leave the socket loop serving. Uses the
 # built binary directly so client and server never race for the dune
 # build lock.
 SERVE_BIN = ./_build/default/bin/stratrec_serve.exe
@@ -44,6 +46,7 @@ serve-smoke: build
 	  '{"op":"ping"}' \
 	  'GET health' \
 	  '{"op":"submit","id":1,"params":"0.9,0.2,0.3","k":2,"tenant":"acme"}' \
+	  '{"op":"tick","hours":1e308}' \
 	  '{"op":"submit","id":2,"params":"0.6,0.6,0.6","k":2,"tenant":"beta"}' \
 	  '{"op":"submit","id":3,"params":"0.8,0.3,0.4","k":2,"tenant":"acme"}' \
 	  '{"op":"flush"}' \
@@ -57,6 +60,8 @@ serve-smoke: build
 	  || { echo "serve-smoke: no clean shutdown response"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '"status":"health","state":"ready"' "$$tmp/out" \
 	  || { echo "serve-smoke: fresh daemon not ready"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^{"ok":false,"status":"error","error":"tick: ' "$$tmp/out" \
+	  || { echo "serve-smoke: overflowing tick not answered typed"; cat "$$tmp/out"; exit 1; }; \
 	test "$$(grep -c '"status":"completed"' "$$tmp/out")" = 3 \
 	  || { echo "serve-smoke: expected 3 completed responses"; cat "$$tmp/out"; exit 1; }; \
 	test "$$(grep -c '"lineage":{' "$$tmp/out")" = 3 \

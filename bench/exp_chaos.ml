@@ -43,7 +43,6 @@ let run_plan ~n ~m faults =
              kind = Sim.Task_spec.Sentence_translation;
              window = Sim.Window.Weekend;
              capacity = 5;
-             ledger = None;
              faults;
              resilience = Res.Degrade.with_retries Res.Degrade.resilient 2;
            }))

@@ -33,11 +33,11 @@ let seed_arg =
 
 let strategies_arg =
   let doc = "Number of synthetic strategies in the catalog." in
-  Arg.(value & opt int 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:0) 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
 
 let k_arg =
   let doc = "Number of strategies to recommend per request." in
-  Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "k" ] ~docv:"K" ~doc)
 
 let dist_arg =
   let doc = "Strategy parameter distribution: uniform or normal (5.2.2)." in
@@ -233,7 +233,6 @@ let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
            kind = Sim.Task_spec.Sentence_translation;
            window;
            capacity;
-           ledger = None;
            faults;
            resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
          })
@@ -312,7 +311,9 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
 
 let recommend_cmd =
   let m_arg =
-    Arg.(value & opt int 10 & info [ "m"; "requests" ] ~docv:"M" ~doc:"Batch size.")
+    Arg.(value
+         & opt (Stratrec_conv.count ~min:0) 10
+         & info [ "m"; "requests" ] ~docv:"M" ~doc:"Batch size.")
   in
   let w_arg =
     Arg.(value
@@ -446,10 +447,14 @@ let simulate_cmd =
          & info [] ~docv:"STUDY" ~doc:"availability, linearity or effectiveness.")
   in
   let population_arg =
-    Arg.(value & opt int 1000 & info [ "population" ] ~docv:"P" ~doc:"Platform population.")
+    Arg.(value
+         & opt (Stratrec_conv.count ~min:1) 1000
+         & info [ "population" ] ~docv:"P" ~doc:"Platform population.")
   in
   let tasks_arg =
-    Arg.(value & opt int 10 & info [ "tasks" ] ~docv:"T" ~doc:"Tasks per arm (effectiveness).")
+    Arg.(value
+         & opt (Stratrec_conv.count ~min:2) 10
+         & info [ "tasks" ] ~docv:"T" ~doc:"Tasks per arm (effectiveness).")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the crowd-platform studies of the paper's 5.1")

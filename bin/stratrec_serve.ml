@@ -33,7 +33,7 @@ let seed_arg =
 
 let strategies_arg =
   let doc = "Number of synthetic strategies in the catalog." in
-  Arg.(value & opt int 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:0) 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
 
 let dist_arg =
   let doc = "Strategy parameter distribution: uniform or normal." in
@@ -231,7 +231,6 @@ let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
            kind = Sim.Task_spec.Sentence_translation;
            window;
            capacity;
-           ledger = None;
            faults;
            resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
          })

@@ -44,6 +44,19 @@ let workforce =
         | _ -> Error (Printf.sprintf "invalid workforce %S: expected a number in [0,1]" s)
     end)
 
+let count ~min =
+  of_stringable
+    (module struct
+      type t = int
+
+      let to_string = string_of_int
+
+      let of_string s =
+        match int_of_string_opt s with
+        | Some v when v >= min -> Ok v
+        | _ -> Error (Printf.sprintf "invalid count %S: expected an integer >= %d" s min)
+    end)
+
 let request = of_stringable (module Stratrec.Request)
 
 let slo =

@@ -47,6 +47,12 @@ val workforce : float Cmdliner.Arg.conv
 (** The available-workforce fraction [W]: a number in [0,1] (nan is
     rejected), the value {!Stratrec_model.Availability.certain} accepts. *)
 
+val count : min:int -> int Cmdliner.Arg.conv
+(** An integer of at least [min]: a catalog or batch size ([~min:0]), a
+    cardinality [k] or a platform population ([~min:1]). Checking at
+    parse time turns what would be an [Invalid_argument] deep in the
+    run into a CLI error naming the flag. *)
+
 val request : Stratrec.Request.t Cmdliner.Arg.conv
 (** The compact request spelling
     [id=3;tenant=acme;params=0.9,0.2,0.3;k=5;deadline=24]

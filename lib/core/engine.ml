@@ -11,7 +11,6 @@ type deploy_config = {
   kind : Sim.Task_spec.kind;
   window : Sim.Window.t;
   capacity : int;
-  ledger : Sim.Ledger.t option;
   faults : Res.Fault.t;
   resilience : Res.Degrade.policy;
 }
@@ -384,8 +383,7 @@ let deploy_satisfied session ~policy ~rng deploy (aggregate : Aggregator.report)
                 Sim.Task_spec.make ~kind:deploy.kind ~title:deployment.Deployment.label ()
               in
               let result =
-                Sim.Campaign.deploy ?ledger:deploy.ledger ~metrics ~faults:deploy.faults
-                  deploy.platform rng
+                Sim.Campaign.deploy ~metrics ~faults:deploy.faults deploy.platform rng
                   {
                     Sim.Campaign.task;
                     combo;

@@ -46,7 +46,6 @@ type deploy_config = {
   kind : Stratrec_crowdsim.Task_spec.kind;
   window : Stratrec_crowdsim.Window.t;
   capacity : int;  (** workers per HIT *)
-  ledger : Stratrec_crowdsim.Ledger.t option;  (** payment recording *)
   faults : Stratrec_resilience.Fault.t;
       (** fault plan injected into every recruit/deploy;
           {!Stratrec_resilience.Fault.none} for a healthy platform *)
@@ -58,8 +57,7 @@ type deploy_config = {
 type config = {
   aggregator : Aggregator.config;
       (** the shared aggregator configuration — the same record
-          {!Aggregator.run}, {!Stream_aggregator.create} and
-          [Stratrec_pipeline.Planner] consume *)
+          {!Aggregator.run} and {!Stream_aggregator.create} consume *)
   metrics : Stratrec_obs.Registry.t option;
       (** [None] (the default) gives every run/session a fresh private
           registry, so report snapshots are per-run; supply a registry to

@@ -10,8 +10,7 @@
     rejected with a typed response instead of being triaged late).
 
     This is the one request currency shared by {!Engine.submit}, the
-    [stratrec-serve] wire protocol, the CLI and the pipeline Planner —
-    replacing the ad-hoc per-request tuples that used to be threaded
+    [stratrec-serve] wire protocol and the CLI — replacing the ad-hoc per-request tuples that used to be threaded
     around the Aggregator. A [Request.t] wraps its {!deployment}
     unchanged, so converting to the paper-level record and back is the
     identity and cannot perturb triage. *)

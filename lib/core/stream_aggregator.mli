@@ -41,8 +41,8 @@ val create :
 
     [config] (default {!Aggregator.default_config}: Max-case aggregation,
     direction-aware inversion) is the unified aggregator configuration
-    shared with {!Aggregator} and [Stratrec_pipeline.Planner]; its
-    [aggregation] and [inversion_rule] fields apply.
+    shared with {!Aggregator} and {!Engine}; its [aggregation] and
+    [inversion_rule] fields apply.
 
     [metrics] (default {!Stratrec_obs.Registry.noop}) is retained for the
     session's lifetime and records [stream.submitted_total],

@@ -34,7 +34,7 @@ let inject metrics kind =
   Obs.Registry.incr (Obs.Registry.counter metrics "faults.injected_total");
   Obs.Registry.incr (Obs.Registry.counter metrics ("faults." ^ kind ^ "_total"))
 
-let deploy ?ledger ?(metrics = Obs.Registry.noop) ?(faults = Fault.none) platform rng d =
+let deploy ?(metrics = Obs.Registry.noop) ?(faults = Fault.none) platform rng d =
   Obs.Registry.incr (Obs.Registry.counter metrics "campaign.hits_deployed_total");
   let { Platform.hired; availability; _ } =
     Platform.recruit ~metrics ~faults platform rng ~kind:d.task.Task_spec.kind
@@ -70,18 +70,6 @@ let deploy ?ledger ?(metrics = Obs.Registry.noop) ?(faults = Fault.none) platfor
         dollars_spent = 0.;
       }
   | workers ->
-      (match ledger with
-      | Some ledger ->
-          List.iter
-            (fun w ->
-              Ledger.record ledger
-                {
-                  Ledger.worker_id = w.Worker.id;
-                  window = d.window;
-                  amount = Task_spec.pay_per_worker;
-                })
-            workers
-      | None -> ());
       let session =
         Collaboration.simulate rng ~combo:d.combo ~workers ~task:d.task ~guided:d.guided
       in
@@ -131,9 +119,9 @@ let deploy ?ledger ?(metrics = Obs.Registry.noop) ?(faults = Fault.none) platfor
         dollars_spent;
       }
 
-let replicate ?ledger ?metrics ?faults platform rng d ~times =
+let replicate ?metrics ?faults platform rng d ~times =
   if times <= 0 then invalid_arg "Campaign.replicate: times must be positive";
-  List.init times (fun _ -> deploy ?ledger ?metrics ?faults platform rng d)
+  List.init times (fun _ -> deploy ?metrics ?faults platform rng d)
 
 let observations results =
   results |> List.map (fun r -> (r.availability, r.measured)) |> Array.of_list

@@ -28,7 +28,6 @@ type result = {
 }
 
 val deploy :
-  ?ledger:Ledger.t ->
   ?metrics:Stratrec_obs.Registry.t ->
   ?faults:Stratrec_resilience.Fault.t ->
   Platform.t ->
@@ -37,16 +36,15 @@ val deploy :
   result
 (** @raise Invalid_argument if the deployment capacity is not positive. A
     deployment that attracts no workers yields quality 0, cost 0 and
-    latency 1 (the window expired). When a [ledger] is supplied, every
-    hired worker's payment is recorded in it.
+    latency 1 (the window expired).
 
     [faults] (default {!Stratrec_resilience.Fault.none}) is threaded into
     {!Platform.recruit} (outages, flaky qualification, no-shows) and adds
     the session-level failure modes on top: {e dropout} removes hired
-    workers mid-session (they go unpaid and unrecorded — abandoned HITs
-    are not approved; a fully abandoned deployment measures like an empty
-    one), and {e straggler} inflates the measured latency by the plan's
-    factor (clamped to 1.0, the expired window). Each injection counts
+    workers mid-session (they go unpaid — abandoned HITs are not
+    approved; a fully abandoned deployment measures like an empty one),
+    and {e straggler} inflates the measured latency by the plan's factor
+    (clamped to 1.0, the expired window). Each injection counts
     [faults.injected_total] plus [faults.dropout_total] /
     [faults.straggler_total]. All draws come from [rng], so faulted
     deployments replay bit-identically from the seed.
@@ -59,13 +57,12 @@ val deploy :
     {!Platform.recruit}. *)
 
 val replicate :
-  ?ledger:Ledger.t ->
   ?metrics:Stratrec_obs.Registry.t ->
   ?faults:Stratrec_resilience.Fault.t ->
   Platform.t -> Stratrec_util.Rng.t -> deployment -> times:int -> result list
-(** [times] independent {!deploy}s of the same deployment, with [ledger],
-    [metrics] and [faults] threaded into every replicate — replicated
-    observations are metered and faulted identically to single deploys.
+(** [times] independent {!deploy}s of the same deployment, with [metrics]
+    and [faults] threaded into every replicate — replicated observations
+    are metered and faulted identically to single deploys.
     @raise Invalid_argument if [times <= 0]. *)
 
 val observations : result list -> (float * Stratrec_model.Params.t) array

@@ -1,12 +1,6 @@
 type coeffs = { alpha : float; beta : float }
 type t = { quality : coeffs; cost : coeffs; latency : coeffs }
 
-type axis_constraint =
-  | Lower_bound of float
-  | Upper_bound of float
-  | Always
-  | Never
-
 let coeffs t = function
   | Params.Quality -> t.quality
   | Params.Cost -> t.cost
@@ -22,10 +16,6 @@ let estimate t ~availability =
     ~cost:(clamp01 (response t.cost availability))
     ~latency:(clamp01 (response t.latency availability))
 
-let solve c ~target =
-  if c.alpha = 0. then if c.beta = target then Some 0. else None
-  else Some ((target -. c.beta) /. c.alpha)
-
 (* A constant model (alpha = 0) meets its threshold outright or never. *)
 let[@inline] constant_meets c ~target ~at_least =
   if at_least then c.beta >= target else c.beta <= target
@@ -34,14 +24,6 @@ let[@inline] constant_meets c ~target ~at_least =
    target with alpha < 0, both demand more workforce; the other two cases
    cap it. *)
 let[@inline] bounds_below c ~at_least = if at_least then c.alpha > 0. else c.alpha < 0.
-
-let axis_constraint t axis ~target =
-  let c = coeffs t axis in
-  let at_least = match axis with Params.Quality -> true | Params.Cost | Params.Latency -> false in
-  if c.alpha = 0. then if constant_meets c ~target ~at_least then Always else Never
-  else
-    let w = (target -. c.beta) /. c.alpha in
-    if bounds_below c ~at_least then Lower_bound w else Upper_bound w
 
 (* The inversions below are straight-line float code: the workforce scan
    calls them once per catalog cell, and in this form a call allocates

@@ -20,13 +20,6 @@ type coeffs = { alpha : float; beta : float }
 
 type t = { quality : coeffs; cost : coeffs; latency : coeffs }
 
-(** How a threshold on an axis constrains the workforce. *)
-type axis_constraint =
-  | Lower_bound of float  (** availability must be at least this *)
-  | Upper_bound of float  (** availability must be at most this *)
-  | Always  (** constant model already meeting the threshold *)
-  | Never  (** constant model that can never meet it *)
-
 val coeffs : t -> Params.axis -> coeffs
 
 val response : coeffs -> float -> float
@@ -35,17 +28,6 @@ val response : coeffs -> float -> float
 val estimate : t -> availability:float -> Params.t
 (** Parameter triple achieved at the given availability, each component
     clamped to [\[0, 1\]]. *)
-
-val solve : coeffs -> target:float -> float option
-(** The availability [w] with [response c w = target]: [Some ((target -
-    beta) / alpha)], or [None] when [alpha = 0] and [beta <> target], or
-    [Some 0.] when the model is constant at the target. The result is NOT
-    clamped. *)
-
-val axis_constraint : t -> Params.axis -> target:float -> axis_constraint
-(** Direction-aware constraint: quality must reach at least [target]; cost
-    and latency must stay at or below it. The sign of [alpha] decides
-    whether that bounds workforce from below or above. *)
 
 val workforce_requirement : t -> request:Params.t -> float option
 (** Direction-aware minimum availability meeting all three thresholds:

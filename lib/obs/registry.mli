@@ -6,7 +6,7 @@
 
     Naming scheme: [<subsystem>.<metric>[_total]] with dot-separated
     subsystem prefixes ([aggregator.], [batchstrat.], [adpar.],
-    [stream.], [planner.], [platform.], [campaign.], [engine.],
+    [stream.], [platform.], [campaign.], [engine.],
     [resilience.], [faults.]) and a [_total] suffix on monotone
     counters — see DESIGN.md §Observability.
 

@@ -922,9 +922,19 @@ let handle_command t ~client command =
       ([ (client, Protocol.Unknown_endpoint { path }) ], `Continue)
   | Protocol.Ping -> ([ (client, Protocol.Pong) ], `Continue)
   | Protocol.Tick hours ->
-      t.offset_hours := !(t.offset_hours) +. hours;
-      Obs.Registry.set t.clock_gauge !(t.offset_hours);
-      ([ (client, Protocol.Ticked { clock_hours = !(t.offset_hours) }) ], `Continue)
+      let offset = !(t.offset_hours) +. hours in
+      (* An infinite clock would render as a non-finite JSON number in
+         the next epoch's lineage, so such a tick is refused outright. *)
+      if Float.is_finite (t.clock () +. (offset *. 3600.)) then begin
+        t.offset_hours := offset;
+        Obs.Registry.set t.clock_gauge offset;
+        ([ (client, Protocol.Ticked { clock_hours = offset }) ], `Continue)
+      end
+      else begin
+        Obs.Registry.incr t.protocol_errors;
+        let reason = Printf.sprintf "tick: %g hours would overflow the daemon clock" hours in
+        ([ (client, Protocol.Error_ { reason }) ], `Continue)
+      end
   | Protocol.Shutdown ->
       let responses, _summary = drain_bounded t ~client in
       t.stopped <- true;

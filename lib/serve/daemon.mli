@@ -22,7 +22,9 @@
 
     Time is read from an injectable clock (seconds); the [tick]
     protocol verb advances a simulated offset on top of it, so
-    deadline expiry is deterministically testable. *)
+    deadline expiry is deterministically testable. A tick that would
+    make that clock non-finite is answered with a typed error, counted
+    in [serve.protocol_errors_total], and leaves the clock as it was. *)
 
 type config = {
   engine : Stratrec.Engine.config;

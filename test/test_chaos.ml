@@ -30,7 +30,6 @@ let run_scenario seed =
            kind = Sim.Task_spec.Sentence_translation;
            window;
            capacity = 1 + Rng.int rng 8;
-           ledger = None;
            faults;
            resilience;
          })

@@ -26,34 +26,6 @@ let test_estimate_clamps () =
   Alcotest.(check (float 1e-9)) "cost clamped" 1. p.Params.cost;
   Alcotest.(check (float 1e-9)) "latency clamped" 0. p.Params.latency
 
-let test_solve () =
-  Alcotest.(check (option (float 1e-9))) "linear solve" (Some 0.8)
-    (LM.solve { LM.alpha = 0.25; beta = 0.6 } ~target:0.8);
-  Alcotest.(check (option (float 1e-9))) "constant matching" (Some 0.)
-    (LM.solve { LM.alpha = 0.; beta = 0.7 } ~target:0.7);
-  Alcotest.(check (option (float 1e-9))) "constant mismatched" None
-    (LM.solve { LM.alpha = 0.; beta = 0.7 } ~target:0.8)
-
-let test_axis_constraint_directions () =
-  (* Quality with positive slope: lower bound. *)
-  (match LM.axis_constraint realistic Params.Quality ~target:0.8 with
-  | LM.Lower_bound w -> Alcotest.(check (float 1e-9)) "quality lb" 0.8 w
-  | _ -> Alcotest.fail "expected lower bound");
-  (* Cost with positive slope: upper bound (budget caps workforce). *)
-  (match LM.axis_constraint realistic Params.Cost ~target:0.7 with
-  | LM.Upper_bound w -> Alcotest.(check (float 1e-9)) "cost ub" 0.8 w
-  | _ -> Alcotest.fail "expected upper bound");
-  (* Latency with negative slope: lower bound. *)
-  (match LM.axis_constraint realistic Params.Latency ~target:0.5 with
-  | LM.Lower_bound w -> Alcotest.(check (float 1e-9)) "latency lb" 0.8 w
-  | _ -> Alcotest.fail "expected lower bound");
-  (* Constant axes. *)
-  let flat = model ~q:(0., 0.9) ~c:(0., 0.2) ~l:(0., 0.1) in
-  Alcotest.(check bool) "constant satisfied" true
-    (LM.axis_constraint flat Params.Quality ~target:0.8 = LM.Always);
-  Alcotest.(check bool) "constant unsatisfiable" true
-    (LM.axis_constraint flat Params.Quality ~target:0.95 = LM.Never)
-
 let test_workforce_requirement_direction_aware () =
   (* Binding constraint is latency (0.8); quality needs 0.8 as well; the
      cost cap at 0.8 allows it exactly. *)
@@ -145,8 +117,6 @@ let () =
         [
           Alcotest.test_case "response/estimate" `Quick test_response_estimate;
           Alcotest.test_case "estimate clamps" `Quick test_estimate_clamps;
-          Alcotest.test_case "solve" `Quick test_solve;
-          Alcotest.test_case "axis constraint directions" `Quick test_axis_constraint_directions;
           Alcotest.test_case "direction-aware requirement" `Quick
             test_workforce_requirement_direction_aware;
           Alcotest.test_case "paper equality rule" `Quick test_workforce_requirement_paper_rule;

@@ -395,7 +395,6 @@ let test_engine_deploy_stage () =
            kind = Sim.Task_spec.Sentence_translation;
            window = Sim.Window.Weekend;
            capacity = 5;
-           ledger = None;
            faults = Resilience.Fault.none;
            resilience = Resilience.Degrade.default;
          })
@@ -428,7 +427,6 @@ let test_engine_deploy_trace_nesting () =
            kind = Sim.Task_spec.Sentence_translation;
            window = Sim.Window.Weekend;
            capacity = 5;
-           ledger = None;
            faults = Resilience.Fault.make ~no_show:0.5 ~dropout:0.3 ();
            resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient 2;
          })
@@ -506,7 +504,6 @@ let test_engine_errors () =
            kind = Sim.Task_spec.Sentence_translation;
            window = Sim.Window.Weekend;
            capacity = 0;
-           ledger = None;
            faults = Resilience.Fault.none;
            resilience = Resilience.Degrade.default;
          })

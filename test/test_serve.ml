@@ -1020,8 +1020,9 @@ let test_serve_socket_chaos () =
     lines
 
 (* Randomized protocol floods: any mix of valid submits, flushes,
-   ticks, reads and printable garbage is always answered with at least
-   one typed response, never an exception, and never stops the daemon. *)
+   ticks (up to 1e308 hours), reads and printable garbage is always
+   answered with at least one typed response that renders, never an
+   exception, and never stops the daemon. *)
 let prop_daemon_flood_typed =
   let line_gen =
     QCheck.Gen.(
@@ -1033,6 +1034,10 @@ let prop_daemon_flood_typed =
               small_nat );
           (1, return {|{"op":"flush"}|});
           (1, return {|{"op":"tick","hours":1}|});
+          ( 1,
+            map
+              (Printf.sprintf {|{"op":"tick","hours":%.17g}|})
+              (oneof [ float_bound_inclusive 1e308; map (( ** ) 10.) (float_range 0. 308.) ]) );
           (1, return "GET health");
           (1, return "GET metrics");
           (2, string_size ~gen:printable small_nat);
@@ -1050,9 +1055,88 @@ let prop_daemon_flood_typed =
           match Daemon.handle_line daemon ~client:0 line with
           | [], _ -> false
           | _, `Stop -> false
-          | _, `Continue -> true)
+          | responses, `Continue ->
+              (* Rendered as [Server.deliver] does: a non-finite number
+                 raises here. *)
+              List.iter (fun (_, r) -> ignore (Protocol.render r)) responses;
+              true)
         lines
       && not (Daemon.stopped daemon))
+
+(* Conservation: random line sequences from three clients — submits
+   with repeated ids across two tenants (acme capped at two queued) and
+   some deadlines, ticks, flushes, reads and drains, ended by shutdown.
+   Every (client, id) gets as many terminal lines as acceptances, and
+   the serve_* counters add up the same way the responses do. *)
+let prop_daemon_conservation =
+  let submit_gen =
+    QCheck.Gen.(
+      map3
+        (fun id tenant deadline_hours ->
+          submit_line ~tenant ?deadline_hours ~id ~params:(0.91, 0.58, 0.59) ~k:2 ())
+        (int_range 1 6) (oneofl [ "acme"; "beta" ])
+        (opt ~ratio:0.3 (oneofl [ 0.5; 2. ])))
+  in
+  let line_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (10, submit_gen);
+          (2, return {|{"op":"tick","hours":1}|});
+          (2, return {|{"op":"flush"}|});
+          (1, return "GET health");
+          (1, return "GET metrics");
+          (1, return {|{"op":"drain"}|});
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"accepted requests are conserved to a terminal line"
+    (QCheck.make
+       ~print:QCheck.Print.(pair bool (list (pair int string)))
+       QCheck.Gen.(pair bool (list_size (int_bound 40) (pair (int_bound 2) line_gen))))
+    (fun (forced_drain, lines) ->
+      fixed_clock := 1000.;
+      let daemon =
+        make_daemon ~queue_capacity:6 ~epoch_requests:3
+          ~drain_timeout_seconds:(if forced_drain then 0. else 30.)
+          ~quotas:[ ("acme", { Admission.default_quota with max_queued = Some 2 }) ]
+          ()
+      in
+      let responses =
+        List.concat_map
+          (fun (client, line) -> fst (Daemon.handle_line daemon ~client line))
+          (lines @ [ (0, {|{"op":"shutdown"}|}) ])
+      in
+      let balance = Hashtbl.create 16 in
+      let shift key d =
+        Hashtbl.replace balance key (d + Option.value ~default:0 (Hashtbl.find_opt balance key))
+      in
+      let accepted = ref 0 and completed = ref 0 and expired = ref 0 in
+      let duplicates = ref 0 and forced = ref 0 in
+      List.iter
+        (fun (client, r) ->
+          let terminal n id =
+            incr n;
+            shift (client, id) (-1)
+          in
+          match r with
+          | Protocol.Accepted { id; _ } ->
+              incr accepted;
+              shift (client, id) 1
+          | Protocol.Completed { id; _ } -> terminal completed id
+          | Protocol.Deadline_expired { id; _ } -> terminal expired id
+          | Protocol.Duplicate_id { id; _ } -> terminal duplicates id
+          | Protocol.Drain_expired { id; _ } -> terminal forced id
+          | _ -> ())
+        responses;
+      let counter = Snapshot.counter_value (Daemon.metrics daemon) in
+      Hashtbl.fold (fun _ n ok -> ok && n = 0) balance true
+      && counter "serve.accepted_total" = !accepted
+      && counter "serve.epoch_requests_total" = !completed
+      && counter "serve.rejected_deadline_total" = !expired
+      && counter "serve.rejected_duplicate_total" = !duplicates
+      && counter "serve.drain_forced_total" = !forced
+      && !accepted = !completed + !expired + !duplicates + !forced
+      && Daemon.queue_depth daemon = 0)
 
 (* Determinism: Engine.submit (single epoch) is bit-identical to
    Engine.run — decisions, counters, rendered aggregate — including
@@ -1109,7 +1193,6 @@ let run_vs_submit ~domains ~deploy () =
              kind = Stratrec_crowdsim.Task_spec.Sentence_translation;
              window = Stratrec_crowdsim.Window.Weekend;
              capacity = 5;
-             ledger = None;
              faults = Stratrec_resilience.Fault.make ~no_show:0.4 ();
              resilience =
                Stratrec_resilience.Degrade.with_retries Stratrec_resilience.Degrade.resilient 2;
@@ -1354,6 +1437,7 @@ let () =
           Alcotest.test_case "4x overload flood: typed, fair, no starvation" `Quick
             test_daemon_overload_flood;
           Tq.to_alcotest prop_daemon_flood_typed;
+          Tq.to_alcotest prop_daemon_conservation;
         ] );
       ( "transport",
         [

@@ -148,6 +148,8 @@ module LM = Model.Linear_model
    aggregation the allocation-free scan replaced, kept as its oracle (the
    selection itself is the test-local [Kselect_ref]). *)
 module Reference = struct
+  type axis_constraint = Lower_bound of float | Upper_bound of float | Always | Never
+
   let solve c ~target =
     if c.LM.alpha = 0. then if c.LM.beta = target then Some 0. else None
     else Some ((target -. c.LM.beta) /. c.LM.alpha)
@@ -159,21 +161,21 @@ module Reference = struct
     in
     if c.LM.alpha = 0. then begin
       let met = if needs_at_least then c.LM.beta >= target else c.LM.beta <= target in
-      if met then LM.Always else LM.Never
+      if met then Always else Never
     end
     else begin
       let w = (target -. c.LM.beta) /. c.LM.alpha in
       let lower = if needs_at_least then c.LM.alpha > 0. else c.LM.alpha < 0. in
-      if lower then LM.Lower_bound w else LM.Upper_bound w
+      if lower then Lower_bound w else Upper_bound w
     end
 
   let workforce_requirement t ~request =
     let fold (lower, upper) axis =
       match axis_constraint t axis ~target:(Params.get request axis) with
-      | LM.Always -> Some (lower, upper)
-      | LM.Never -> None
-      | LM.Lower_bound w -> Some (Float.max lower w, upper)
-      | LM.Upper_bound w -> Some (lower, Float.min upper w)
+      | Always -> Some (lower, upper)
+      | Never -> None
+      | Lower_bound w -> Some (Float.max lower w, upper)
+      | Upper_bound w -> Some (lower, Float.min upper w)
     in
     let rec go acc = function
       | [] -> Some acc
