@@ -32,13 +32,15 @@ bench-smoke: build
 # was triaged (accepted == epoch_requests, no admission leak), the
 # queue drained to zero, and the socket was unlinked on exit. A tick
 # that would overflow the daemon clock must be answered with a typed
-# error and leave the socket loop serving. Uses the
+# error and leave the socket loop serving. The first daemon runs at two
+# domains, and all three of its submits need ADPaR, so its triage is
+# computed sharded and cached. Uses the
 # built binary directly so client and server never race for the dune
 # build lock.
 SERVE_BIN = ./_build/default/bin/stratrec_serve.exe
 serve-smoke: build
 	@tmp=$$(mktemp -d); sock="$$tmp/serve.sock"; \
-	$(SERVE_BIN) --socket "$$sock" --epoch-requests 3 & pid=$$!; \
+	$(SERVE_BIN) --socket "$$sock" --epoch-requests 3 --domains 2 & pid=$$!; \
 	trap 'rm -rf "$$tmp"; kill $$pid $$pid2 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do test -S "$$sock" && break; sleep 0.1; done; \
 	test -S "$$sock" || { echo "serve-smoke: socket never appeared"; exit 1; }; \
@@ -66,6 +68,8 @@ serve-smoke: build
 	  || { echo "serve-smoke: expected 3 completed responses"; cat "$$tmp/out"; exit 1; }; \
 	test "$$(grep -c '"lineage":{' "$$tmp/out")" = 3 \
 	  || { echo "serve-smoke: completed responses missing lineage"; cat "$$tmp/out"; exit 1; }; \
+	test "$$(grep -c '"outcome":"alternative"' "$$tmp/out")" = 3 \
+	  || { echo "serve-smoke: expected 3 ADPaR alternatives"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '^serve_accepted_total 3$$' "$$tmp/out" \
 	  || { echo "serve-smoke: accepted_total != 3"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '^serve_epoch_requests_total 3$$' "$$tmp/out" \

@@ -285,7 +285,6 @@ let main seed n dist catalog w objective domains cache deploy faults retries pop
        hysteresis gap that keeps the ladder from oscillating. *)
     let brownout =
       {
-        Resilience.Brownout.default with
         Resilience.Brownout.saturation_high = brownout_saturation;
         saturation_low = brownout_saturation *. 0.6;
         p99_high = brownout_p99;

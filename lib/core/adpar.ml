@@ -212,12 +212,11 @@ let push h (src : float array) j =
    relaxations (plus 0), y among the cost relaxations of strategies eligible
    at x, and z the k-th smallest latency relaxation of the strategies
    eligible at (x, y). The objective is the paper's plain L2,
-   x^2 + y^2 + z^2. Returns the best triple, or None when n < k. Sweep
-   events and prune cut-offs are counted in locals and flushed once. *)
-let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(latency_ties = false) ~k
-    { q; c; l } =
+   x^2 + y^2 + z^2. Returns the best triple (None when n < k), the sweep
+   events visited and the prune cut-offs taken. *)
+let search ~prune ~latency_ties ~k { q; c; l } =
   let n = Array.length q in
-  if n < k then None
+  if n < k then (None, 0, 0)
   else begin
     (* Quality candidates, ascending and distinct. Relaxations are never
        below 0, so 0 leads. *)
@@ -289,12 +288,7 @@ let search ?(metrics = Obs.Registry.noop) ?(prune = true) ?(latency_ties = false
         i := !nx
       end
     done;
-    let flush name count =
-      if count > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) count
-    in
-    flush "adpar.sweep_events_total" !events;
-    flush "adpar.prune_cutoffs_total" !cutoffs;
-    if !found then Some (!bx, !by, !bz) else None
+    ((if !found then Some (!bx, !by, !bz) else None), !events, !cutoffs)
   end
 
 (* The full sweep's z at its first optimum. The skyband sweep finds the
@@ -348,8 +342,16 @@ let build_result ~k ~strategies request (x, y, z) =
     covered_count = !covered;
   }
 
-let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = true) ?skyband
-    ?k ~strategies request =
+type answer = {
+  result : result option;
+  k : int;
+  catalog_size : int;
+  sweep_events : int;
+  prune_cutoffs : int;
+  search_seconds : float;
+}
+
+let answer ?(clock = Fun.const 0.) ?(prune = true) ?skyband ?k ~strategies request =
   let k = Option.value k ~default:request.Deployment.k in
   if k < 1 then invalid_arg "Adpar.exact: k must be >= 1";
   let members =
@@ -358,44 +360,51 @@ let exact ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?(prune = tru
           invalid_arg "Adpar.exact: the skyband was built from another catalog";
         members sb ~k)
   in
-  Obs.Registry.incr (Obs.Registry.counter metrics "adpar.calls_total");
-  let result =
-    Obs.Trace.span trace "adpar.exact"
-      ~attrs:
-        [
-          ("k", Obs.Trace.Int k);
-          ("strategies", Obs.Trace.Int (Array.length strategies));
-        ]
-    @@ fun () ->
-    Obs.Span.time metrics "adpar.search_seconds" (fun () ->
-        (* The three sweep-line phases of ADPaR-Exact, each its own
-           trace span: build the relaxation event queue, sweep it, then
-           reconstruct the envelope d' and its k-cover. *)
-        let relax, swept =
-          Obs.Trace.span trace "adpar.relaxations" (fun () ->
-              let relax = flat_relaxations ~strategies request in
-              (relax, match members with Some m -> gather relax m | None -> relax))
-        in
-        let best =
-          Obs.Trace.span trace "adpar.sweep" (fun () ->
-              search ~metrics ~prune ~latency_ties:(Option.is_some members) ~k swept)
-        in
-        let result =
-          Obs.Trace.span trace "adpar.select" (fun () ->
-              let best =
-                if Option.is_some members then Option.map (first_optimum ~k relax) best
-                else best
-              in
-              Option.map (build_result ~k ~strategies request) best)
-        in
-        (match result with
-        | Some r -> Obs.Trace.add_attr trace "distance" (Obs.Trace.Float r.distance)
-        | None -> Obs.Trace.add_attr trace "no_alternative" (Obs.Trace.Bool true));
-        result)
+  let started = clock () in
+  (* The three sweep-line phases of ADPaR-Exact: build the relaxation
+     event queue, sweep it, then reconstruct the envelope d' and its
+     k-cover. *)
+  let relax = flat_relaxations ~strategies request in
+  let swept = match members with Some m -> gather relax m | None -> relax in
+  let best, sweep_events, prune_cutoffs =
+    search ~prune ~latency_ties:(Option.is_some members) ~k swept
   in
-  if Option.is_none result then
-    Obs.Registry.incr (Obs.Registry.counter metrics "adpar.no_alternative_total");
-  result
+  let best =
+    if Option.is_some members then Option.map (first_optimum ~k relax) best else best
+  in
+  let result = Option.map (build_result ~k ~strategies request) best in
+  {
+    result;
+    k;
+    catalog_size = Array.length strategies;
+    sweep_events;
+    prune_cutoffs;
+    search_seconds = clock () -. started;
+  }
+
+let phases = [ "adpar.relaxations"; "adpar.sweep"; "adpar.select" ]
+
+let record ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) a =
+  let count name by = if by > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) by in
+  count "adpar.calls_total" 1;
+  Obs.Trace.span trace "adpar.exact"
+    ~attrs:[ ("k", Obs.Trace.Int a.k); ("strategies", Obs.Trace.Int a.catalog_size) ]
+    (fun () ->
+      List.iter (fun phase -> Obs.Trace.span trace phase ignore) phases;
+      match a.result with
+      | Some r -> Obs.Trace.add_attr trace "distance" (Obs.Trace.Float r.distance)
+      | None -> Obs.Trace.add_attr trace "no_alternative" (Obs.Trace.Bool true));
+  Obs.Span.observe metrics "adpar.search_seconds" a.search_seconds;
+  count "adpar.sweep_events_total" a.sweep_events;
+  count "adpar.prune_cutoffs_total" a.prune_cutoffs;
+  if Option.is_none a.result then count "adpar.no_alternative_total" 1
+
+let exact ?(metrics = Obs.Registry.noop) ?trace ?prune ?skyband ?k ~strategies request =
+  let a =
+    answer ~clock:(fun () -> Obs.Registry.now metrics) ?prune ?skyband ?k ~strategies request
+  in
+  record ~metrics ?trace a;
+  a.result
 
 let axis_value r = function
   | Params.Quality -> r.quality

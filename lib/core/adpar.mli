@@ -86,32 +86,70 @@ val exact :
     ties included — a last pass over the catalog takes the full sweep's
     own z where strategies share the optimal cost relaxation), and
     [recommended] and [covered_count] still come from the whole catalog.
-    Only the two sweep counters below differ: they count the skyband
-    sweep, whose [adpar.sweep_events_total] never exceeds the full
-    sweep's. Without [skyband], or with [k]
+    Only the two sweep counts {!record} writes differ: they count the
+    skyband sweep, whose [adpar.sweep_events_total] never exceeds the
+    full sweep's. Without [skyband], or with [k]
     above the cap, or when every strategy is a member, [exact] is the
     full sweep — the paper's algorithm, and the oracle the skyband path
     is tested against.
-
-    [metrics] (default {!Stratrec_obs.Registry.noop}) records
-    [adpar.calls_total], [adpar.sweep_events_total] (one per (x, y)
-    candidate visited on the cost sweep line), [adpar.prune_cutoffs_total]
-    (one per monotone-objective cut, on either sweep), the
-    [adpar.search_seconds] span and [adpar.no_alternative_total]. The
-    sweep counts are per-call totals, added once at the end of the sweep
-    and only when non-zero, so a call without cut-offs leaves
-    [adpar.prune_cutoffs_total] absent as before.
 
     The sweep works on flat float arrays with one reused k-element heap:
     a call allocates a handful of length-n arrays, and no record per
     strategy or per sweep event.
 
-    [trace] (default {!Stratrec_obs.Trace.noop}) opens an [adpar.exact]
-    span (attributes: k, catalog size, and the resulting distance or
-    [no_alternative]) with one child per sweep-line phase:
-    [adpar.relaxations] (event-queue build), [adpar.sweep] (the pruned
-    quality/cost sweep) and [adpar.select] (envelope reconstruction and
-    k-cover selection). *)
+    [exact] is {!answer} timed on the [metrics] registry's clock, then
+    {!record} into [metrics] (default {!Stratrec_obs.Registry.noop}) and
+    [trace] (default {!Stratrec_obs.Trace.noop}). *)
+
+(** {1 Answers as values}
+
+    What one call computes and what it records are separate, so a caller
+    can compute answers anywhere (on a pool's domains, or once for a
+    cache) and record each one later, on its own registry and trace. *)
+
+type answer = {
+  result : result option;  (** what {!exact} returns *)
+  k : int;  (** the cardinality searched for *)
+  catalog_size : int;  (** strategies in the catalog *)
+  sweep_events : int;  (** (x, y) candidates visited on the cost sweep line *)
+  prune_cutoffs : int;  (** monotone-objective cuts, on either sweep *)
+  search_seconds : float;
+      (** the search's duration on the [clock] {!answer} was given;
+          negative only if that clock stepped backwards *)
+}
+
+val answer :
+  ?clock:(unit -> float) ->
+  ?prune:bool ->
+  ?skyband:skyband ->
+  ?k:int -> strategies:Stratrec_model.Strategy.t array -> Stratrec_model.Deployment.t ->
+  answer
+(** The search of {!exact}, with the same arguments, raising the same
+    [Invalid_argument]s, recording nothing. [clock] (default: always 0.)
+    is read before and after the search. The catalog, the skyband and
+    the request are only read, so answers for different requests may be
+    computed on different domains at once, given a [clock] that is safe
+    to call from any domain. *)
+
+val record :
+  ?metrics:Stratrec_obs.Registry.t -> ?trace:Stratrec_obs.Trace.t -> answer -> unit
+(** Everything an ADPaR call records, the one place it is defined.
+
+    [metrics] gets [adpar.calls_total], [adpar.sweep_events_total] and
+    [adpar.prune_cutoffs_total] (the answer's per-call totals, added only
+    when non-zero, so a call without cut-offs leaves
+    [adpar.prune_cutoffs_total] absent), one [adpar.search_seconds]
+    sample of [search_seconds] (as {!Stratrec_obs.Span.observe} records
+    it), and [adpar.no_alternative_total] when [result] is [None].
+
+    [trace] gets an [adpar.exact] span (attributes: k, catalog size, and
+    the resulting distance or [no_alternative]) with one child per
+    sweep-line phase: [adpar.relaxations] (event-queue build),
+    [adpar.sweep] (the pruned quality/cost sweep) and [adpar.select]
+    (envelope reconstruction and k-cover selection). The spans are
+    opened when the answer is recorded, after the search: they give the
+    call's place in the tree, not its timing, which is
+    [adpar.search_seconds]. *)
 
 (** {1 Trace — the paper's working data structures (Tables 2–5)} *)
 

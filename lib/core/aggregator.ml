@@ -34,13 +34,10 @@ type report = {
   workforce_used : float;
 }
 
-(* Triage of one unsatisfied request. Shared verbatim between the
-   sequential loop, the sharded path and the cache replay path: only
-   where the [adpar] answer comes from (a live [Adpar.exact] call or a
-   replayed capture) and the [metrics]/[trace] destination differ, so
-   the recorded counters, spans and decisions are the same every way.
-   Writes exactly [outcomes.(i)] — disjoint cells across shards, so
-   concurrent writes never race. *)
+(* Triage of one unsatisfied request: [adpar] supplies ADPaR's result
+   and records the call (a live [Adpar.exact], or [Adpar.record] of an
+   answer computed earlier), and everything around it is recorded here,
+   the same way on every path. *)
 let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
   let d = requests.(i) in
   Obs.Trace.span trace "request"
@@ -82,31 +79,48 @@ let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
       outcomes.(i) <- (d, No_alternative));
   ignore (Obs.Span.finish triage)
 
-let triage_unsatisfied ?skyband ~metrics ~trace ~strategies ~requests ~outcomes i =
-  triage_with
-    ~adpar:(fun d -> Adpar.exact ~metrics ~trace ?skyband ~strategies d)
-    ~metrics ~trace ~requests ~outcomes i
-
-(* One triage computation, recorded into a fresh registry/trace pair so
-   the capture can be replayed later (absorb + merge) with counters,
-   span structure and span-id arithmetic identical to a live call. The
-   capture always records at full observability — absorbing into a
-   disabled registry (or merging into a noop trace) is free, and a
-   capture taken while observability was off would otherwise poison a
-   later observed epoch. The [adpar.exact] subtree carries no
-   request-specific attributes (only k, catalog size and the distance),
-   which is what makes one capture valid for every request with the
-   same (params, k). *)
-let capture_triage ?skyband ~strategies d =
-  let metrics = Obs.Registry.create () in
-  let trace = Obs.Trace.create () in
-  let result = Adpar.exact ~metrics ~trace ?skyband ~strategies d in
-  { Triage_cache.result; metrics = Obs.Registry.snapshot metrics; trace }
-
-let replay_capture ~metrics ~trace (capture : Triage_cache.triage_capture) =
-  Obs.Registry.absorb metrics capture.Triage_cache.metrics;
-  Obs.Trace.merge trace [ capture.Triage_cache.trace ];
-  capture.Triage_cache.result
+(* [f] of every request of [ds], in order, sharded when a pool is up.
+   With a cache, each request is looked up first (under the
+   [find]/[store] pair of one entry kind) and stored back on a miss; the
+   cache is touched only from the calling domain, in request order. With
+   a pool, every request is probed first and the misses are computed
+   sharded; without one, each request is probed, computed and stored in
+   turn, so a repeat later in [ds] already hits. *)
+let memoized ?pool ?cache ~find ~store ~f ds =
+  let n = Array.length ds in
+  match (cache, pool) with
+  | None, Some pool when n > 1 -> Stratrec_par.Shard.map pool ~f ds
+  | None, (Some _ | None) -> Array.map f ds
+  | Some c, Some pool when n > 1 ->
+      let found =
+        Array.map (fun d -> find c ~params:d.Deployment.params ~k:d.Deployment.k) ds
+      in
+      let misses =
+        Array.of_list (List.filter (fun i -> Option.is_none found.(i)) (List.init n Fun.id))
+      in
+      let compute i = f ds.(i) in
+      let computed =
+        if Array.length misses > 1 then Stratrec_par.Shard.map pool ~f:compute misses
+        else Array.map compute misses
+      in
+      Array.iteri
+        (fun j i ->
+          let d = ds.(i) in
+          store c ~params:d.Deployment.params ~k:d.Deployment.k computed.(j);
+          found.(i) <- Some computed.(j))
+        misses;
+      Array.map Option.get found
+  | Some c, (Some _ | None) ->
+      Array.map
+        (fun d ->
+          let params = d.Deployment.params and k = d.Deployment.k in
+          match find c ~params ~k with
+          | Some v -> v
+          | None ->
+              let v = f d in
+              store c ~params ~k v;
+              v)
+        ds
 
 (* The catalog one run matches against: [given] re-estimated at [at]
    (or as given when [at] is None), and the ADPaR skyband of the result,
@@ -164,13 +178,6 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     prepare memo ~at:(if config.reestimate_parameters then Some w else None) strategies
   in
   let strategies = prepared.catalog in
-  (* Only a memo's holder sweeps the skyband, built on this domain at the
-     first ADPaR computation of its catalog, before any shard starts. *)
-  let skyband () =
-    if Option.is_some memo && Option.is_none prepared.skyband then
-      prepared.skyband <- Some (Adpar.skyband strategies);
-    prepared.skyband
-  in
   (* Bind the cache to this epoch's scope before any probe: a workforce
      change, another objective/aggregation/rule or a different
      (instantiated) catalog flushes every entry. *)
@@ -186,65 +193,17 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
         })
     cache;
   (* Every request's BatchStrat requirement, by the one catalog scan of
-     [Workforce.streaming_requirement]: requests are independent, so
-     they are computed sharded when a pool is up, and no path builds a
-     matrix. *)
-  let m = Array.length requests in
-  let requirement i =
-    let d = requests.(i) in
-    Workforce.streaming_requirement ~rule:config.inversion_rule config.aggregation
-      ~k:d.Deployment.k ~strategies d
-  in
+     [Workforce.streaming_requirement]: requests are independent, so the
+     misses are computed sharded when a pool is up, and no path builds a
+     matrix. A hit is exactly what the scan produces, so BatchStrat's
+     candidates (and everything downstream) are unchanged. *)
   let requirements =
-    match cache with
-    | None -> (
-        match pool with
-        | Some pool when Stratrec_par.Pool.size pool > 1 ->
-            Stratrec_par.Shard.init pool m ~f:requirement
-        | Some _ | None -> Array.init m requirement)
-    | Some c -> (
-        (* Memoized requirements: probe sequentially; compute the misses —
-           sharded when a pool is up — and store them back sequentially.
-           Hit or miss, the value is exactly what the scan produces, so
-           BatchStrat's candidates (and everything downstream) are
-           unchanged. *)
-        let probe i =
-          let d = requests.(i) in
-          Triage_cache.find_requirement c ~params:d.Deployment.params ~k:d.Deployment.k
-        in
-        let store i req =
-          let d = requests.(i) in
-          Triage_cache.store_requirement c ~params:d.Deployment.params ~k:d.Deployment.k
-            req
-        in
-        match pool with
-        | Some pool when Stratrec_par.Pool.size pool > 1 && m > 1 ->
-            let lookups = Array.init m probe in
-            let misses =
-              Array.of_list
-                (List.filter (fun i -> Option.is_none lookups.(i)) (List.init m Fun.id))
-            in
-            let computed =
-              if Array.length misses > 1 then
-                Stratrec_par.Shard.map pool ~f:requirement misses
-              else Array.map requirement misses
-            in
-            Array.iteri
-              (fun slot i ->
-                store i computed.(slot);
-                lookups.(i) <- Some computed.(slot))
-              misses;
-            Array.map Option.get lookups
-        | Some _ | None ->
-            (* Interleaved probe/compute/store so repeats inside one
-               batch already hit. *)
-            Array.init m (fun i ->
-                match probe i with
-                | Some req -> req
-                | None ->
-                    let req = requirement i in
-                    store i req;
-                    req))
+    memoized ?pool ?cache ~find:Triage_cache.find_requirement
+      ~store:Triage_cache.store_requirement
+      ~f:(fun d ->
+        Workforce.streaming_requirement ~rule:config.inversion_rule config.aggregation
+          ~k:d.Deployment.k ~strategies d)
+      requests
   in
   let batch =
     (* The matrix only carries the requests: BatchStrat never reads its
@@ -278,100 +237,40 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     (Obs.Registry.counter metrics "aggregator.satisfied_total")
     (List.length batch.Batchstrat.satisfied);
   let unsatisfied = Array.of_list batch.Batchstrat.unsatisfied in
-  let n_unsatisfied = Array.length unsatisfied in
-  (match cache with
-  | Some c -> (
-      (* Cached triage. Hits replay their capture; misses compute into a
-         fresh registry/trace (sharded when a pool is up — the cache
-         itself is only ever touched from the calling domain) and both
-         are applied sequentially in unsatisfied order, which
-         reconstructs the sequential counters, span tree, span ids and
-         decision order exactly — the same recombination argument as the
-         sharded path below. *)
-      let probe slot =
-        let d = requests.(unsatisfied.(slot)) in
-        Triage_cache.find_triage c ~params:d.Deployment.params ~k:d.Deployment.k
-      in
-      let store slot capture =
-        let d = requests.(unsatisfied.(slot)) in
-        Triage_cache.store_triage c ~params:d.Deployment.params ~k:d.Deployment.k
-          capture
-      in
-      let apply slot capture =
-        triage_with
-          ~adpar:(fun _ -> replay_capture ~metrics ~trace capture)
-          ~metrics ~trace ~requests ~outcomes unsatisfied.(slot)
-      in
-      match pool with
-      | Some pool when Stratrec_par.Pool.size pool > 1 && n_unsatisfied > 1 ->
-          let lookups = Array.init n_unsatisfied probe in
-          let misses =
-            Array.of_list
-              (List.filter
-                 (fun slot -> Option.is_none lookups.(slot))
-                 (List.init n_unsatisfied Fun.id))
-          in
-          let skyband = if Array.length misses > 0 then skyband () else None in
-          let capture slot = capture_triage ?skyband ~strategies requests.(unsatisfied.(slot)) in
-          let computed =
-            if Array.length misses > 1 then Stratrec_par.Shard.map pool ~f:capture misses
-            else Array.map capture misses
-          in
-          Array.iteri
-            (fun k slot ->
-              store slot computed.(k);
-              lookups.(slot) <- Some computed.(k))
-            misses;
-          Array.iteri (fun slot _ -> apply slot (Option.get lookups.(slot))) unsatisfied
-      | Some _ | None ->
-          Array.iteri
-            (fun slot _ ->
-              match probe slot with
-              | Some capture -> apply slot capture
-              | None ->
-                  let capture =
-                    capture_triage ?skyband:(skyband ()) ~strategies
-                      requests.(unsatisfied.(slot))
-                  in
-                  store slot capture;
-                  apply slot capture)
-            unsatisfied)
-  | None -> (
-      match pool with
-      | Some pool when Stratrec_par.Pool.size pool > 1 && n_unsatisfied > 1 ->
-      let skyband = skyband () in
-      (* Sharded triage: each shard gets a contiguous slice of the
-         unsatisfied list, a fresh registry and a fresh trace buffer.
-         Merging shard registries/traces in shard index order
-         reconstructs the sequential counters, span tree, span ids and
-         decision order exactly (ADPaR is deterministic and RNG-free). *)
-      let shards = min (Stratrec_par.Pool.size pool) n_unsatisfied in
-      let plan = Stratrec_par.Shard.plan ~shards ~length:n_unsatisfied in
-      let shard_metrics =
-        Array.init shards (fun _ ->
-            if Obs.Registry.enabled metrics then Obs.Registry.create ()
-            else Obs.Registry.noop)
-      in
-      let shard_traces =
-        Array.init shards (fun _ ->
-            if Obs.Trace.enabled trace then Obs.Trace.create () else Obs.Trace.noop)
-      in
-      Stratrec_par.Pool.run pool ~shards (fun s ->
-          let start, stop = plan.(s) in
-          for slot = start to stop - 1 do
-            triage_unsatisfied ?skyband ~metrics:shard_metrics.(s) ~trace:shard_traces.(s)
-              ~strategies ~requests ~outcomes unsatisfied.(slot)
-          done);
-      Array.iter
-        (fun reg -> Obs.Registry.absorb metrics (Obs.Registry.snapshot reg))
-        shard_metrics;
-      Obs.Trace.merge trace (Array.to_list shard_traces)
-      | Some _ | None ->
-          if n_unsatisfied > 0 then
-            Array.iter
-              (triage_unsatisfied ?skyband:(skyband ()) ~metrics ~trace ~strategies ~requests
-                 ~outcomes)
-              unsatisfied));
+  if Array.length unsatisfied > 0 then begin
+    (* Only a memo's holder sweeps the skyband, built on this domain in
+       the first run of its catalog that triages, before any shard
+       starts. *)
+    if Option.is_some memo && Option.is_none prepared.skyband then
+      prepared.skyband <- Some (Adpar.skyband strategies);
+    let skyband = prepared.skyband in
+    let triage adpar i = triage_with ~adpar ~metrics ~trace ~requests ~outcomes i in
+    match (cache, pool) with
+    | None, None ->
+        Array.iter
+          (triage (fun d -> Adpar.exact ~metrics ~trace ?skyband ~strategies d))
+          unsatisfied
+    | Some _, _ | None, Some _ ->
+        (* Answers first (cached, or computed sharded, on the session
+           registry's clock), then every one recorded in request order
+           on this domain: the counters, span tree, span ids and
+           decisions of the live loop above. *)
+        let clock () = Obs.Registry.now metrics in
+        let answers =
+          memoized ?pool ?cache ~find:Triage_cache.find_triage
+            ~store:Triage_cache.store_triage
+            ~f:(fun d -> Adpar.answer ~clock ?skyband ~strategies d)
+            (Array.map (Array.get requests) unsatisfied)
+        in
+        Array.iteri
+          (fun slot answer ->
+            triage
+              (fun _ ->
+                Adpar.record ~metrics ~trace answer;
+                answer.Adpar.result)
+              unsatisfied.(slot))
+          answers
+  end;
   Obs.Registry.set
     (Obs.Registry.gauge metrics "aggregator.workforce_used")
     batch.Batchstrat.workforce_used;

@@ -73,19 +73,17 @@ val run :
   report
 (** One batch run.
 
-    [domains] (default 1) runs the embarrassingly parallel phases —
-    the per-request workforce requirements and the per-request ADPaR
-    triage of unsatisfied requests — sharded
-    over a {!Stratrec_par.Pool.shared} pool of that many domains. The
-    batch is sliced deterministically ({!Stratrec_par.Shard.plan}),
-    each triage shard records into its own registry and trace buffer,
-    and the shards are folded back in shard index order
-    ({!Stratrec_obs.Registry.absorb}, {!Stratrec_obs.Trace.merge}), so
-    the report, every counter, the span tree (ids included) and the
-    decision order are bit-identical to [~domains:1]. Only span/decision
-    timing values differ — they are clock readings either way. The
-    greedy fill itself and the satisfied loop stay sequential; they are
-    O(m log m) and order-dependent.
+    [domains] (default 1) computes the embarrassingly parallel parts —
+    the per-request workforce requirements and the ADPaR answers
+    ({!Adpar.answer}) of unsatisfied requests — sharded over a
+    {!Stratrec_par.Pool.shared} pool of that many domains. Shards
+    record nothing: the calling domain records every answer through
+    {!Adpar.record}, in request order, inside the per-request triage
+    code the sequential loop runs, so the report, every counter, the
+    span tree (ids included) and the decision order are bit-identical
+    to [~domains:1]. Only span/decision timing values differ — they are
+    clock readings either way. The greedy fill itself and the satisfied
+    loop stay sequential; they are O(m log m) and order-dependent.
     @raise Invalid_argument when [domains < 1].
 
     [memo] keeps the re-estimated catalog across runs, keyed on the
@@ -95,8 +93,8 @@ val run :
     fresh array, or a fresh {!memo}, after changing a catalog. Beside
     it the memo keeps the catalog's {!Adpar.skyband}, built on the
     calling domain at the first run that computes an ADPaR triage, before
-    any shard starts; every [Adpar.exact] call of the run, live,
-    captured or sharded, then sweeps only the skyband. The report, every
+    any shard starts; every ADPaR search of the run, live, cached or
+    sharded, then sweeps only the skyband. The report, every
     decision and span are those of a run without a memo, and so is every
     counter except [adpar.sweep_events_total] and
     [adpar.prune_cutoffs_total], which count the smaller sweep. Without
@@ -107,11 +105,13 @@ val run :
     triage of unsatisfied requests. The run binds the cache to this
     epoch's context first (objective, aggregation, rule, W, instantiated
     catalog — any change flushes), probes and stores only from the
-    calling domain, and computes misses sharded when [domains > 1].
-    Hits replay captured snapshots/subtrees, so the report, counters,
-    span tree and decisions are bit-identical to an uncached run at any
-    domain count — only the [cache.*] counters and gauges (absent
-    without a cache) differ.
+    calling domain, and computes misses sharded when [domains > 1]. A
+    triage entry is an {!Adpar.answer}, recorded like any other answer,
+    so the report, counters, span tree and decisions are bit-identical
+    to an uncached run at any domain count — only the [cache.*] counters
+    and gauges (absent without a cache) differ. Without a pool each
+    request is probed, computed and stored in turn, so a repeat later in
+    the batch already hits; with one, every request is probed first.
 
     [metrics] (default {!Stratrec_obs.Registry.noop})
     records [aggregator.batches_total], [aggregator.requests_total], the
@@ -121,7 +121,21 @@ val run :
     and per-request [aggregator.triage_seconds] spans, the
     [aggregator.availability] and [aggregator.workforce_used] gauges, and
     [adpar.fallback_total] (one per request forwarded to ADPaR); the same
-    registry is threaded into {!Batchstrat.run} and {!Adpar.exact}.
+    registry is threaded into {!Batchstrat.run} and {!Adpar.record}.
+
+    What the timings cover. Every one reads the [metrics] registry's
+    clock, on whichever domain it runs.
+    - [aggregator.batch_seconds]: the whole run, on every path.
+    - Uncached at one domain, each unsatisfied request runs
+      {!Adpar.exact} live: [adpar.search_seconds] is that search, and
+      [aggregator.triage_seconds] is the search plus recording it and
+      the request's outcome.
+    - With a cache, or at several domains, the answers are computed
+      before any is recorded. [adpar.search_seconds] is still the
+      search that produced the answer: on a cache hit, the stored
+      search of the miss that computed it, recorded again. And
+      [aggregator.triage_seconds] covers only recording the answer and
+      the outcome.
 
     [trace] (default {!Stratrec_obs.Trace.noop}) opens an
     [aggregator.batch] span with the {!Batchstrat.run} span and one

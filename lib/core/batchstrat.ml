@@ -144,11 +144,3 @@ let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?requirements ~
   }
 
 let satisfied_count outcome = List.length outcome.satisfied
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "satisfied=%d objective=%.4f workforce=%.4f unsatisfied=[%a]"
-    (satisfied_count o) o.objective_value o.workforce_used
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    o.unsatisfied

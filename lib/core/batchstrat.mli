@@ -69,5 +69,3 @@ val run :
     correction) children. *)
 
 val satisfied_count : outcome -> int
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -107,8 +107,6 @@ let error_message = function
   | `Catalog message -> Printf.sprintf "failed to load catalog: %s" message
   | `Session_closed -> "the engine session is closed"
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 let counts_of_report (aggregate : Aggregator.report) =
   Array.fold_left
     (fun counts (_, outcome) ->

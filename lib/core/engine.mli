@@ -212,7 +212,6 @@ type error =
   | `Session_closed  (** {!submit} after {!close} *) ]
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val counts_of_report : Aggregator.report -> counts
 (** Tally an aggregator report (also usable on reports produced without

@@ -33,15 +33,9 @@ type context = {
   strategies : Strategy.t array;
 }
 
-type triage_capture = {
-  result : Adpar.result option;
-  metrics : Obs.Snapshot.t;
-  trace : Obs.Trace.t;
-}
-
 type value =
   | Requirement of Workforce.request_requirement option
-  | Triage of triage_capture
+  | Triage of Adpar.answer
 
 (* The table key quantizes the parameter triple; [exact]/[exact_k] below
    carry the unquantized original, so a quantization collision surfaces
@@ -223,10 +217,10 @@ let store_requirement t ~params ~k req = store t K_requirement ~params ~k (Requi
 
 let find_triage t ~params ~k =
   match find t K_triage ~params ~k with
-  | Some (Triage capture) -> Some capture
+  | Some (Triage answer) -> Some answer
   | Some (Requirement _) | None -> None
 
-let store_triage t ~params ~k capture = store t K_triage ~params ~k (Triage capture)
+let store_triage t ~params ~k answer = store t K_triage ~params ~k (Triage answer)
 
 (* --- stats --- *)
 

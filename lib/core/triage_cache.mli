@@ -20,14 +20,12 @@
       {!Stratrec_model.Params.t} and [k] it was computed for, compared
       with {!Stratrec_model.Params.equal} on lookup. A quantization
       collision is therefore a {e miss}, never a wrong answer.
-    - {e Capture/replay:} a triage entry stores, alongside the
-      {!Adpar.result}, the metrics snapshot and trace buffer the
-      computation wrote into a fresh registry/trace. Replaying a hit
-      ({!Stratrec_obs.Registry.absorb} + {!Stratrec_obs.Trace.merge})
-      reconstructs the sequential counters, span tree and span ids
-      exactly — the recombination machinery the sharded triage path
-      already relies on. Requirements have no observability side
-      effects, so they are cached as plain values.
+    - {e Answers as values:} both kinds of entry are plain values. A
+      triage entry is the {!Adpar.answer} of the miss that computed it:
+      the result plus everything the call records (sweep counts, the
+      search's duration). {!Aggregator.run} records every answer, hit or
+      miss, through {!Adpar.record} in request order, so counters, span
+      tree and span ids come out as an uncached run's.
 
     The cache itself is {e not} thread-safe: under the domain pool the
     aggregator probes and stores sequentially and only the miss
@@ -86,14 +84,6 @@ val quantum : float
     correctness never depends on it (see the exact-match guard); it only
     bounds how many distinct keys near-identical requests can occupy. *)
 
-(** What a triage (ADPaR) entry replays on a hit. *)
-type triage_capture = {
-  result : Adpar.result option;
-  metrics : Stratrec_obs.Snapshot.t;
-      (** counters + histograms the computation recorded *)
-  trace : Stratrec_obs.Trace.t;  (** the [adpar.exact] span subtree *)
-}
-
 val find_requirement :
   t ->
   params:Stratrec_model.Params.t ->
@@ -111,10 +101,10 @@ val store_requirement :
   unit
 
 val find_triage :
-  t -> params:Stratrec_model.Params.t -> k:int -> triage_capture option
+  t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer option
 
 val store_triage :
-  t -> params:Stratrec_model.Params.t -> k:int -> triage_capture -> unit
+  t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer -> unit
 (** Inserting at capacity evicts the least-recently-used entry and
     counts [cache.evictions_total]. *)
 

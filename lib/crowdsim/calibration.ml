@@ -13,8 +13,6 @@ let fit ~observations =
   let model, diagnostics = Linear_model.fit_detailed ~observations in
   { model; diagnostics }
 
-let fit_results results = fit ~observations:(Campaign.observations results)
-
 let within_reference ?(level = 0.9) t ~reference =
   List.map
     (fun (axis, fit) ->

@@ -14,9 +14,6 @@ val fit : observations:(float * Stratrec_model.Params.t) array -> t
 (** @raise Invalid_argument with fewer than 3 observations or constant
     availabilities. *)
 
-val fit_results : Campaign.result list -> t
-(** Convenience over {!Campaign.observations}. *)
-
 val within_reference :
   ?level:float -> t -> reference:Stratrec_model.Linear_model.t ->
   (Stratrec_model.Params.axis * bool) list

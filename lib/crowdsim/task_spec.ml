@@ -35,6 +35,5 @@ let creation_samples =
 
 let hit_hours = 2.
 let pay_per_worker = 2.
-let minimum_minutes = 10.
 
 let pp ppf t = Format.fprintf ppf "%s: %s (%d units)" (kind_label t.kind) t.title t.units

@@ -34,7 +34,4 @@ val hit_hours : float
 val pay_per_worker : float
 (** Dollars paid per worker per HIT ($2 in the study). *)
 
-val minimum_minutes : float
-(** Minimum working time for payment (10 minutes in the study). *)
-
 val pp : Format.formatter -> t -> unit

@@ -48,5 +48,3 @@ let combo_of_label label =
 
 let equal_combo a b =
   a.structure = b.structure && a.organization = b.organization && a.style = b.style
-
-let pp_combo ppf c = Format.pp_print_string ppf (combo_label c)

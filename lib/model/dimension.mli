@@ -32,4 +32,3 @@ val combo_of_label : string -> combo option
 (** Inverse of {!combo_label}; [None] on malformed labels. *)
 
 val equal_combo : combo -> combo -> bool
-val pp_combo : Format.formatter -> combo -> unit

@@ -156,17 +156,3 @@ let feasible_count t i =
   Array.fold_left
     (fun acc -> function Feasible _ -> acc + 1 | Infeasible -> acc)
     0 t.cells.(i)
-
-let pp_matrix ppf t =
-  Array.iteri
-    (fun i row ->
-      Format.fprintf ppf "%s: " t.requests.(i).Deployment.label;
-      Array.iteri
-        (fun j cell ->
-          if j > 0 then Format.pp_print_string ppf " ";
-          match cell with
-          | Infeasible -> Format.pp_print_string ppf "--"
-          | Feasible w -> Format.fprintf ppf "%.3f" w)
-        row;
-      Format.pp_print_newline ppf ())
-    t.cells

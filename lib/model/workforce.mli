@@ -84,5 +84,3 @@ val streaming_requirement :
 
 val feasible_count : matrix -> int -> int
 (** Number of feasible cells in row [i]. *)
-
-val pp_matrix : Format.formatter -> matrix -> unit

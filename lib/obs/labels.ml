@@ -17,7 +17,13 @@ let valid_key key =
        key
 
 let normalize pairs =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) pairs in
+  (* Most series carry no label, and every registry lookup normalizes:
+     skip the sort's allocation where there is nothing to sort. *)
+  let sorted =
+    match pairs with
+    | [] | [ _ ] -> pairs
+    | _ -> List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
+  in
   let rec check = function
     | [] -> ()
     | (key, _) :: rest ->

@@ -242,57 +242,6 @@ let observe h value =
       s.count <- s.count + 1;
       s.sum <- s.sum +. value
 
-let absorb t (snapshot : Snapshot.t) =
-  if t.enabled then
-    List.iter
-      (fun { Snapshot.name; labels; value } ->
-        match value with
-        | Snapshot.Counter n ->
-            let r = counter_state t name labels in
-            r := !r + n
-        | Snapshot.Gauge v ->
-            let r = gauge_state t name labels in
-            r := v
-        | Snapshot.Histogram h ->
-            let bounds =
-              List.filter_map
-                (fun (le, _) -> if Float.is_finite le then Some le else None)
-                h.Snapshot.buckets
-              |> Array.of_list
-            in
-            if Array.length bounds = 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "Stratrec_obs.Registry.absorb: histogram %S without finite buckets"
-                   (Labels.encode_series name labels));
-            let s = histogram_state t name labels bounds in
-            if
-              Array.length s.counts <> List.length h.Snapshot.buckets
-              || not
-                   (List.for_all2
-                      (fun bound (le, _) -> Float.equal bound le)
-                      (Array.to_list s.bounds @ [ infinity ])
-                      h.Snapshot.buckets)
-            then
-              invalid_arg
-                (Printf.sprintf
-                   "Stratrec_obs.Registry.absorb: histogram %S bucket layouts differ"
-                   (Labels.encode_series name labels));
-            List.iteri (fun i (_, n) -> s.counts.(i) <- s.counts.(i) + n) h.Snapshot.buckets;
-            if h.Snapshot.count > 0 then begin
-              if s.count = 0 then begin
-                s.min_v <- h.Snapshot.min;
-                s.max_v <- h.Snapshot.max
-              end
-              else begin
-                if h.Snapshot.min < s.min_v then s.min_v <- h.Snapshot.min;
-                if h.Snapshot.max > s.max_v then s.max_v <- h.Snapshot.max
-              end;
-              s.count <- s.count + h.Snapshot.count;
-              s.sum <- s.sum +. h.Snapshot.sum
-            end)
-      snapshot
-
 let snapshot t =
   Hashtbl.fold
     (fun { s_name; s_labels } instrument acc ->

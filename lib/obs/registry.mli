@@ -18,16 +18,17 @@
     [Invalid_argument]. Asking for an existing histogram series with a
     different bucket layout keeps the original layout, but counts the
     conflict in the [obs.bucket_layout_conflicts_total] self-metric
-    instead of staying silent. The registry is not thread-safe — one
-    registry per run (the intended sharding unit) needs no locking.
+    instead of staying silent. The registry is not thread-safe: only the
+    domain that owns it records into it, and work sharded across domains
+    returns values for that domain to record.
 
     Handles keep their cell. A counter or gauge handle looks its series
     up on its first update and holds on to it, so every later update is
     a branch and a write, with no table lookup; creating a handle alone
     adds no series. A histogram handle holds its series from
     registration. No series is ever removed, so a kept cell stays the
-    one {!snapshot} reads and {!absorb} adds to — hot loops should
-    create a handle once and reuse it. *)
+    one {!snapshot} reads — hot loops should create a handle once and
+    reuse it. *)
 
 type t
 
@@ -47,7 +48,9 @@ val create : ?clock:(unit -> float) -> unit -> t
     semantics: what a caller actually waited. Span histograms record
     whichever clock the registry carries; {!Profile} always measures wall
     time (and says so in its metric names) precisely because the default
-    span clock does not. *)
+    span clock does not. Work computed on other domains for the owner
+    may read the clock too ({!now}), so an injected clock must be safe
+    to call from any domain. *)
 
 val wall_clock : unit -> float
 (** Monotonic wall clock: [Unix.gettimeofday] guarded by a process-wide
@@ -113,14 +116,3 @@ val observe : histogram -> float -> unit
 
 val snapshot : t -> Snapshot.t
 (** Deterministic (series-sorted) copy of the current state. *)
-
-val absorb : t -> Snapshot.t -> unit
-(** [absorb t snapshot] folds a snapshot into the live registry:
-    counters add, gauges take the snapshot's value, histograms add
-    bucket-wise (instruments are created on first sight, with the
-    snapshot's bucket layout and labels). This is how the parallel
-    triage path re-combines per-shard registries into the caller's —
-    absorbing the shard snapshots in shard index order reproduces the
-    sequential totals exactly. No-op on a disabled registry.
-    @raise Invalid_argument when a series exists with a different
-    instrument kind or bucket layout. *)

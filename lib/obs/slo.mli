@@ -108,5 +108,4 @@ val export : ?log:Log.t -> t -> Registry.t -> unit
 (** {!evaluate}, then publish gauges [obs.slo.<name>.fast_burn_rate],
     [.slow_burn_rate], [.budget_remaining] and [.burning] (0/1) in the
     registry — stamped with a [tenant="..."] label when the spec is
-    tenant-scoped. Gauges only, so per-shard merge/absorb semantics are
-    unchanged. *)
+    tenant-scoped. Gauges only, so no counter moves. *)

@@ -77,56 +77,6 @@ let histogram_quantile h q =
     in
     go h.min 0 h.buckets
 
-(* Shard merge: counters and histograms accumulate, gauges are
-   last-write-wins (the right operand is the later shard). Bucket layouts
-   must agree — shard registries are created alike, so a mismatch is a
-   programming error, not data. *)
-let merge_value series a b =
-  match (a, b) with
-  | Counter a, Counter b -> Counter (a + b)
-  | Gauge _, Gauge b -> Gauge b
-  | Histogram a, Histogram b ->
-      if
-        not
-          (List.equal
-             (fun (le, _) (le', _) -> Float.equal le le')
-             a.buckets b.buckets)
-      then
-        invalid_arg
-          (Printf.sprintf "Snapshot.merge: histogram %S bucket layouts differ" series);
-      Histogram
-        {
-          buckets = List.map2 (fun (le, n) (_, n') -> (le, n + n')) a.buckets b.buckets;
-          count = a.count + b.count;
-          sum = a.sum +. b.sum;
-          min =
-            (if a.count = 0 then b.min
-             else if b.count = 0 then a.min
-             else Float.min a.min b.min);
-          max =
-            (if a.count = 0 then b.max
-             else if b.count = 0 then a.max
-             else Float.max a.max b.max);
-        }
-  | (Counter _ | Gauge _ | Histogram _), _ ->
-      invalid_arg
-        (Printf.sprintf "Snapshot.merge: %S has mismatched instrument kinds" series)
-
-let merge a b =
-  (* Both inputs are series-sorted; a linear merge keeps the result
-     sorted and deterministic. *)
-  let rec go a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | x :: xs, y :: ys ->
-        let c = compare_series (x.name, x.labels) (y.name, y.labels) in
-        if c < 0 then x :: go xs b
-        else if c > 0 then y :: go a ys
-        else
-          { x with value = merge_value (series_name x) x.value y.value } :: go xs ys
-  in
-  go a b
-
 let to_table t =
   let table = Tabular.create ~columns:[ "metric"; "type"; "value"; "detail" ] in
   List.iter

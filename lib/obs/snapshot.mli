@@ -58,18 +58,6 @@ val histogram_quantile : histogram -> float -> float
     [\[h.min, h.max\]]; [0.] on an empty histogram. This is the bench
     harness's latency-percentile estimator. *)
 
-val merge : t -> t -> t
-(** [merge a b] combines two snapshots series-wise: counters add,
-    histograms add bucket-wise (counts, totals; min/max combine, an
-    empty side contributes neither), and gauges take [b]'s value when
-    both sides carry one — [b] is the later shard. Series present on
-    one side only pass through. The result is series-sorted like every
-    snapshot, so [merge] is associative and
-    [List.fold_left merge empty shards] recombines per-shard registries
-    deterministically. @raise Invalid_argument when a series carries
-    different instrument kinds or histogram bucket layouts on the two
-    sides. *)
-
 val to_table : t -> Stratrec_util.Tabular.t
 (** Columns [metric | type | value | detail]: counters and gauges carry
     their value, histograms their observation count with sum/min/max in

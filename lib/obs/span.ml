@@ -8,17 +8,21 @@ let start registry name =
   if Registry.enabled registry then { registry; name; started = Registry.now registry }
   else dummy
 
+let observe registry name elapsed =
+  if Registry.enabled registry then begin
+    (* The default clock is monotone, but an injected one may step
+       backwards; surface that instead of hiding it in the clamp. *)
+    if elapsed < 0. then
+      Registry.incr (Registry.counter registry "trace.clock_regressions_total");
+    Registry.observe (Registry.histogram registry name) (Float.max 0. elapsed)
+  end
+
 let finish t =
   if not (Registry.enabled t.registry) then 0.
   else begin
     let elapsed = Registry.now t.registry -. t.started in
-    (* The default clock is monotone, but an injected one may step
-       backwards; surface that instead of hiding it in the clamp. *)
-    if elapsed < 0. then
-      Registry.incr (Registry.counter t.registry "trace.clock_regressions_total");
-    let seconds = Float.max 0. elapsed in
-    Registry.observe (Registry.histogram t.registry t.name) seconds;
-    seconds
+    observe t.registry t.name elapsed;
+    Float.max 0. elapsed
   end
 
 let time registry name f =

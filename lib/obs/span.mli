@@ -23,6 +23,13 @@ val finish : t -> float
     [trace.clock_regressions_total] counter rather than passing
     silently. Finishing the same span twice records twice. *)
 
+val observe : Registry.t -> string -> float -> unit
+(** [observe reg name elapsed] records a duration measured elsewhere on
+    [reg]'s clock exactly as {!finish} records its own: clamped to
+    [>= 0.], with a negative [elapsed] counted in
+    [trace.clock_regressions_total]. Does nothing on a disabled
+    registry. *)
+
 val time : Registry.t -> string -> (unit -> 'a) -> 'a
 (** [time reg name f] runs [f ()] inside a span, finishing it whether
     [f] returns or raises. *)

@@ -125,49 +125,6 @@ let decisions_after t n =
 
 let decisions t = decisions_after t 0
 
-let merge t children =
-  match t with
-  | Noop -> ()
-  | Active s ->
-      let graft_parent = match s.stack with r :: _ -> Some r.id | [] -> None in
-      List.iter
-        (fun child ->
-          match child with
-          | Noop -> ()
-          | Active c ->
-              (* Ids keep their relative order but are renumbered to
-                 continue the parent's sequence — spliced after the
-                 parent's existing spans, exactly where the sequential
-                 path would have allocated them. *)
-              let offset = s.next_id in
-              let present = Hashtbl.create (max 1 c.retained_count) in
-              List.iter (fun (r : record) -> Hashtbl.replace present r.id ()) c.retained;
-              List.iter
-                (fun (r : record) ->
-                  let parent =
-                    match r.parent with
-                    | Some p when Hashtbl.mem present p -> Some (p + offset)
-                    | Some _ | None -> graft_parent
-                  in
-                  let r' = { r with id = r.id + offset; parent } in
-                  if s.retained_count < s.capacity then begin
-                    s.retained <- r' :: s.retained;
-                    s.retained_count <- s.retained_count + 1
-                  end
-                  else s.dropped <- s.dropped + 1)
-                (List.rev c.retained);
-              s.next_id <- s.next_id + c.next_id;
-              s.dropped <- s.dropped + c.dropped;
-              List.iter
-                (fun d ->
-                  if s.decided_count < s.capacity then begin
-                    s.decided <- d :: s.decided;
-                    s.decided_count <- s.decided_count + 1
-                  end
-                  else s.dropped <- s.dropped + 1)
-                (List.rev c.decided))
-        children
-
 let current_span_id = function
   | Noop -> None
   | Active s -> ( match s.stack with r :: _ -> Some r.id | [] -> None)

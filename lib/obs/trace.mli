@@ -92,20 +92,6 @@ val decisions_after : t -> int -> decision list
     [n] of them. Costs O(decisions returned), not O(all retained), so a
     full buffer answers [[]] at once. *)
 
-val merge : t -> t list -> unit
-(** [merge t shards] splices per-shard traces into [t], in shard order:
-    each shard's spans are appended with their ids renumbered to
-    continue [t]'s sequence, the shard's root spans (including spans
-    whose parent the shard dropped) become children of [t]'s innermost
-    open span (roots when none is open), and the shard's decision
-    records are appended in order. Dropped counts add up; spans and
-    decisions beyond [t]'s capacity are dropped as usual. Merging the
-    shards of a deterministically sharded batch reproduces the
-    sequential trace's tree, ids and decision order exactly (provided
-    no buffer overflowed). No-op on a disabled [t]; disabled shards
-    contribute nothing. The shard traces must not be written to
-    afterwards. *)
-
 (** {1 Introspection} *)
 
 (** One retained span, in depth-first pre-order (see {!nodes}). *)

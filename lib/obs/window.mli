@@ -22,10 +22,9 @@
     Exposition composes with the existing {!Registry}/{!Snapshot} path:
     {!export} publishes the window as a [<name>.window.*] gauge family
     (count, rate, quantiles) in a registry, so
-    {!Snapshot.to_openmetrics} renders it with no schema change, and
-    {!Snapshot.merge}/{!Registry.absorb} treat it like any other gauge
-    (last shard wins) — nothing here touches counters, spans or
-    decisions, keeping the [--domains N] bit-identity contract intact.
+    {!Snapshot.to_openmetrics} renders it with no schema change —
+    nothing here touches counters, spans or decisions, keeping the
+    [--domains N] bit-identity contract intact.
 
     Not thread-safe: one window per owning loop, like the registry. *)
 
@@ -124,6 +123,5 @@ val export :
     [tenant="..."] label. [rate_only] (default false) publishes only
     [count] and [rate_per_sec] — for {!mark}-fed event windows whose
     value axis is unused (a mean/p99 of zeros under a seconds-style
-    shape misleads scrapers). Gauges only — safe on any registry that
-    also carries sharded counters (merge/absorb keep their semantics).
-    No-op on a disabled registry. *)
+    shape misleads scrapers). Gauges only, so no counter moves. No-op
+    on a disabled registry. *)

@@ -11,9 +11,9 @@
     lets callers produce bit-identical output regardless of scheduling.
 
     Shard bodies must be shared-nothing: each shard writes only its own
-    slice of any result buffer and its own metrics registry / trace
-    buffer (see {!Stratrec_obs.Registry.absorb} and
-    {!Stratrec_obs.Trace.merge} for the deterministic re-combination).
+    slice of any result buffer. The aggregator's shards compute plain
+    values and record nothing; the caller records them afterwards, in
+    order, on its own domain.
 
     A pool of size 1 spawns no domains and runs shards inline in index
     order — exactly the sequential path. *)

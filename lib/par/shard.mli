@@ -1,12 +1,12 @@
 (** Deterministic batch sharding.
 
     The parallel triage path shards a request batch into contiguous
-    slices, runs each slice on its own domain with its own metrics
-    registry / trace buffer / RNG stream, and re-combines the per-shard
-    results in shard order. Everything here is a pure function of the
-    inputs — the slice boundaries, the per-shard seeds and the result
-    ordering never depend on scheduling — which is what makes the
-    parallel path bit-identical to the sequential one. *)
+    slices, computes each slice on its own domain (with its own RNG
+    stream where it draws randomness), and places every result at its
+    own index. Everything here is a pure function of the inputs — the
+    slice boundaries, the per-shard seeds and the result ordering never
+    depend on scheduling — which is what makes the parallel path
+    bit-identical to the sequential one. *)
 
 val plan : shards:int -> length:int -> (int * int) array
 (** [plan ~shards ~length] cuts [\[0, length)] into at most [shards]

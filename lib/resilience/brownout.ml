@@ -3,14 +3,15 @@ type config = {
   saturation_low : float;
   p99_high : float;
   p99_low : float;
-  rungs : int;
 }
 
-let default =
-  { saturation_high = 0.85; saturation_low = 0.5; p99_high = 0.; p99_low = 0.; rungs = 3 }
+let default = { saturation_high = 0.85; saturation_low = 0.5; p99_high = 0.; p99_low = 0. }
+
+(* The daemon gives rungs 1 to 3 their effects; there is no rung 4. *)
+let top_rung = 3
 
 let validate config =
-  let { saturation_high; saturation_low; p99_high; p99_low; rungs } = config in
+  let { saturation_high; saturation_low; p99_high; p99_low } = config in
   if not (saturation_high > 0. && saturation_high <= 1.) then
     Error "brownout saturation_high must be in (0, 1]"
   else if not (saturation_low >= 0. && saturation_low < saturation_high) then
@@ -18,7 +19,6 @@ let validate config =
   else if p99_high < 0. then Error "brownout p99_high must be non-negative"
   else if not (p99_low >= 0. && (p99_high = 0. || p99_low < p99_high)) then
     Error "brownout p99_low must be in [0, p99_high)"
-  else if rungs < 1 then Error "brownout rungs must be >= 1"
   else Ok ()
 
 type t = { config : config; mutable rung : int }
@@ -27,7 +27,6 @@ let create config =
   match validate config with Error _ as e -> e | Ok () -> Ok { config; rung = 0 }
 
 let rung t = t.rung
-let rungs t = t.config.rungs
 
 type transition =
   | Steady
@@ -41,7 +40,7 @@ let evaluate t ~saturation ~p99 =
   let c = t.config in
   let p99_pressed = c.p99_high > 0. && p99 >= c.p99_high in
   let saturated = saturation >= c.saturation_high in
-  if (saturated || p99_pressed) && t.rung < c.rungs then begin
+  if (saturated || p99_pressed) && t.rung < top_rung then begin
     let from_ = t.rung in
     t.rung <- t.rung + 1;
     Escalated

@@ -26,12 +26,11 @@ type config = {
   p99_low : float;
       (** recover only when the p99 is back at or below this, in
           [[0, p99_high)] (ignored when the signal is disabled) *)
-  rungs : int;  (** top rung index; the ladder walks [0..rungs] *)
 }
 
 val default : config
-(** Saturation 0.85 / 0.5, latency signal disabled, 3 rungs — the
-    daemon's stock ladder: a fresh unloaded daemon stays at rung 0. *)
+(** Saturation 0.85 / 0.5, latency signal disabled — the daemon's stock
+    ladder: a fresh unloaded daemon stays at rung 0. *)
 
 val validate : config -> (unit, string) result
 (** Field-range check; the error names the offending field. *)
@@ -42,10 +41,8 @@ val create : config -> (t, string) result
 (** A ladder at rung 0. Validates the config first. *)
 
 val rung : t -> int
-(** Current rung; [0] is normal service. *)
-
-val rungs : t -> int
-(** The configured top rung. *)
+(** Current rung, from [0] (normal service) to [3], the top rung: the
+    daemon gives rungs 1 to 3 their effects. *)
 
 type transition =
   | Steady  (** no movement *)

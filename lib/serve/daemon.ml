@@ -302,7 +302,7 @@ let note_tenant_shed t ~tenant =
   | None -> Hashtbl.add t.tenant_sheds key (ref 1)
 
 (* Brownout rung effects (DESIGN.md §5i), keyed to absolute rung
-   numbers with [config.rungs] capping how far the ladder can walk.
+   numbers; the ladder stops at rung 3.
    Rung 1 sheds observability cost (tracing and profiling off); rung 2
    halves the epoch fill so epochs close sooner and drain faster; rung
    3 sheds load itself — low-priority and over-share submits are

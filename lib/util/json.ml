@@ -271,7 +271,6 @@ let to_int = function
   | Number f when Float.is_integer f && Float.abs f <= 1e15 -> Some (int_of_float f)
   | _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_string_value = function String s -> Some s | _ -> None
 

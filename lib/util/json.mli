@@ -34,7 +34,6 @@ val to_float : t -> float option
 val to_int : t -> int option
 (** [Number] with integral value only. *)
 
-val to_bool : t -> bool option
 val to_list : t -> t list option
 val to_string_value : t -> string option
 

@@ -64,10 +64,6 @@ let summarize xs =
     max;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f se=%.4f min=%.4f max=%.4f" s.n s.mean s.stddev
-    s.std_error s.min s.max
-
 (* Lanczos approximation (g = 7, n = 9). *)
 let lanczos_coefficients =
   [|

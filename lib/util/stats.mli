@@ -36,8 +36,6 @@ type summary = {
 val summarize : float array -> summary
 (** Requires a non-empty array. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** {1 Special functions} *)
 
 val log_gamma : float -> float

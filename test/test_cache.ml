@@ -373,6 +373,46 @@ let skyband_epochs ?cache ~domains () =
       Engine.close session;
       (reports, tree)
 
+(* ADPaR timings read the session registry's clock on every path,
+   including those that compute answers before recording them: a cache
+   miss, a cache hit and a sharded computation. With that clock fixed,
+   every recorded duration is 0. *)
+let test_fixed_clock () =
+  let snapshot ?cache ~domains () =
+    let metrics = Obs.Registry.create ~clock:(Fun.const 0.) () in
+    let config =
+      Engine.with_metrics
+        (Engine.with_cache (Engine.with_domains Engine.default_config domains) cache)
+        metrics
+    in
+    match
+      Engine.create ~config ~availability:(Model.Availability.certain 0.75)
+        ~strategies:skyband_catalog ()
+    with
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+    | Ok session ->
+        let batch = Array.to_list (Array.map Request.of_deployment skyband_requests) in
+        for _ = 1 to 2 do
+          match Engine.submit session batch with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+        done;
+        let snapshot = Engine.session_metrics session in
+        Engine.close session;
+        snapshot
+  in
+  List.iter
+    (fun (run, cache, domains) ->
+      let snapshot = snapshot ?cache ~domains () in
+      Alcotest.(check bool) (run ^ ": ADPaR ran") true
+        (Snapshot.histogram_count snapshot "adpar.search_seconds" > 0);
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.)) (run ^ ": " ^ name) 0.
+            (Snapshot.histogram_sum snapshot name))
+        [ "adpar.search_seconds"; "aggregator.triage_seconds" ])
+    [ ("cached", Some C.default_config, 1); ("uncached at 4 domains", None, 4) ]
+
 let test_sessions_sweep_skyband () =
   let observed ?cache ~domains () =
     let reports, tree = skyband_epochs ?cache ~domains () in
@@ -477,6 +517,7 @@ let () =
           Alcotest.test_case "session owns its catalog" `Quick test_session_owns_catalog;
           Alcotest.test_case "sessions sweep the skyband" `Quick test_sessions_sweep_skyband;
         ] );
+      ("clock", [ Alcotest.test_case "fixed clock times ADPaR at zero" `Quick test_fixed_clock ]);
       ( "identity",
         List.map Tq.to_alcotest
           [

@@ -52,8 +52,9 @@ let test_gauge_semantics () =
   Registry.set g 0.1;
   Alcotest.(check (float 0.)) "set overwrites" 0.1 (value ())
 
-(* A handle's kept cell is the series itself: handles resolved before an
-   absorb, resolved after it, or created after it all reach one series. *)
+(* A handle's kept cell is the series itself: handles resolved before
+   another handle's write, resolved after it, or created after it all
+   reach one series. *)
 let test_handle_cells_shared () =
   let reg = Registry.create () in
   let resolved = Registry.counter reg "jobs_total" in
@@ -61,10 +62,8 @@ let test_handle_cells_shared () =
   let unresolved = Registry.counter reg "jobs_total" in
   let level = Registry.gauge reg "level" in
   Registry.add level 1.;
-  let shard = Registry.create () in
-  Registry.incr_by (Registry.counter shard "jobs_total") 10;
-  Registry.set (Registry.gauge shard "level") 5.;
-  Registry.absorb reg (Registry.snapshot shard);
+  Registry.incr_by (Registry.counter reg "jobs_total") 10;
+  Registry.set (Registry.gauge reg "level") 5.;
   let late = Registry.counter reg "jobs_total" in
   Registry.incr resolved;
   Registry.incr_by unresolved 100;
@@ -72,7 +71,7 @@ let test_handle_cells_shared () =
   Registry.add level 0.5;
   let snap = Registry.snapshot reg in
   Alcotest.(check int) "one series" 1112 (Snapshot.counter_value snap "jobs_total");
-  Alcotest.(check (float 0.)) "gauge handle sees the absorbed value" 5.5
+  Alcotest.(check (float 0.)) "gauge handle sees another handle's write" 5.5
     (Snapshot.gauge_value snap "level");
   Alcotest.(check int) "no duplicate series" 2 (List.length snap)
 
@@ -891,43 +890,26 @@ let test_histogram_quantile () =
            0.5)
   | _ -> Alcotest.fail "histogram missing"
 
-(* Generated registries share one bucket layout per histogram name, so
-   merging in any association is legal; the exposition of the merge must
-   not depend on how the shards were combined. *)
-let openmetrics_merge_prop =
-  QCheck.Test.make ~count:100 ~name:"openmetrics rendering of merged snapshots"
-    QCheck.(
-      triple
-        (small_list small_nat)
-        (* Integer-valued observations: their float sums are exact, so
-           merge really is associative down to the rendered _sum line. *)
-        (small_list (int_range 0 10))
-        (small_list (int_range 0 10)))
-    (fun (counters, obs_a, obs_b) ->
-      let build observations =
-        let reg = Registry.create () in
-        List.iteri
-          (fun i v -> Registry.incr_by (Registry.counter reg (Printf.sprintf "c%d_total" i)) v)
-          counters;
-        let h = Registry.histogram ~buckets:[| 1.; 5. |] reg "h_seconds" in
-        List.iter (fun v -> Registry.observe h (float_of_int v)) observations;
-        Registry.snapshot reg
-      in
-      let a = build obs_a and b = build obs_b and c = build (obs_a @ obs_b) in
-      let left = Snapshot.to_openmetrics (Snapshot.merge (Snapshot.merge a b) c) in
-      let right = Snapshot.to_openmetrics (Snapshot.merge a (Snapshot.merge b c)) in
-      if left <> right then QCheck.Test.fail_report "merge association changed the exposition";
-      let lines = String.split_on_char '\n' left in
+(* Every line of a generated registry's exposition is a comment or a
+   sample, and the document ends in # EOF. *)
+let openmetrics_shape_prop =
+  QCheck.Test.make ~count:100 ~name:"openmetrics line shape"
+    QCheck.(pair (small_list small_nat) (small_list (int_range 0 10)))
+    (fun (counters, observations) ->
+      let reg = Registry.create () in
+      List.iteri
+        (fun i v -> Registry.incr_by (Registry.counter reg (Printf.sprintf "c%d_total" i)) v)
+        counters;
+      let h = Registry.histogram ~buckets:[| 1.; 5. |] reg "h_seconds" in
+      List.iter (fun v -> Registry.observe h (float_of_int v)) observations;
+      let text = Snapshot.to_openmetrics (Registry.snapshot reg) in
       List.for_all
         (fun line ->
           line = ""
-          || String.length line >= 1
-             && (line.[0] = '#'
-                || (match line.[0] with
-                   | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
-                   | _ -> false)))
-        lines
-      && contains ~needle:"# EOF" left)
+          || line.[0] = '#'
+          || match line.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
+        (String.split_on_char '\n' text)
+      && contains ~needle:"# EOF" text)
 
 (* Metric labels *)
 
@@ -994,38 +976,6 @@ let test_openmetrics_labels () =
          "";
        ])
     (Snapshot.to_openmetrics (Registry.snapshot reg))
-
-(* Labeled series must recombine the same way regardless of shard
-   order: counters and integer-valued histograms are commutative, so
-   the exposition of [merge a b] and [merge b a] is byte-identical —
-   the per-shard determinism the --domains 1/4 identity tests lean on,
-   here exercised directly on labeled families (including values that
-   need escaping). *)
-let labeled_merge_prop =
-  QCheck.Test.make ~count:100 ~name:"labeled merge exposition is order-invariant"
-    QCheck.(
-      pair
-        (small_list (pair (int_range 0 3) (int_range 0 10)))
-        (small_list (pair (int_range 0 3) (int_range 0 10))))
-    (fun (shard_a, shard_b) ->
-      let tenants = [| "acme"; "beta"; "gamma"; "ot\"h\\er\n" |] in
-      let build shard =
-        let reg = Registry.create () in
-        Registry.incr_by (Registry.counter reg "req_total") 0;
-        List.iter
-          (fun (t, v) ->
-            let labels = [ ("tenant", tenants.(t)) ] in
-            Registry.incr_by (Registry.counter ~labels reg "req_total") v;
-            Registry.observe
-              (Registry.histogram ~buckets:[| 1.; 5. |] ~labels reg "lat_seconds")
-              (float_of_int v))
-          shard;
-        Registry.snapshot reg
-      in
-      let a = build shard_a and b = build shard_b in
-      String.equal
-        (Snapshot.to_openmetrics (Snapshot.merge a b))
-        (Snapshot.to_openmetrics (Snapshot.merge b a)))
 
 (* Sliding windows *)
 
@@ -1131,7 +1081,7 @@ let test_window_clock_regression () =
   Window.observe w 5.;
   Alcotest.(check int) "same-interval backstep uncounted" 1 (Window.clock_regressions w)
 
-let test_window_export_absorb () =
+let test_window_export () =
   let now = ref 500. in
   let w = Window.create ~clock:(fun () -> !now) ~window_seconds:60. () in
   Window.observe w 0.2;
@@ -1150,14 +1100,6 @@ let test_window_export_absorb () =
   Alcotest.(check (float 0.)) "p50 gauge matches the estimator"
     (Window.quantile w 0.5)
     (Snapshot.gauge_value snap "serve.e2e_seconds.window.p50");
-  (* absorb reproduces the gauge family unchanged in another registry *)
-  let other = Registry.create () in
-  Registry.incr (Registry.counter other "other.counter");
-  Registry.absorb other snap;
-  let merged = Registry.snapshot other in
-  Alcotest.(check (float 0.)) "absorbed count" 2.
-    (Snapshot.gauge_value merged "serve.e2e_seconds.window.count");
-  Alcotest.(check int) "counters untouched" 1 (Snapshot.counter_value merged "other.counter");
   (* and re-export after more traffic overwrites, last write wins *)
   Window.observe w 0.6;
   Window.export w reg ~name:"serve.e2e_seconds";
@@ -1415,13 +1357,12 @@ let () =
           Alcotest.test_case "cumulative histogram with +Inf" `Quick
             test_openmetrics_histogram;
           Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-          Tq.to_alcotest openmetrics_merge_prop;
+          Tq.to_alcotest openmetrics_shape_prop;
         ] );
       ( "labels",
         [
           Alcotest.test_case "canonical form and escaping" `Quick test_labels_canonical;
           Alcotest.test_case "labeled exposition golden" `Quick test_openmetrics_labels;
-          Tq.to_alcotest labeled_merge_prop;
         ] );
       ( "windows",
         [
@@ -1429,7 +1370,7 @@ let () =
           Alcotest.test_case "ring rotation and idle decay" `Quick test_window_rotation;
           Alcotest.test_case "clock regression keeps live slots" `Quick
             test_window_clock_regression;
-          Alcotest.test_case "export/absorb gauge family" `Quick test_window_export_absorb;
+          Alcotest.test_case "export gauge family" `Quick test_window_export;
           Tq.to_alcotest window_rotation_prop;
           Tq.to_alcotest window_quantile_prop;
         ] );

@@ -186,98 +186,6 @@ let test_split_rng_deterministic () =
   Alcotest.(check bool) "same parent, same streams" true (streams 7 = streams 7);
   Alcotest.(check bool) "different parent, different streams" true (streams 7 <> streams 8)
 
-(* --- Snapshot.merge / Registry.absorb --- *)
-
-(* Exact binary fractions, so histogram sums are associative in float
-   arithmetic and the associativity check below can compare exactly. *)
-let sample_registry spin =
-  let r = Obs.Registry.create () in
-  Obs.Registry.incr_by (Obs.Registry.counter r "c.total") (10 * spin);
-  Obs.Registry.set (Obs.Registry.gauge r "g") (float_of_int spin);
-  let h =
-    Obs.Registry.histogram ~buckets:Obs.Registry.fraction_buckets r "h"
-  in
-  Obs.Registry.observe h (0.125 *. float_of_int spin);
-  Obs.Registry.observe h 0.5;
-  r
-
-let test_snapshot_merge () =
-  let a = Obs.Registry.snapshot (sample_registry 1) in
-  let b = Obs.Registry.snapshot (sample_registry 2) in
-  let m = Obs.Snapshot.merge a b in
-  Alcotest.(check int) "counters add" 30 (Obs.Snapshot.counter_value m "c.total");
-  Alcotest.(check (float 0.)) "gauge takes the later shard" 2. (Obs.Snapshot.gauge_value m "g");
-  Alcotest.(check int) "histogram counts add" 4 (Obs.Snapshot.histogram_count m "h");
-  Alcotest.(check (float 0.)) "histogram sums add" (0.125 +. 0.5 +. 0.25 +. 0.5)
-    (Obs.Snapshot.histogram_sum m "h");
-  (* Associativity is what lets shards fold in order. *)
-  let c = Obs.Registry.snapshot (sample_registry 3) in
-  Alcotest.(check bool) "associative" true
-    (Obs.Snapshot.merge (Obs.Snapshot.merge a b) c
-    = Obs.Snapshot.merge a (Obs.Snapshot.merge b c));
-  Alcotest.(check bool) "empty is the identity" true
-    (Obs.Snapshot.merge Obs.Snapshot.empty a = a)
-
-let test_snapshot_merge_kind_mismatch () =
-  let a = Obs.Registry.create () in
-  Obs.Registry.incr (Obs.Registry.counter a "x");
-  let b = Obs.Registry.create () in
-  Obs.Registry.set (Obs.Registry.gauge b "x") 1.;
-  let sa = Obs.Registry.snapshot a and sb = Obs.Registry.snapshot b in
-  match Obs.Snapshot.merge sa sb with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-let test_registry_absorb () =
-  let live = sample_registry 1 in
-  Obs.Registry.absorb live (Obs.Registry.snapshot (sample_registry 2));
-  let merged =
-    Obs.Snapshot.merge
-      (Obs.Registry.snapshot (sample_registry 1))
-      (Obs.Registry.snapshot (sample_registry 2))
-  in
-  Alcotest.(check bool) "absorb = snapshot merge" true
-    (Obs.Registry.snapshot live = merged);
-  (* Disabled registries stay silent. *)
-  Obs.Registry.absorb Obs.Registry.noop (Obs.Registry.snapshot (sample_registry 1));
-  Alcotest.(check bool) "noop absorb" true
-    (Obs.Registry.snapshot Obs.Registry.noop = Obs.Snapshot.empty)
-
-(* --- Trace.merge --- *)
-
-let shard_trace label =
-  let t = Obs.Trace.create () in
-  Obs.Trace.span t ("work-" ^ label) (fun () ->
-      Obs.Trace.span t "inner" (fun () -> ());
-      Obs.Trace.decide t ~id:0 ~label (Obs.Trace.Rejected { binding = label }));
-  t
-
-let test_trace_merge_grafts_in_order () =
-  let parent = Obs.Trace.create () in
-  Obs.Trace.span parent "batch" (fun () ->
-      Obs.Trace.merge parent [ shard_trace "a"; shard_trace "b" ]);
-  let shape =
-    List.map
-      (fun n -> (n.Obs.Trace.name, n.Obs.Trace.depth, n.Obs.Trace.id, n.Obs.Trace.parent))
-      (Obs.Trace.nodes parent)
-  in
-  (* Shard roots graft under the open span; ids continue the parent's
-     sequence, shard by shard — exactly the sequential allocation. *)
-  Alcotest.(check bool) "tree shape" true
-    (shape
-    = [
-        ("batch", 0, 0, None);
-        ("work-a", 1, 1, Some 0);
-        ("inner", 2, 2, Some 1);
-        ("work-b", 1, 3, Some 0);
-        ("inner", 2, 4, Some 3);
-      ]);
-  Alcotest.(check (list string)) "decisions append in shard order" [ "a"; "b" ]
-    (List.map (fun d -> d.Obs.Trace.label) (Obs.Trace.decisions parent));
-  (* Merging into a disabled trace is a no-op. *)
-  Obs.Trace.merge Obs.Trace.noop [ shard_trace "c" ];
-  Alcotest.(check int) "noop unchanged" 0 (Obs.Trace.span_count Obs.Trace.noop)
-
 (* --- sequential/parallel bit-identity --- *)
 
 let aggregator_config =
@@ -391,13 +299,6 @@ let () =
           Alcotest.test_case "export gauges" `Quick test_pool_export_gauges;
           Alcotest.test_case "profiling preserves determinism" `Quick
             test_profiling_preserves_determinism;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "snapshot merge" `Quick test_snapshot_merge;
-          Alcotest.test_case "merge kind mismatch" `Quick test_snapshot_merge_kind_mismatch;
-          Alcotest.test_case "registry absorb" `Quick test_registry_absorb;
-          Alcotest.test_case "trace merge" `Quick test_trace_merge_grafts_in_order;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
