@@ -33,8 +33,9 @@ bench-smoke: build
 # queue drained to zero, and the socket was unlinked on exit. A tick
 # that would overflow the daemon clock must be answered with a typed
 # error and leave the socket loop serving. The first daemon runs at two
-# domains, and all three of its submits need ADPaR, so its triage is
-# computed sharded and cached. Uses the
+# domains, and all four of its submits need ADPaR, so its triage is
+# computed sharded and cached; the fourth repeats the first one's shape
+# in a second epoch, so both its lookups hit the triage cache. Uses the
 # built binary directly so client and server never race for the dune
 # build lock.
 SERVE_BIN = ./_build/default/bin/stratrec_serve.exe
@@ -52,6 +53,8 @@ serve-smoke: build
 	  '{"op":"submit","id":2,"params":"0.6,0.6,0.6","k":2,"tenant":"beta"}' \
 	  '{"op":"submit","id":3,"params":"0.8,0.3,0.4","k":2,"tenant":"acme"}' \
 	  '{"op":"flush"}' \
+	  '{"op":"submit","id":4,"params":"0.9,0.2,0.3","k":2,"tenant":"beta"}' \
+	  '{"op":"flush"}' \
 	  'GET metrics' \
 	  '{"op":"shutdown"}' \
 	  | $(SERVE_BIN) --connect --socket "$$sock" > "$$tmp/out" \
@@ -64,20 +67,24 @@ serve-smoke: build
 	  || { echo "serve-smoke: fresh daemon not ready"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '^{"ok":false,"status":"error","error":"tick: ' "$$tmp/out" \
 	  || { echo "serve-smoke: overflowing tick not answered typed"; cat "$$tmp/out"; exit 1; }; \
-	test "$$(grep -c '"status":"completed"' "$$tmp/out")" = 3 \
-	  || { echo "serve-smoke: expected 3 completed responses"; cat "$$tmp/out"; exit 1; }; \
-	test "$$(grep -c '"lineage":{' "$$tmp/out")" = 3 \
+	test "$$(grep -c '"status":"completed"' "$$tmp/out")" = 4 \
+	  || { echo "serve-smoke: expected 4 completed responses"; cat "$$tmp/out"; exit 1; }; \
+	test "$$(grep -c '"lineage":{' "$$tmp/out")" = 4 \
 	  || { echo "serve-smoke: completed responses missing lineage"; cat "$$tmp/out"; exit 1; }; \
-	test "$$(grep -c '"outcome":"alternative"' "$$tmp/out")" = 3 \
-	  || { echo "serve-smoke: expected 3 ADPaR alternatives"; cat "$$tmp/out"; exit 1; }; \
-	grep -q '^serve_accepted_total 3$$' "$$tmp/out" \
-	  || { echo "serve-smoke: accepted_total != 3"; cat "$$tmp/out"; exit 1; }; \
-	grep -q '^serve_epoch_requests_total 3$$' "$$tmp/out" \
+	test "$$(grep -c '"outcome":"alternative"' "$$tmp/out")" = 4 \
+	  || { echo "serve-smoke: expected 4 ADPaR alternatives"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^serve_accepted_total 4$$' "$$tmp/out" \
+	  || { echo "serve-smoke: accepted_total != 4"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^serve_epoch_requests_total 4$$' "$$tmp/out" \
 	  || { echo "serve-smoke: triaged != accepted (admission leak)"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '^serve_queue_depth 0$$' "$$tmp/out" \
 	  || { echo "serve-smoke: queue not drained"; cat "$$tmp/out"; exit 1; }; \
-	grep -q '^serve_requests_window_count 3$$' "$$tmp/out" \
+	grep -q '^serve_requests_window_count 4$$' "$$tmp/out" \
 	  || { echo "serve-smoke: sliding window missed the requests"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^cache_hits_total 2$$' "$$tmp/out" \
+	  || { echo "serve-smoke: the repeated shape did not hit the cache twice"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^cache_misses_total 6$$' "$$tmp/out" \
+	  || { echo "serve-smoke: expected 6 cache misses (3 shapes x 2 lookups)"; cat "$$tmp/out"; exit 1; }; \
 	sock2="$$tmp/serve2.sock"; \
 	$(SERVE_BIN) --socket "$$sock2" --epoch-requests 8 --faults no-show=1 & pid2=$$!; \
 	for i in $$(seq 1 50); do test -S "$$sock2" && break; sleep 0.1; done; \

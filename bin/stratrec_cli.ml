@@ -194,7 +194,7 @@ let retries_arg =
     "Retries per satisfied request on top of the first attempt (implies $(b,--deploy)), \
      backing off exponentially in simulated window time."
   in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:0) 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let deploy_arg =
   let doc =
@@ -210,7 +210,7 @@ let capacity_arg =
 
 let population_arg =
   let doc = "Simulated platform population for the deploy stage." in
-  Arg.(value & opt int 200 & info [ "population" ] ~docv:"P" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:1) 200 & info [ "population" ] ~docv:"P" ~doc)
 
 let window_arg =
   let doc = "Deployment window: weekend, early-week or late-week." in
@@ -222,20 +222,17 @@ let window_arg =
    generation must consume the rng stream first so recommend-only output
    is unchanged by the deploy flags. *)
 let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
-  if retries < 0 then Error (`Msg "--retries must be non-negative")
-  else if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then Ok None
-  else if population <= 0 then Error (`Msg "--population must be positive")
+  if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then None
   else
-    Ok
-      (Some
-         {
-           Engine.platform = Sim.Platform.create rng ~population;
-           kind = Sim.Task_spec.Sentence_translation;
-           window;
-           capacity;
-           faults;
-           resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
-         })
+    Some
+      {
+        Engine.platform = Sim.Platform.create rng ~population;
+        kind = Sim.Task_spec.Sentence_translation;
+        window;
+        capacity;
+        faults;
+        resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
+      }
 
 let print_deployed (report : Engine.report) =
   match report.Engine.deployed with
@@ -285,7 +282,7 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
   let rng = Rng.create seed in
   let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
   let requests = Model.Workload.requests rng ~m ~k in
-  let* deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
+  let deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
   let availability = Model.Availability.certain w in
   let config =
     Engine.with_aggregator
@@ -367,12 +364,12 @@ let adpar_cmd =
 let catalog seed n stages dist output =
   let rng = Rng.create seed in
   let strategies =
-    if stages <= 1 then Model.Workload.strategies rng ~n ~kind:dist
+    if stages = 1 then Model.Workload.strategies rng ~n ~kind:dist
     else Model.Workload.workflows rng ~n ~stages ~kind:dist
   in
   match Model.Codec.save ~path:output (Model.Codec.catalog_to_json strategies) with
   | () ->
-      Printf.printf "wrote %d strategies (%d stage%s each) to %s\n" n (max 1 stages)
+      Printf.printf "wrote %d strategies (%d stage%s each) to %s\n" n stages
         (if stages > 1 then "s" else "")
         output;
       Ok ()
@@ -380,7 +377,7 @@ let catalog seed n stages dist output =
 
 let catalog_cmd =
   let stages_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (Stratrec_conv.count ~min:1) 1
          & info [ "stages" ] ~docv:"X" ~doc:"Stages per workflow strategy (1 = single-stage).")
   in
   let output_arg =
@@ -466,7 +463,7 @@ let example show_metrics metrics_format metrics_out trace_dest log_dest profile 
     faults retries domains cache =
   with_log log_dest @@ fun log ->
   let rng = Rng.create 2020 in
-  let* deploy =
+  let deploy =
     deploy_config ~rng ~deploy ~faults ~retries ~population:200 ~capacity:5
       ~window:Sim.Window.Weekend
   in

@@ -79,11 +79,11 @@ let faults_arg =
 
 let retries_arg =
   let doc = "Retries per satisfied request (implies $(b,--deploy))." in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:0) 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let population_arg =
   let doc = "Simulated platform population for the deploy stage." in
-  Arg.(value & opt int 200 & info [ "population" ] ~docv:"P" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:1) 200 & info [ "population" ] ~docv:"P" ~doc)
 
 let capacity_arg =
   let doc = "Workers per deployed HIT." in
@@ -132,7 +132,7 @@ let drain_timeout_arg =
 let brownout_saturation_arg =
   let doc =
     "Queue-saturation fraction that walks the brownout ladder up one rung (recovery at \
-     saturation/p99 back below the low-water marks). Rung 1 disables tracing/profiling, \
+     saturation/p99 back below the low-water marks). Rung 1 turns tracing off, \
      rung 2 halves the epoch fill, rung 3 sheds low-priority and over-share submits with \
      typed $(b,overloaded) responses."
   in
@@ -220,20 +220,17 @@ let catalog_or_generate ~rng ~n ~dist = function
   | None -> Ok (Model.Workload.strategies rng ~n ~kind:dist)
 
 let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
-  if retries < 0 then Error (`Msg "--retries must be non-negative")
-  else if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then Ok None
-  else if population <= 0 then Error (`Msg "--population must be positive")
+  if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then None
   else
-    Ok
-      (Some
-         {
-           Engine.platform = Sim.Platform.create rng ~population;
-           kind = Sim.Task_spec.Sentence_translation;
-           window;
-           capacity;
-           faults;
-           resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
-         })
+    Some
+      {
+        Engine.platform = Sim.Platform.create rng ~population;
+        kind = Sim.Task_spec.Sentence_translation;
+        window;
+        capacity;
+        faults;
+        resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
+      }
 
 let load_slo_file = function
   | None -> Ok []
@@ -270,7 +267,7 @@ let main seed n dist catalog w objective domains cache deploy faults retries pop
   else
     let rng = Rng.create seed in
     let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
-    let* deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
+    let deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
     let* file_slos = load_slo_file slo_file in
     let engine =
       Engine.(

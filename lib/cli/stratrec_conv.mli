@@ -48,10 +48,11 @@ val workforce : float Cmdliner.Arg.conv
     rejected), the value {!Stratrec_model.Availability.certain} accepts. *)
 
 val count : min:int -> int Cmdliner.Arg.conv
-(** An integer of at least [min]: a catalog or batch size ([~min:0]), a
-    cardinality [k] or a platform population ([~min:1]). Checking at
-    parse time turns what would be an [Invalid_argument] deep in the
-    run into a CLI error naming the flag. *)
+(** An integer of at least [min]: a catalog or batch size or a retry
+    budget ([~min:0]), a cardinality [k], a platform population or a
+    stage count ([~min:1]). Checking at parse time turns what would be an
+    [Invalid_argument] deep in the run, or a silently clamped value, into
+    a CLI error naming the flag. *)
 
 val request : Stratrec.Request.t Cmdliner.Arg.conv
 (** The compact request spelling

@@ -122,40 +122,63 @@ let memoized ?pool ?cache ~find ~store ~f ds =
               v)
         ds
 
-(* The catalog one run matches against: [given] re-estimated at [at]
-   (or as given when [at] is None), and the ADPaR skyband of the result,
-   built at the first ADPaR call that needs it. *)
+(* What one run matches against: the catalog [given] re-estimated at
+   [at] (or as given when [at] is None), and the ADPaR skyband of the
+   result, built at the first ADPaR call that needs it. A memo binds
+   [aggregation] and [rule] beside them, for its cache's sake. *)
 type prepared = {
   given : Strategy.t array;
   at : float option;
+  aggregation : Workforce.aggregation;
+  rule : [ `Direction_aware | `Paper_equality ];
   catalog : Strategy.t array;
   mutable skyband : Adpar.skyband option;
 }
 
-type memo = { mutable last : prepared option }
+type memo = { cache : Triage_cache.t option; mutable bound : prepared option }
 
-let memo () = { last = None }
+let memo ?cache () = { cache; bound = None }
 
-(* Keyed on the array's identity, not its contents: comparing contents
-   would cost what re-estimating does. Handing back the same array every
-   run is also what lets [Triage_cache.set_context] stop at its
-   physical-equality fast path. *)
-let prepare memo ~at strategies =
+(* A memo binds to its first run's inputs for good, so neither its
+   catalog nor its cache's entries can go stale. The catalog is compared
+   by identity, not contents: comparing contents would cost what
+   re-estimating does. *)
+let prepare memo (config : config) ~at strategies =
+  let fresh () =
+    let catalog =
+      match at with
+      | Some w -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
+      | None -> strategies
+    in
+    {
+      given = strategies;
+      at;
+      aggregation = config.aggregation;
+      rule = config.inversion_rule;
+      catalog;
+      skyband = None;
+    }
+  in
   match memo with
-  | Some { last = Some p } when p.given == strategies && Option.equal Float.equal p.at at -> p
-  | Some _ | None ->
-      let catalog =
-        match at with
-        | Some w -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
-        | None -> strategies
-      in
-      let p = { given = strategies; at; catalog; skyband = None } in
-      Option.iter (fun m -> m.last <- Some p) memo;
+  | None -> fresh ()
+  | Some ({ bound = None; _ } as m) ->
+      let p = fresh () in
+      m.bound <- Some p;
       p
+  | Some { bound = Some p; _ } ->
+      if
+        p.given == strategies
+        && Option.equal Float.equal p.at at
+        && p.aggregation = config.aggregation
+        && p.rule = config.inversion_rule
+      then p
+      else
+        invalid_arg
+          "Aggregator.run: the memo is bound to another catalog, W, aggregation or \
+           inversion rule"
 
 let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
-    ?(trace = Obs.Trace.noop) ?(domains = 1) ?cache ?memo ~availability ~strategies
-    ~requests () =
+    ?(trace = Obs.Trace.noop) ?(domains = 1) ?memo ~availability ~strategies ~requests () =
   if domains < 1 then invalid_arg "Aggregator.run: domains must be >= 1";
   let pool = if domains > 1 then Some (Stratrec_par.Pool.shared ~domains) else None in
   Obs.Trace.span trace "aggregator.batch"
@@ -175,23 +198,10 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
   (* With a memo, a session re-estimates its catalog once, not every
      epoch, and keeps one skyband for it. *)
   let prepared =
-    prepare memo ~at:(if config.reestimate_parameters then Some w else None) strategies
+    prepare memo config ~at:(if config.reestimate_parameters then Some w else None) strategies
   in
   let strategies = prepared.catalog in
-  (* Bind the cache to this epoch's scope before any probe: a workforce
-     change, another objective/aggregation/rule or a different
-     (instantiated) catalog flushes every entry. *)
-  Option.iter
-    (fun c ->
-      Triage_cache.set_context c
-        {
-          Triage_cache.objective = config.objective;
-          aggregation = config.aggregation;
-          rule = config.inversion_rule;
-          availability = w;
-          strategies;
-        })
-    cache;
+  let cache = Option.bind memo (fun m -> m.cache) in
   (* Every request's BatchStrat requirement, by the one catalog scan of
      [Workforce.streaming_requirement]: requests are independent, so the
      misses are computed sharded when a pool is up, and no path builds a
@@ -328,11 +338,6 @@ let workforce_limited report =
   |> List.filter_map (function
        | d, Workforce_limited -> Some d
        | _, (Satisfied _ | Alternative _ | No_alternative) -> None)
-
-let satisfied_fraction report =
-  let total = Array.length report.outcomes in
-  if total = 0 then 1.
-  else float_of_int (List.length (satisfied report)) /. float_of_int total
 
 let pp_outcome ppf = function
   | Satisfied { strategies; workforce } ->

@@ -52,19 +52,27 @@ type report = {
 
 type memo
 (** What a caller that runs many batches over one catalog keeps between
-    runs: the catalog re-estimated at the last W, and the ADPaR
-    {!Adpar.skyband} of that re-estimated array. An {!Engine} session
-    holds one. Not thread-safe: pass it to one run at a time. *)
+    runs: the catalog re-estimated at W, the ADPaR {!Adpar.skyband} of
+    that re-estimated array, and optionally a {!Triage_cache}. An
+    {!Engine} session holds one. Not thread-safe: pass it to one run at
+    a time. *)
 
-val memo : unit -> memo
-(** An empty memo. *)
+val memo : ?cache:Triage_cache.t -> unit -> memo
+(** An unbound memo. Its first run binds it, for good, to that run's
+    [strategies] array (by identity, not contents), the W it
+    re-estimates at (none when its config does not re-estimate), and its
+    config's aggregation and inversion rule; every later run through it
+    must pass the same four (the objective is free: no memoized value
+    depends on it). So a memo never re-estimates, and [cache], whose
+    entries depend only on those four and the request, never holds a
+    stale entry. Give a cache to one memo only, and do not mutate the
+    array while a memo is bound to it. *)
 
 val run :
   ?config:config ->
   ?metrics:Stratrec_obs.Registry.t ->
   ?trace:Stratrec_obs.Trace.t ->
   ?domains:int ->
-  ?cache:Triage_cache.t ->
   ?memo:memo ->
   availability:Stratrec_model.Availability.t ->
   strategies:Stratrec_model.Strategy.t array ->
@@ -86,32 +94,31 @@ val run :
     loop stay sequential; they are O(m log m) and order-dependent.
     @raise Invalid_argument when [domains < 1].
 
-    [memo] keeps the re-estimated catalog across runs, keyed on the
-    identity of [strategies] and on W: runs that pass the same array at
-    the same W re-estimate it once and match against the very same
-    array. Do not mutate an array between runs that share a memo; pass a
-    fresh array, or a fresh {!memo}, after changing a catalog. Beside
-    it the memo keeps the catalog's {!Adpar.skyband}, built on the
-    calling domain at the first run that computes an ADPaR triage, before
-    any shard starts; every ADPaR search of the run, live, cached or
-    sharded, then sweeps only the skyband. The report, every
-    decision and span are those of a run without a memo, and so is every
-    counter except [adpar.sweep_events_total] and
-    [adpar.prune_cutoffs_total], which count the smaller sweep. Without
-    a memo each run re-estimates the catalog and ADPaR sweeps all of it.
+    [memo] keeps the re-estimated catalog across runs: every run through
+    one memo matches against the very same array, re-estimated once at
+    the memo's first run. Beside it the memo keeps the catalog's
+    {!Adpar.skyband}, built on the calling domain at the first run that
+    computes an ADPaR triage, before any shard starts; every ADPaR
+    search of the run, live, cached or sharded, then sweeps only the
+    skyband. The report, every decision and span are those of a run
+    without a memo, and so is every counter except
+    [adpar.sweep_events_total] and [adpar.prune_cutoffs_total], which
+    count the smaller sweep. Without a memo each run re-estimates the
+    catalog and ADPaR sweeps all of it.
+    @raise Invalid_argument when [memo] is bound to another catalog
+    array, W, aggregation or inversion rule (see {!memo}).
 
-    [cache] memoizes the two pure per-request computations across runs
-    ({!Triage_cache}): the BatchStrat requirements and the ADPaR
-    triage of unsatisfied requests. The run binds the cache to this
-    epoch's context first (objective, aggregation, rule, W, instantiated
-    catalog — any change flushes), probes and stores only from the
-    calling domain, and computes misses sharded when [domains > 1]. A
-    triage entry is an {!Adpar.answer}, recorded like any other answer,
-    so the report, counters, span tree and decisions are bit-identical
-    to an uncached run at any domain count — only the [cache.*] counters
-    and gauges (absent without a cache) differ. Without a pool each
-    request is probed, computed and stored in turn, so a repeat later in
-    the batch already hits; with one, every request is probed first.
+    A memo's cache memoizes the two pure per-request computations
+    across runs ({!Triage_cache}): the BatchStrat requirements and the
+    ADPaR triage of unsatisfied requests. The run probes and stores
+    only from the calling domain, and computes misses sharded when
+    [domains > 1]. A triage entry is an {!Adpar.answer}, recorded like
+    any other answer, so the report, counters, span tree and decisions
+    are bit-identical to an uncached run at any domain count — only the
+    [cache.*] counters and gauges (absent without a cache) differ.
+    Without a pool each request is probed, computed and stored in turn,
+    so a repeat later in the batch already hits; with one, every
+    request is probed first.
 
     [metrics] (default {!Stratrec_obs.Registry.noop})
     records [aggregator.batches_total], [aggregator.requests_total], the
@@ -171,8 +178,5 @@ val retriage :
 val satisfied : report -> (Stratrec_model.Deployment.t * Stratrec_model.Strategy.t list) list
 val alternatives : report -> (Stratrec_model.Deployment.t * Adpar.result) list
 val workforce_limited : report -> Stratrec_model.Deployment.t list
-val satisfied_fraction : report -> float
-(** Fraction of requests satisfied without ADPaR — Fig. 14's metric. 1.0
-    for an empty batch. *)
 
 val pp_report : Format.formatter -> report -> unit

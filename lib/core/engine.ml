@@ -191,22 +191,19 @@ type session = {
       (* resolved lazily (seed 2020) the first time the deploy stage
          needs it — exactly when the one-shot path created it *)
   breaker : Res.Breaker.t option;
-  cache : Triage_cache.t option;
-      (* epoch-scoped triage cache — context-bound each epoch by the
-         aggregator, flushed on workforce/model change *)
-  mutable memo : Aggregator.memo;
-      (* the re-estimated catalog and its ADPaR skyband, cached or not;
-         a model-version bump starts a fresh one *)
+  cache : Triage_cache.t option;  (* the memo's, kept for its stats *)
+  memo : Aggregator.memo;
+      (* the re-estimated catalog, its ADPaR skyband and the cache,
+         bound at the first epoch to [strategies], W, aggregation and
+         rule, none of which a session can change *)
   clock : float ref;  (* simulated deploy hours, shared across epochs *)
   mutable decisions_seen : int;
   mutable epochs : int;
   mutable closed : bool;
-  (* Live observability switches (serve's brownout ladder flips these
-     between epochs): when [live_trace] is off, epochs run against
-     Trace.noop — the session trace neither grows nor loses its
-     history; [live_profile] overrides config.profile the same way. *)
+  (* Live trace switch (serve's brownout ladder flips it between
+     epochs): when off, epochs run against Trace.noop — the session
+     trace neither grows nor loses its history. *)
   mutable live_trace : bool;
-  mutable live_profile : bool;
 }
 
 (* Spawn the shared pool up front, so a domain count the runtime cannot
@@ -249,35 +246,28 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
         {
           config;
           availability;
-          (* The session's own copy: the memo keys re-estimation on this
-             array's identity, so no caller may be able to mutate it. *)
+          (* The session's own copy: the memo binds to this array's
+             identity, so no caller may be able to mutate it. *)
           strategies = Array.copy strategies;
           metrics;
           trace;
           rng;
           breaker;
           cache;
-          memo = Aggregator.memo ();
+          memo = Aggregator.memo ?cache ();
           clock = ref 0.;
           decisions_seen = 0;
           epochs = 0;
           closed = false;
           live_trace = true;
-          live_profile = config.profile;
         }
 
-let set_observability session ?trace ?profile () =
-  Option.iter (fun on -> session.live_trace <- on) trace;
-  Option.iter (fun on -> session.live_profile <- on) profile
+let set_observability session ~trace = session.live_trace <- trace
 
 let epochs session = session.epochs
 let closed session = session.closed
 let cache_stats session = Option.map Triage_cache.stats session.cache
 let cache_hit_ratio session = Option.map Triage_cache.hit_ratio session.cache
-
-let bump_model_version session =
-  session.memo <- Aggregator.memo ();
-  Option.iter Triage_cache.bump_model_version session.cache
 let breaker_state session = Option.map Res.Breaker.state session.breaker
 let session_metrics session = Obs.Registry.snapshot session.metrics
 let session_trace session = session.trace
@@ -497,7 +487,7 @@ let submit ?deadline_hours session requests_in =
            decisions are untouched, so a profiled run's report is
            bit-identical to an unprofiled one at any domain count. *)
         let pool =
-          if session.live_profile && config.domains > 1 then
+          if config.profile && config.domains > 1 then
             Some (Stratrec_par.Pool.shared ~domains:config.domains)
           else None
         in
@@ -507,7 +497,7 @@ let submit ?deadline_hours session requests_in =
             Stratrec_par.Pool.set_profiling p true)
           pool;
         let profiled f =
-          if session.live_profile then Obs.Profile.time metrics "engine.run" f else f ()
+          if config.profile then Obs.Profile.time metrics "engine.run" f else f ()
         in
         let report =
           Obs.Trace.span trace "engine.run"
@@ -535,7 +525,7 @@ let submit ?deadline_hours session requests_in =
               let stage_start = Obs.Registry.now metrics in
               let aggregate =
                 Aggregator.run ~config:config.aggregator ~metrics ~trace
-                  ~domains:config.domains ?cache:session.cache ~memo:session.memo
+                  ~domains:config.domains ~memo:session.memo
                   ~availability:session.availability ~strategies:session.strategies
                   ~requests ()
               in

@@ -92,15 +92,16 @@ type config = {
           [warn] per deploy-stage rejection, each correlated to the
           enclosing trace span *)
   cache : Triage_cache.config option;
-      (** [Some config] gives the session an epoch-scoped {!Triage_cache}
-          (bound to the session registry for its [cache.*] counters):
-          BatchStrat requirements and ADPaR triage results are
-          memoized across epochs on quantized (params, k) keys, flushed
-          whenever the epoch context (workforce, catalog, objective,
-          aggregation, rule) or the model version changes. Reports stay
-          bit-identical to an uncached run at any domain count — the
-          [cache.*] counters and gauges are the only additions. Default
-          [None] (no cache). Capacity must be >= 1
+      (** [Some config] gives the session a {!Triage_cache} (bound to
+          the session registry for its [cache.*] counters), held by its
+          {!Aggregator.memo}: BatchStrat requirements and ADPaR triage
+          results are memoized across epochs on quantized (params, k)
+          keys. The memo binds them to the session's catalog, W,
+          aggregation and inversion rule, which a session never
+          changes, so no entry goes stale and none is ever flushed.
+          Reports stay bit-identical to an uncached run at any domain
+          count — the [cache.*] counters and gauges are the only
+          additions. Default [None] (no cache). Capacity must be >= 1
           ([`Invalid_config]) *)
 }
 
@@ -244,9 +245,11 @@ val create :
     history then spans epochs), and the simulated deploy clock at 0.
     The session keeps its own copy of [strategies]: mutating the
     caller's array afterwards changes nothing the session computes. It
-    holds an {!Aggregator.memo} over that copy, cached or not: the
-    catalog is re-estimated once per session instead of every epoch, and
-    the first epoch that runs ADPaR builds the catalog's
+    holds an {!Aggregator.memo} (with the triage cache, when
+    [config.cache] asks for one), which the first epoch binds to that
+    copy, by identity, at the session's W, aggregation and inversion
+    rule: the catalog is re-estimated once per session instead of every
+    epoch, and the first epoch that runs ADPaR builds the catalog's
     {!Adpar.skyband}, which every later ADPaR triage sweeps. Reports,
     decisions and spans are unchanged by it; [adpar.sweep_events_total]
     and [adpar.prune_cutoffs_total] count the skyband sweep, whose
@@ -307,21 +310,13 @@ val cache_hit_ratio : session -> float option
 (** [hits / probes] of the session cache; [None] without one. The serve
     health surface reports this. *)
 
-val bump_model_version : session -> unit
-(** Forget the session's re-estimated catalog and skyband, and
-    force-invalidate the triage cache (flush + version bump) when the
-    session has one, without touching the catalog — the hook model
-    refitting will drive. *)
-
-val set_observability : session -> ?trace:bool -> ?profile:bool -> unit -> unit
-(** Flip the session's live observability between epochs — the serve
-    brownout ladder's first rung. With [~trace:false] subsequent epochs
-    run against {!Stratrec_obs.Trace.noop}: the session trace neither
-    grows nor loses history, and reports carry no fresh decisions.
-    [~profile] overrides [config.profile] the same way. Both default to
-    leaving the current setting untouched; [~trace:true] restores the
-    session trace, [~profile:true] restores profiling. Off the
-    determinism path: counters and triage decisions are unaffected. *)
+val set_observability : session -> trace:bool -> unit
+(** Flip the session's tracing between epochs — the serve brownout
+    ladder's first rung. With [~trace:false] subsequent epochs run
+    against {!Stratrec_obs.Trace.noop}: the session trace neither grows
+    nor loses history, and reports carry no fresh decisions;
+    [~trace:true] restores the session trace. Off the determinism path:
+    counters and triage decisions are unaffected. *)
 
 (** {1 One-shot} *)
 

@@ -1,6 +1,5 @@
 module Params = Stratrec_model.Params
 module Workforce = Stratrec_model.Workforce
-module Strategy = Stratrec_model.Strategy
 module Obs = Stratrec_obs
 
 type config = { capacity : int }
@@ -24,14 +23,6 @@ let policy_of_string s =
 let policy_to_string = function
   | None -> "off"
   | Some { capacity } -> string_of_int capacity
-
-type context = {
-  objective : Objective.t;
-  aggregation : Workforce.aggregation;
-  rule : [ `Direction_aware | `Paper_equality ];
-  availability : float;
-  strategies : Strategy.t array;
-}
 
 type value =
   | Requirement of Workforce.request_requirement option
@@ -59,8 +50,6 @@ type t = {
   mutable head : entry option;
   mutable tail : entry option;
   mutable size : int;
-  mutable context : context option;
-  mutable version : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -86,8 +75,6 @@ let create ?(config = default_config) ~metrics () =
     head = None;
     tail = None;
     size = 0;
-    context = None;
-    version = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -129,42 +116,6 @@ let touch t e =
   | _ ->
       unlink t e;
       push_front t e
-
-let flush t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.size <- 0
-
-(* --- context / version invalidation --- *)
-
-(* Structural equality, not a fingerprint: a hash collision across
-   different contexts would serve stale results, while an O(|S|)
-   comparison once per epoch is free. Polymorphic equality is safe here
-   (floats compared by value; a nan-bearing catalog compares unequal,
-   which errs toward flushing). *)
-let context_equal a b =
-  a == b
-  || a.objective = b.objective
-     && a.aggregation = b.aggregation
-     && a.rule = b.rule
-     && Float.equal a.availability b.availability
-     && (a.strategies == b.strategies || a.strategies = b.strategies)
-
-let set_context t context =
-  match t.context with
-  | Some previous when context_equal previous context -> t.context <- Some context
-  | Some _ ->
-      flush t;
-      t.version <- t.version + 1;
-      t.context <- Some context
-  | None -> t.context <- Some context
-
-let bump_model_version t =
-  flush t;
-  t.version <- t.version + 1
-
-let model_version t = t.version
 
 (* --- find / store --- *)
 

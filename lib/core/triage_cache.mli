@@ -1,4 +1,4 @@
-(** Epoch-scoped triage cache (ROADMAP: cross-request memoization).
+(** Triage cache: cross-request memoization for one session.
 
     Heavy traffic repeats a small space of (threshold, availability)
     shapes: both the BatchStrat per-request workforce requirement
@@ -6,10 +6,12 @@
     alternative ({!Adpar.exact}) are pure functions of (models, W,
     request params, k), so they can be memoized exactly. This module is
     a bounded LRU over both, keyed on the quantized request parameters
-    plus k, scoped to an epoch {e context} (objective, aggregation,
-    inversion rule, expected availability, instantiated catalog) and a
-    {e model version}; any context or version change flushes the cache,
-    so entries can never outlive the models that produced them.
+    plus k. Everything else they depend on is fixed for the cache's
+    whole life: {!Aggregator.run} reaches a cache only through the
+    {!Aggregator.memo} that holds it, and a memo binds, at its first
+    run, to one catalog, W, aggregation and inversion rule, refusing
+    runs with any other. So no entry can go stale, and nothing is ever
+    flushed; LRU eviction is the only way out.
 
     {b Bit-identity.} A hit must be observationally indistinguishable
     from recomputation — the same discipline the [--domains] work
@@ -53,32 +55,6 @@ val create : ?config:config -> metrics:Stratrec_obs.Registry.t -> unit -> t
     are visible on scrape surfaces before the first probe).
     @raise Invalid_argument if [config.capacity < 1]. *)
 
-(** The epoch scope: everything besides the request itself that the
-    cached computations depend on. [strategies] must be the
-    {e instantiated} catalog (after availability re-estimation). Runs
-    that share an {!Aggregator.memo} (an {!Engine} session's) bind the
-    very same re-estimated array every epoch, so the comparison stops at
-    its physical-equality fast path. *)
-type context = {
-  objective : Objective.t;
-  aggregation : Stratrec_model.Workforce.aggregation;
-  rule : [ `Direction_aware | `Paper_equality ];
-  availability : float;  (** expected availability W *)
-  strategies : Stratrec_model.Strategy.t array;
-}
-
-val set_context : t -> context -> unit
-(** Bind the epoch context. Compared structurally against the previous
-    one (physical equality fast path); any difference — a workforce
-    change, a different catalog, another objective — flushes every
-    entry. Call once per epoch before probing. *)
-
-val bump_model_version : t -> unit
-(** Force-invalidate: flushes the cache and increments the version, for
-    model refits that leave the catalog structurally unchanged. *)
-
-val model_version : t -> int
-
 val quantum : float
 (** Parameter quantization step (1e-6) for the table key. Lookup
     correctness never depends on it (see the exact-match guard); it only
@@ -111,7 +87,7 @@ val store_triage :
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
 val stats : t -> stats
-(** Lifetime tallies (across flushes; [size] is current residency). *)
+(** Lifetime tallies; [size] is current residency. *)
 
 val hit_ratio : t -> float
 (** [hits / (hits + misses)]; 0 before the first probe. *)

@@ -8,8 +8,6 @@ let of_point p = { lo = p; hi = p }
 let anchored p = make ~lo:Point3.zero ~hi:p
 
 let contains_point t p = Point3.weakly_dominates t.lo p && Point3.weakly_dominates p t.hi
-let contains_box t b = Point3.weakly_dominates t.lo b.lo && Point3.weakly_dominates b.hi t.hi
-
 let intersects a b =
   a.lo.Point3.x <= b.hi.Point3.x
   && b.lo.Point3.x <= a.hi.Point3.x
@@ -27,11 +25,6 @@ let volume t =
   (t.hi.Point3.x -. t.lo.Point3.x)
   *. (t.hi.Point3.y -. t.lo.Point3.y)
   *. (t.hi.Point3.z -. t.lo.Point3.z)
-
-let margin t =
-  t.hi.Point3.x -. t.lo.Point3.x
-  +. (t.hi.Point3.y -. t.lo.Point3.y)
-  +. (t.hi.Point3.z -. t.lo.Point3.z)
 
 let enlargement t extra = volume (union t extra) -. volume t
 let top_right t = t.hi

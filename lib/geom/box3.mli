@@ -20,7 +20,6 @@ val anchored : Point3.t -> t
 val contains_point : t -> Point3.t -> bool
 (** Closed-box membership. *)
 
-val contains_box : t -> t -> bool
 val intersects : t -> t -> bool
 
 val union : t -> t -> t
@@ -29,8 +28,6 @@ val union : t -> t -> t
 val union_point : t -> Point3.t -> t
 
 val volume : t -> float
-val margin : t -> float
-(** Sum of edge lengths (used by split heuristics). *)
 
 val enlargement : t -> t -> float
 (** [enlargement box extra] is [volume (union box extra) - volume box]. *)

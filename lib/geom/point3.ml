@@ -29,8 +29,6 @@ let squared_distance a b =
   (dx *. dx) +. (dy *. dy) +. (dz *. dz)
 
 let l2_distance a b = sqrt (squared_distance a b)
-let norm p = l2_distance p zero
-
 let componentwise_max a b = { x = Float.max a.x b.x; y = Float.max a.y b.y; z = Float.max a.z b.z }
 let componentwise_min a b = { x = Float.min a.x b.x; y = Float.min a.y b.y; z = Float.min a.z b.z }
 

@@ -21,7 +21,6 @@ val weakly_dominates : t -> t -> bool
 
 val l2_distance : t -> t -> float
 val squared_distance : t -> t -> float
-val norm : t -> float
 
 val componentwise_max : t -> t -> t
 val componentwise_min : t -> t -> t

@@ -17,15 +17,6 @@ let node_mbb = function
   | Internal [] -> invalid_arg "Rtree: empty internal node has no MBB"
   | Internal ((box, _) :: rest) -> List.fold_left (fun acc (b, _) -> Box3.union acc b) box rest
 
-let rec node_height = function
-  | Leaf _ -> 1
-  | Internal children -> (
-      match children with
-      | [] -> 1
-      | (_, child) :: _ -> 1 + node_height child)
-
-let height t = match t.root with None -> 0 | Some n -> node_height n
-
 (* Quadratic split: pick the pair of seeds wasting the most volume, then
    assign each remaining entry to the group whose MBB grows least. *)
 let quadratic_split ~min_entries boxes =
@@ -135,74 +126,6 @@ let insert t point value =
   in
   { t with root = Some root; size = t.size + 1 }
 
-(* Condense-tree removal: descend only into children whose MBB contains the
-   point; when the target leaf loses the entry, empty nodes disappear and
-   internal nodes that fall below fanout 2 dissolve — their surviving
-   entries are collected as orphans and reinserted at the end. *)
-let remove ?(equal = ( = )) t point value =
-  let rec remove_from_leaf acc = function
-    | [] -> None
-    | (p, v) :: rest when Point3.equal p point && equal v value ->
-        Some (List.rev_append acc rest)
-    | entry :: rest -> remove_from_leaf (entry :: acc) rest
-  in
-  let rec subtree_entries acc = function
-    | Leaf entries -> List.rev_append entries acc
-    | Internal children ->
-        List.fold_left (fun acc (_, child) -> subtree_entries acc child) acc children
-  in
-  (* Returns [Some (node option, orphans)] on successful removal. *)
-  let rec go node =
-    match node with
-    | Leaf entries -> (
-        match remove_from_leaf [] entries with
-        | None -> None
-        | Some [] -> Some (None, [])
-        | Some remaining -> Some (Some (Leaf remaining), []))
-    | Internal children ->
-        let rec try_children before = function
-          | [] -> None
-          | ((box, child) as slot) :: rest ->
-              if Box3.contains_point box point then begin
-                match go child with
-                | Some (replacement, orphans) ->
-                    let kept =
-                      match replacement with
-                      | Some child -> List.rev_append before ((node_mbb child, child) :: rest)
-                      | None -> List.rev_append before rest
-                    in
-                    if List.length kept >= 2 then Some (Some (Internal kept), orphans)
-                    else begin
-                      (* Underfull internal node: dissolve it. *)
-                      let orphans =
-                        List.fold_left
-                          (fun acc (_, child) -> subtree_entries acc child)
-                          orphans kept
-                      in
-                      Some (None, orphans)
-                    end
-                | None -> try_children (slot :: before) rest
-              end
-              else try_children (slot :: before) rest
-        in
-        try_children [] children
-  in
-  match t.root with
-  | None -> None
-  | Some root -> (
-      match go root with
-      | None -> None
-      | Some (new_root, orphans) ->
-          (* Collapse a single-child internal root. *)
-          let rec collapse = function
-            | Some (Internal [ (_, child) ]) -> collapse (Some child)
-            | other -> other
-          in
-          let base =
-            { t with root = collapse new_root; size = t.size - 1 - List.length orphans }
-          in
-          Some (List.fold_left (fun t (p, v) -> insert t p v) base orphans))
-
 let bulk_load ?(max_entries = 8) entries =
   if max_entries < 4 then invalid_arg "Rtree.bulk_load: max_entries must be >= 4";
   let min_entries = max 2 (max_entries / 3) in
@@ -289,15 +212,6 @@ let search t box =
           acc children
   in
   match t.root with None -> [] | Some root -> go [] root
-
-let count_in t box = List.length (search t box)
-
-let fold_entries f acc t =
-  let rec go acc = function
-    | Leaf entries -> List.fold_left (fun acc (p, v) -> f acc p v) acc entries
-    | Internal children -> List.fold_left (fun acc (_, child) -> go acc child) acc children
-  in
-  match t.root with None -> acc | Some root -> go acc root
 
 let rec node_count = function
   | Leaf entries -> List.length entries

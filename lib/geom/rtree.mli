@@ -14,25 +14,12 @@ val empty : ?max_entries:int -> unit -> 'a t
 val insert : 'a t -> Point3.t -> 'a -> 'a t
 (** Persistent insertion (path copying). *)
 
-val remove : ?equal:('a -> 'a -> bool) -> 'a t -> Point3.t -> 'a -> 'a t option
-(** Persistent removal of one entry matching the point and value
-    ([equal] defaults to structural equality). Underfull nodes are
-    condensed and their surviving entries reinserted, preserving the tree
-    invariants. [None] when no matching entry exists. *)
-
 val bulk_load : ?max_entries:int -> (Point3.t * 'a) list -> 'a t
 (** Sort-Tile-Recursive packing; produces a compact, well-clustered tree. *)
 
 val size : 'a t -> int
-val height : 'a t -> int
-(** 0 for an empty tree, 1 for a single leaf. *)
-
 val search : 'a t -> Box3.t -> (Point3.t * 'a) list
 (** All entries whose point lies in the (closed) box. *)
-
-val count_in : 'a t -> Box3.t -> int
-
-val fold_entries : ('acc -> Point3.t -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val nodes : 'a t -> (Box3.t * int) list
 (** Every node's MBB paired with the number of entries in its subtree,

@@ -17,7 +17,6 @@ let certain v =
   of_outcomes [ (v, 1.) ]
 
 let expected t = Distribution.Discrete.expectation t.pdf
-let expected_workers t ~total = expected t *. float_of_int total
 let pdf t = t.pdf
 let sample t rng = Distribution.Discrete.sample t.pdf rng
 

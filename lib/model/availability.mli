@@ -22,9 +22,6 @@ val of_outcomes : (float * float) list -> t
 val expected : t -> float
 (** Expected proportion of available workers, in [\[0, 1\]]. *)
 
-val expected_workers : t -> total:int -> float
-(** [expected t *. total]. *)
-
 val pdf : t -> Stratrec_util.Distribution.Discrete.t
 
 val sample : t -> Stratrec_util.Rng.t -> float

@@ -125,29 +125,6 @@ let deployment_of_json json =
   | deployment -> Ok deployment
   | exception Invalid_argument message -> Error message
 
-let availability_to_json a =
-  Json.List
-    (Stratrec_util.Distribution.Discrete.outcomes (Availability.pdf a)
-    |> List.map (fun (value, probability) ->
-           Json.Object
-             [ ("proportion", Json.Number value); ("probability", Json.Number probability) ]))
-
-let availability_of_json json =
-  let* items = list_value json in
-  let* outcomes =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* proportion = field "proportion" item float_value in
-        let* probability = field "probability" item float_value in
-        Ok ((proportion, probability) :: acc))
-      (Ok []) items
-    |> Result.map List.rev
-  in
-  match Availability.of_outcomes outcomes with
-  | availability -> Ok availability
-  | exception Invalid_argument message -> Error message
-
 let array_of_json ~name decode json =
   let* items = field name json list_value in
   let* values, _ =
@@ -167,12 +144,6 @@ let catalog_to_json strategies =
     [ ("strategies", Json.List (Array.to_list strategies |> List.map strategy_to_json)) ]
 
 let catalog_of_json = array_of_json ~name:"strategies" strategy_of_json
-
-let requests_to_json requests =
-  Json.Object
-    [ ("requests", Json.List (Array.to_list requests |> List.map deployment_to_json)) ]
-
-let requests_of_json = array_of_json ~name:"requests" deployment_of_json
 
 let save ~path json =
   let oc = open_out path in

@@ -1,9 +1,10 @@
 (** JSON codecs for the data model.
 
-    Catalogs and request batches are exchanged as JSON documents by the
-    CLI (and by anything integrating StratRec into a platform). Decoding
-    is total and validating: a malformed document yields [Error] with a
-    path-qualified message, never an exception. *)
+    Catalogs are exchanged as JSON documents by the CLI (and by anything
+    integrating StratRec into a platform); requests use the
+    {!deployment_to_json} fields. Decoding is total and validating: a
+    malformed document yields [Error] with a path-qualified message,
+    never an exception. *)
 
 module Json = Stratrec_util.Json
 
@@ -27,16 +28,9 @@ val strategy_of_json : Json.t -> (Strategy.t, string) result
 val deployment_to_json : Deployment.t -> Json.t
 val deployment_of_json : Json.t -> (Deployment.t, string) result
 
-val availability_to_json : Availability.t -> Json.t
-val availability_of_json : Json.t -> (Availability.t, string) result
-
 val catalog_to_json : Strategy.t array -> Json.t
 val catalog_of_json : Json.t -> (Strategy.t array, string) result
 (** An object [{"strategies": [...]}]. *)
-
-val requests_to_json : Deployment.t array -> Json.t
-val requests_of_json : Json.t -> (Deployment.t array, string) result
-(** An object [{"requests": [...]}]. *)
 
 (** {1 File helpers} *)
 

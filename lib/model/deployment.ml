@@ -9,9 +9,6 @@ let payoff t = t.params.Params.cost
 
 let satisfied_by t s = Params.satisfies ~strategy:s.Strategy.params ~request:t.params
 
-let candidate_strategies t strategies =
-  Array.to_list strategies |> List.filter (satisfied_by t)
-
 let is_successful t recommended =
   List.length recommended = t.k
   && List.length

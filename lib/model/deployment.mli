@@ -16,9 +16,6 @@ val payoff : t -> float
 val satisfied_by : t -> Strategy.t -> bool
 (** The strategy's estimated parameters meet all three thresholds. *)
 
-val candidate_strategies : t -> Strategy.t array -> Strategy.t list
-(** Strategies satisfying the thresholds, in catalog order. *)
-
 val is_successful : t -> Strategy.t list -> bool
 (** Whether the given recommendation set makes the request successful:
     exactly [k] distinct strategies, each satisfying the thresholds

@@ -25,8 +25,6 @@ let instantiate t ~availability =
 
 let workforce_requirement t ~request = Linear_model.workforce_requirement t.model ~request
 
-let stage_count t = List.length t.stages
-
 let workflow_space_size ~stages =
   if stages < 0 then invalid_arg "Strategy.workflow_space_size: negative stages";
   Float.pow (float_of_int Dimension.combo_count) (float_of_int stages)

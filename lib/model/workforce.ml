@@ -137,9 +137,6 @@ let request_requirement t aggregation ~k i =
     aggregate h aggregation
   end
 
-let vector t aggregation ~k =
-  Array.init (Array.length t.requests) (request_requirement t aggregation ~k)
-
 let streaming_requirement ?(rule = `Direction_aware) aggregation ~k ~strategies d =
   if k < 1 then invalid_arg "Workforce.streaming_requirement: k must be >= 1";
   if k > Array.length strategies then None

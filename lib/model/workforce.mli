@@ -63,9 +63,6 @@ val request_requirement :
     [None] when fewer than [k] cells are feasible. O(|S| log k).
     @raise Invalid_argument when [k < 1]. *)
 
-val vector : matrix -> aggregation -> k:int -> request_requirement option array
-(** {!request_requirement} for every row — the paper's vector \vec{W}. *)
-
 val streaming_requirement :
   ?rule:[ `Direction_aware | `Paper_equality ] ->
   aggregation ->

@@ -85,90 +85,3 @@ let render = function
       Buffer.contents buf
 
 let encode_series name labels = name ^ render labels
-
-(* Parse the encoded spelling back. The name is everything before the
-   first '{'; inside the braces, values are quoted with the escape set
-   above. Unlabeled series round-trip as the bare name. *)
-let decode_series encoded =
-  match String.index_opt encoded '{' with
-  | None -> Ok (encoded, [])
-  | Some brace ->
-      let name = String.sub encoded 0 brace in
-      let len = String.length encoded in
-      if len = 0 || encoded.[len - 1] <> '}' then
-        Error (Printf.sprintf "series %S: unterminated label block" encoded)
-      else begin
-        let fail msg = Error (Printf.sprintf "series %S: %s" encoded msg) in
-        let pos = ref (brace + 1) in
-        let out = ref [] in
-        let bad = ref None in
-        let stop msg = if !bad = None then bad := Some msg in
-        let read_key () =
-          let start = !pos in
-          while
-            !pos < len - 1
-            && (match encoded.[!pos] with
-               | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-               | _ -> false)
-          do
-            incr pos
-          done;
-          String.sub encoded start (!pos - start)
-        in
-        let read_value () =
-          if !pos >= len - 1 || encoded.[!pos] <> '"' then (stop "expected opening quote"; "")
-          else begin
-            incr pos;
-            let buf = Buffer.create 16 in
-            let rec go () =
-              if !pos >= len - 1 then stop "unterminated label value"
-              else
-                match encoded.[!pos] with
-                | '"' -> incr pos
-                | '\\' ->
-                    if !pos + 1 >= len - 1 then (stop "dangling escape"; incr pos)
-                    else begin
-                      (match encoded.[!pos + 1] with
-                      | '\\' -> Buffer.add_char buf '\\'
-                      | '"' -> Buffer.add_char buf '"'
-                      | 'n' -> Buffer.add_char buf '\n'
-                      | c -> stop (Printf.sprintf "unknown escape '\\%c'" c));
-                      pos := !pos + 2;
-                      go ()
-                    end
-                | c ->
-                    Buffer.add_char buf c;
-                    incr pos;
-                    go ()
-            in
-            go ();
-            Buffer.contents buf
-          end
-        in
-        let rec pairs () =
-          if !bad <> None || !pos >= len - 1 then ()
-          else begin
-            let key = read_key () in
-            if key = "" then stop "empty label key"
-            else if !pos >= len - 1 || encoded.[!pos] <> '=' then stop "expected '='"
-            else begin
-              incr pos;
-              let value = read_value () in
-              out := (key, value) :: !out;
-              if !bad = None && !pos < len - 1 then
-                if encoded.[!pos] = ',' then begin
-                  incr pos;
-                  pairs ()
-                end
-                else stop "expected ',' between labels"
-            end
-          end
-        in
-        pairs ();
-        match !bad with
-        | Some msg -> fail msg
-        | None -> (
-            match normalize (List.rev !out) with
-            | labels -> Ok (name, labels)
-            | exception Invalid_argument msg -> fail msg)
-      end

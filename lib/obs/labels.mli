@@ -5,8 +5,8 @@
     [\[a-zA-Z_\]\[a-zA-Z0-9_\]*], and never ["le"] (reserved for
     histogram buckets in the exposition format). The canonical rendered
     spelling [{k="v",k2="v2"}] is shared between the OpenMetrics
-    exposition and the JSON snapshot keys, so one escape/parse pair
-    serves both. *)
+    exposition and the JSON snapshot keys, so one escaping serves
+    both. *)
 
 type t = (string * string) list
 (** Canonical form: sorted by key, keys unique. Obtain via {!normalize}. *)
@@ -37,7 +37,3 @@ val render_pairs : Buffer.t -> t -> unit
 val encode_series : string -> t -> string
 (** [name ^ render labels] — the unique series key used in snapshot JSON
     documents. *)
-
-val decode_series : string -> (string * t, string) result
-(** Parses {!encode_series} back, normalizing the labels. Unlabeled
-    series round-trip as the bare name. *)

@@ -5,14 +5,6 @@ type level = Debug | Info | Warn | Error
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let level_label = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "debug" -> Ok Debug
-  | "info" -> Ok Info
-  | "warn" | "warning" -> Ok Warn
-  | "error" -> Ok Error
-  | other -> Error (Printf.sprintf "unknown log level %S (debug, info, warn or error)" other)
-
 type state = { threshold : level; clock : unit -> float; writer : string -> unit }
 
 type t = Noop | Active of state
@@ -21,11 +13,6 @@ let create ?(level = Info) ?(clock = Registry.wall_clock) ~writer () =
   Active { threshold = level; clock; writer }
 
 let noop = Noop
-
-let would_log t level =
-  match t with
-  | Noop -> false
-  | Active s -> severity level >= severity s.threshold
 
 let log ?(trace = Trace.noop) ?(fields = []) t level msg =
   match t with

@@ -21,8 +21,6 @@ type level = Debug | Info | Warn | Error
 val level_label : level -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-val level_of_string : string -> (level, string) result
-
 type t
 
 val create :
@@ -36,10 +34,6 @@ val create :
 
 val noop : t
 (** The disabled logger every [?log] argument defaults to. *)
-
-val would_log : t -> level -> bool
-(** Whether a record at [level] passes the threshold — for guarding
-    expensive field computation. *)
 
 val log :
   ?trace:Trace.t ->

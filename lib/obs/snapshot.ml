@@ -113,7 +113,7 @@ let to_json t =
                  Json.Object
                    [
                      (* The shortest round-tripping rendering (via the
-                        Json number printer), so of_json recovers the
+                        Json number printer), so a reader recovers the
                         exact bound; "+inf" for the overflow bucket. *)
                      ( "le",
                        Json.String
@@ -229,70 +229,5 @@ let to_openmetrics t =
     t;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-let of_json json =
-  let exception Bad of string in
-  let fail message = raise (Bad message) in
-  let float_field obj name =
-    match Json.member name obj with
-    | Some (Json.Number f) -> f
-    | Some _ | None -> fail (Printf.sprintf "missing number field %S" name)
-  in
-  let int_field obj name =
-    let f = float_field obj name in
-    if Float.is_integer f then int_of_float f
-    else fail (Printf.sprintf "field %S is not an integer" name)
-  in
-  let bucket_of_json = function
-    | Json.Object _ as b ->
-        let le =
-          match Json.member "le" b with
-          | Some (Json.String "+inf") -> infinity
-          | Some (Json.String s) -> (
-              match float_of_string_opt s with
-              | Some f -> f
-              | None -> fail (Printf.sprintf "invalid bucket bound %S" s))
-          | Some _ | None -> fail "missing bucket bound"
-        in
-        (le, int_field b "count")
-    | _ -> fail "bucket is not an object"
-  in
-  let histogram_of_json v =
-    match Json.member "buckets" v with
-    | Some (Json.List buckets) ->
-        {
-          buckets = List.map bucket_of_json buckets;
-          count = int_field v "count";
-          sum = float_field v "sum";
-          min = float_field v "min";
-          max = float_field v "max";
-        }
-    | Some _ | None -> fail "histogram without buckets"
-  in
-  let entry_of_field (series, v) =
-    let name, labels =
-      match Labels.decode_series series with
-      | Ok (name, labels) -> (name, labels)
-      | Error message -> fail message
-    in
-    let value =
-      match Json.member "type" v with
-      | Some (Json.String "counter") -> Counter (int_field v "value")
-      | Some (Json.String "gauge") -> Gauge (float_field v "value")
-      | Some (Json.String "histogram") -> (
-          match Json.member "value" v with
-          | Some h -> Histogram (histogram_of_json h)
-          | None -> fail (Printf.sprintf "histogram %S without value" series))
-      | Some (Json.String kind) -> fail (Printf.sprintf "unknown instrument type %S" kind)
-      | Some _ | None -> fail (Printf.sprintf "entry %S without a type" series)
-    in
-    { name; labels; value }
-  in
-  match json with
-  | Json.Object fields -> (
-      match List.map entry_of_field fields with
-      | entries -> Ok entries
-      | exception Bad message -> Error ("snapshot: " ^ message))
-  | _ -> Error "snapshot: expected a JSON object"
 
 let pp ppf t = Format.pp_print_string ppf (Tabular.render (to_table t))

@@ -82,13 +82,8 @@ val to_json : t -> Stratrec_util.Json.t
 (** An object keyed by encoded series name ({!Labels.encode_series}).
     Histogram bucket bounds are emitted as strings (["0.1"], ["+inf"])
     because JSON numbers cannot represent infinity; finite bounds use
-    the shortest round-tripping rendering so {!of_json} recovers them
+    the shortest round-tripping rendering, so a reader recovers them
     exactly. *)
-
-val of_json : Stratrec_util.Json.t -> (t, string) result
-(** Parses the {!to_json} form back, preserving document order (a
-    {!to_json} document is already series-sorted, so the round trip is
-    the identity). Errors name the offending field. *)
 
 val pp : Format.formatter -> t -> unit
 (** The rendered table. *)

@@ -1,5 +1,3 @@
-module Rng = Stratrec_util.Rng
-
 let plan ~shards ~length =
   if shards < 1 then invalid_arg "Stratrec_par.Shard.plan: shards must be >= 1";
   if length < 0 then invalid_arg "Stratrec_par.Shard.plan: negative length";
@@ -10,10 +8,6 @@ let plan ~shards ~length =
       let start = (s * base) + min s remainder in
       let size = base + if s < remainder then 1 else 0 in
       (start, start + size))
-
-let split_rng rng ~shards =
-  if shards < 1 then invalid_arg "Stratrec_par.Shard.split_rng: shards must be >= 1";
-  Array.init shards (fun _ -> Rng.split rng)
 
 let init pool n ~f =
   if n < 0 then invalid_arg "Stratrec_par.Shard.init: negative length"

@@ -1,12 +1,11 @@
 (** Deterministic batch sharding.
 
     The parallel triage path shards a request batch into contiguous
-    slices, computes each slice on its own domain (with its own RNG
-    stream where it draws randomness), and places every result at its
-    own index. Everything here is a pure function of the inputs — the
-    slice boundaries, the per-shard seeds and the result ordering never
-    depend on scheduling — which is what makes the parallel path
-    bit-identical to the sequential one. *)
+    slices, computes each slice on its own domain, and places every
+    result at its own index. Everything here is a pure function of the
+    inputs — the slice boundaries and the result ordering never depend
+    on scheduling — which is what makes the parallel path bit-identical
+    to the sequential one. *)
 
 val plan : shards:int -> length:int -> (int * int) array
 (** [plan ~shards ~length] cuts [\[0, length)] into at most [shards]
@@ -15,13 +14,6 @@ val plan : shards:int -> length:int -> (int * int) array
     Fewer than [shards] slices are returned when [length < shards];
     empty when [length = 0]. @raise Invalid_argument when [shards < 1]
     or [length < 0]. *)
-
-val split_rng : Stratrec_util.Rng.t -> shards:int -> Stratrec_util.Rng.t array
-(** [split_rng rng ~shards] derives one independent generator per shard
-    by repeated {!Stratrec_util.Rng.split}, in shard order. Advances
-    [rng] deterministically: the same parent state always yields the
-    same per-shard streams, independent of how many domains later
-    consume them. *)
 
 val init : Pool.t -> int -> f:(int -> 'a) -> 'a array
 (** [init pool n ~f] is [Array.init n f] evaluated in parallel:

@@ -275,33 +275,3 @@ let evict_all t ~now =
       | c -> c)
     !out
 
-let expire t ~now =
-  let dead = ref [] in
-  Hashtbl.iter
-    (fun _tenant q ->
-      let keep = Queue.create () in
-      Queue.iter
-        (fun entry ->
-          if expired ~now entry then begin
-            dead := to_admitted ~now entry :: !dead;
-            t.total <- t.total - 1
-          end
-          else Queue.push entry keep)
-        q;
-      Queue.clear q;
-      Queue.transfer keep q)
-    t.queues;
-  t.rotation <-
-    List.filter
-      (fun tenant ->
-        match Hashtbl.find_opt t.queues tenant with
-        | Some q -> not (Queue.is_empty q)
-        | None -> false)
-      t.rotation;
-  (* deterministic order: by enqueue time, then tenant *)
-  List.sort
-    (fun a b ->
-      match compare b.waited_seconds a.waited_seconds with
-      | 0 -> compare a.tenant b.tenant
-      | c -> c)
-    !dead

@@ -104,7 +104,3 @@ val evict_all : 'a t -> now:float -> 'a admitted list
 (** Remove and return {e everything} still queued, live or not, in
     enqueue order (then tenant) — the drain-timeout force-close path.
     The queue is empty afterwards. *)
-
-val expire : 'a t -> now:float -> 'a admitted list
-(** Remove and return only the expired items (e.g. on shutdown, or
-    between epochs), leaving live ones queued. *)

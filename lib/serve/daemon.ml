@@ -303,7 +303,7 @@ let note_tenant_shed t ~tenant =
 
 (* Brownout rung effects (DESIGN.md §5i), keyed to absolute rung
    numbers; the ladder stops at rung 3.
-   Rung 1 sheds observability cost (tracing and profiling off); rung 2
+   Rung 1 sheds observability cost (tracing off); rung 2
    halves the epoch fill so epochs close sooner and drain faster; rung
    3 sheds load itself — low-priority and over-share submits are
    refused with typed [overloaded] responses. At rung 0 nothing below
@@ -315,7 +315,6 @@ let effective_epoch_fill t =
 let apply_rung_effects t =
   let r = brownout_rung t in
   Engine.set_observability t.session ~trace:(r < 1)
-    ~profile:(r < 1 && t.config.engine.Engine.profile) ()
 
 let shed_reason t ~tenant =
   if brownout_rung t < 3 then None

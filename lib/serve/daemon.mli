@@ -52,7 +52,7 @@ type config = {
   brownout : Stratrec_resilience.Brownout.config;
       (** adaptive load-shedding ladder thresholds (DESIGN.md §5i):
           queue saturation and sliding-window e2e p99 walk the rung up,
-          hysteresis walks it back. Rung 1 turns tracing/profiling off,
+          hysteresis walks it back. Rung 1 turns tracing off,
           rung 2 halves the epoch fill, rung 3 sheds low-priority and
           over-share submits with typed [overloaded] responses *)
   drain_timeout_seconds : float;

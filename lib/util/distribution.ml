@@ -45,8 +45,6 @@ let mean = function
   | Exponential { rate } -> 1. /. rate
   | Constant v -> v
 
-let sample_many t rng n = Array.init n (fun _ -> sample t rng)
-
 let pp ppf = function
   | Uniform { lo; hi } -> Format.fprintf ppf "U[%g,%g]" lo hi
   | Normal { mu; sigma } -> Format.fprintf ppf "N(%g,%g)" mu sigma

@@ -19,8 +19,6 @@ val mean : t -> float
 (** Analytical mean where available; for truncated normals a high-accuracy
     closed form using the error function. *)
 
-val sample_many : t -> Rng.t -> int -> float array
-
 val pp : Format.formatter -> t -> unit
 
 val erf : float -> float

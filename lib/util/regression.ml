@@ -38,8 +38,6 @@ let fit ~xs ~ys =
   in
   { slope; intercept; r_squared; residual_std; slope_std_error; intercept_std_error; n }
 
-let predict f x = (f.slope *. x) +. f.intercept
-
 let interval ~level ~n center std_error =
   if n < 3 then invalid_arg "Regression: confidence interval needs n >= 3";
   let df = float_of_int (n - 2) in

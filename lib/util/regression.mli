@@ -20,8 +20,6 @@ val fit : xs:float array -> ys:float array -> fit
 (** Least-squares fit of [ys] against [xs]. Requires equal lengths, at least
     2 points, and non-constant [xs]. *)
 
-val predict : fit -> float -> float
-
 val slope_confidence_interval : level:float -> fit -> float * float
 (** CI for the slope at [level] (e.g. 0.9). Requires [n >= 3]. *)
 

@@ -42,9 +42,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val exponential : t -> rate:float -> float
 (** Exponential deviate with given rate. Requires [rate > 0.]. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -41,8 +41,6 @@ let quantile xs q =
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
   end
 
-let median xs = quantile xs 0.5
-
 type summary = {
   n : int;
   mean : float;

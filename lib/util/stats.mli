@@ -22,8 +22,6 @@ val quantile : float array -> float -> float
 (** [quantile xs q] with [q] in [0,1], linear interpolation between order
     statistics. Requires a non-empty array. *)
 
-val median : float array -> float
-
 type summary = {
   n : int;
   mean : float;

@@ -69,16 +69,6 @@ let test_workforce_budget () =
   Alcotest.(check bool) "budget respected" true
     (report.A.workforce_used <= report.A.availability +. 1e-9)
 
-let test_satisfied_fraction () =
-  let strategies, requests, availability = setup 5 in
-  let report = A.run ~config ~availability ~strategies ~requests () in
-  let expected = float_of_int (List.length (A.satisfied report)) /. 8. in
-  Alcotest.(check (float 1e-9)) "fraction" expected (A.satisfied_fraction report);
-  let empty =
-    A.run ~config ~availability ~strategies ~requests:[||] ()
-  in
-  Alcotest.(check (float 1e-9)) "empty batch" 1. (A.satisfied_fraction empty)
-
 let test_payoff_objective_counts_cost () =
   let strategies, requests, availability = setup 6 in
   let payoff_config = { config with A.objective = Stratrec.Objective.Payoff } in
@@ -176,7 +166,6 @@ let () =
           Alcotest.test_case "unsatisfied get alternatives" `Quick
             test_unsatisfied_get_alternatives;
           Alcotest.test_case "workforce budget" `Quick test_workforce_budget;
-          Alcotest.test_case "satisfied fraction" `Quick test_satisfied_fraction;
           Alcotest.test_case "payoff objective" `Quick test_payoff_objective_counts_cost;
           Alcotest.test_case "re-estimation" `Quick test_reestimation_changes_params;
         ] );

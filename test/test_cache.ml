@@ -2,8 +2,7 @@
    contract: a cached Engine session must be observationally
    indistinguishable from an uncached one — rendered reports, per-epoch
    decisions, counters (minus the cache.* instruments themselves) and
-   the span tree — at any domain count, under eviction pressure, and
-   across model-version bumps. *)
+   the span tree — at any domain count and under eviction pressure. *)
 
 module Model = Stratrec_model
 module Params = Model.Params
@@ -43,23 +42,11 @@ let test_policy_codec () =
       | Error _ -> ())
     [ "-3"; "abc"; "1.5"; "" ]
 
-(* --- LRU / quantization / invalidation unit tests --- *)
-
-let context () =
-  let rng = Rng.create 3 in
-  {
-    C.objective = Stratrec.Objective.Throughput;
-    aggregation = W.Sum_case;
-    rule = `Paper_equality;
-    availability = 0.75;
-    strategies = Model.Workload.strategies rng ~n:8 ~kind:Model.Workload.Uniform;
-  }
+(* --- LRU / quantization unit tests --- *)
 
 let cache ?(capacity = 4) () =
   let metrics = Obs.Registry.create () in
-  let t = C.create ~config:{ C.capacity } ~metrics () in
-  C.set_context t (context ());
-  (t, metrics)
+  (C.create ~config:{ C.capacity } ~metrics (), metrics)
 
 let p q = Params.make ~quality:q ~cost:0.2 ~latency:0.3
 let req w = Some { W.workforce = w; chosen = [ 0 ] }
@@ -124,25 +111,6 @@ let test_lru_eviction () =
   Alcotest.(check bool) "replaced value" true
     (C.find_requirement t ~params:(p 0.3) ~k:1 = Some (req 0.9))
 
-let test_context_and_version_invalidation () =
-  let t, _ = cache () in
-  let ctx = context () in
-  C.store_requirement t ~params:(p 0.5) ~k:2 (req 0.4);
-  (* re-binding an identical context keeps entries *)
-  C.set_context t ctx;
-  Alcotest.(check int) "same context keeps entries" 1 (C.stats t).C.size;
-  (* an availability change flushes *)
-  C.set_context t { ctx with C.availability = 0.6 };
-  Alcotest.(check int) "availability change flushes" 0 (C.stats t).C.size;
-  Alcotest.(check bool) "flushed entry misses" true
-    (C.find_requirement t ~params:(p 0.5) ~k:2 = None);
-  C.store_requirement t ~params:(p 0.5) ~k:2 (req 0.4);
-  (* a model-version bump flushes without a context change *)
-  let v = C.model_version t in
-  C.bump_model_version t;
-  Alcotest.(check int) "version advanced" (v + 1) (C.model_version t);
-  Alcotest.(check int) "bump flushes" 0 (C.stats t).C.size
-
 (* --- cached Engine.submit = uncached Engine.submit (bit-identity) --- *)
 
 (* Everything deterministic a session produces: per-epoch rendered
@@ -192,7 +160,7 @@ let batch_of requests =
   in
   List.map Request.of_deployment (base @ List.map clone base)
 
-let observable ?cache ?(bump = false) ~domains ~epochs seed m w =
+let observable ?cache ~domains ~epochs seed m w =
   let rng = Rng.create seed in
   let strategies = Model.Workload.strategies rng ~n:24 ~kind:Model.Workload.Uniform in
   let requests = Model.Workload.requests rng ~m ~k:3 in
@@ -206,8 +174,7 @@ let observable ?cache ?(bump = false) ~domains ~epochs seed m w =
   in
   let batch = batch_of requests in
   let reports =
-    List.init epochs (fun epoch ->
-        if bump && epoch = 1 then Engine.bump_model_version session;
+    List.init epochs (fun _ ->
         match Engine.submit session batch with
         | Ok report -> report_fingerprint report
         | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
@@ -227,9 +194,9 @@ let observable ?cache ?(bump = false) ~domains ~epochs seed m w =
   Engine.close session;
   ((reports, counters, tree), stats)
 
-let check_identity ?cache ?bump ?(require_hits = true) ~domains ~epochs (seed, (m, w)) =
-  let baseline, _ = observable ~domains:1 ~epochs ?bump seed m w in
-  let cached, stats = observable ?cache ?bump ~domains ~epochs seed m w in
+let check_identity ?cache ?(require_hits = true) ~domains ~epochs (seed, (m, w)) =
+  let baseline, _ = observable ~domains:1 ~epochs seed m w in
+  let cached, stats = observable ?cache ~domains ~epochs seed m w in
   let exercised =
     match stats with
     | Some s ->
@@ -258,60 +225,55 @@ let prop_eviction_pressure =
     gen
     (check_identity ~cache:{ C.capacity = 2 } ~require_hits:false ~domains:1 ~epochs:3)
 
-let prop_bump_identity =
-  QCheck.Test.make ~count:15 ~name:"identity holds across a model-version bump"
-    gen
-    (check_identity ~cache:C.default_config ~bump:true ~domains:1 ~epochs:3)
-
 (* A deterministic spot check that the cache demonstrably works: replay
-   epochs hit, the bump flushes, and the hit ratio reflects both. *)
+   epochs hit, and only the distinct shapes miss. *)
 let test_session_stats () =
   let _, stats = observable ~cache:C.default_config ~domains:1 ~epochs:3 7 6 0.7 in
   let s = Option.get stats in
   Alcotest.(check bool) "hits accumulated" true (s.C.hits > 0);
-  Alcotest.(check bool) "misses bounded by distinct shapes" true (s.C.misses <= 2 * 6);
-  let _, bumped = observable ~cache:C.default_config ~bump:true ~domains:1 ~epochs:3 7 6 0.7 in
-  let b = Option.get bumped in
-  Alcotest.(check bool) "bump costs extra misses" true (b.C.misses > s.C.misses)
+  Alcotest.(check bool) "misses bounded by distinct shapes" true (s.C.misses <= 2 * 6)
 
 (* --- the re-estimated catalog --- *)
 
-(* Runs sharing one memo re-estimate a catalog array once per W: the
-   context they bind is then physically the same. Another W or another
-   catalog still flushes; an equal copy of a catalog is re-estimated
-   afresh but compares equal, so it keeps the entries. A session holds
-   the memo, cached or not, and a model-version bump forgets it. *)
-let test_catalog_memo () =
+(* A catalog, another one and a batch for the memo tests, and the
+   re-estimated catalog a run through [memo] matches against. *)
+let memo_inputs =
   let rng = Rng.create 5 in
   let strategies = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
   let other = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
-  let requests = Model.Workload.requests rng ~m:4 ~k:2 in
+  (strategies, other, Model.Workload.requests rng ~m:4 ~k:2)
+
+let run_through memo ?(config = Aggregator.default_config) ?(w = 0.7) strategies =
+  let _, _, requests = memo_inputs in
+  (Aggregator.run ~config ~memo ~availability:(Model.Availability.certain w) ~strategies
+     ~requests ())
+    .Aggregator.strategies
+
+(* Every run through one memo matches against the very same array,
+   re-estimated once at the memo's first run, and the memo's cache keeps
+   its entries; the objective is not part of the binding. A session
+   holds a memo, cached or not. *)
+let test_catalog_memo () =
+  let strategies, _, requests = memo_inputs in
   let t = C.create ~metrics:(Obs.Registry.create ()) () in
-  let memo = Aggregator.memo () in
-  let run ?(w = 0.7) strategies =
-    (Aggregator.run ~cache:t ~memo ~availability:(Model.Availability.certain w) ~strategies
-       ~requests ())
-      .Aggregator.strategies
-  in
-  let first = run strategies in
-  let v = C.model_version t in
+  let memo = Aggregator.memo ~cache:t () in
+  let first = run_through memo strategies in
   Alcotest.(check bool) "same array and W: same re-estimated catalog" true
-    (run strategies == first);
-  Alcotest.(check int) "same catalog keeps the cache" v (C.model_version t);
-  Alcotest.(check bool) "entries kept" true ((C.stats t).C.size > 0);
-  ignore (run ~w:0.6 strategies);
-  Alcotest.(check int) "another W flushes" (v + 1) (C.model_version t);
-  ignore (run ~w:0.6 other);
-  Alcotest.(check int) "another catalog flushes" (v + 2) (C.model_version t);
-  ignore (run ~w:0.6 (Array.copy other));
-  Alcotest.(check int) "an equal copy keeps the cache" (v + 2) (C.model_version t);
+    (run_through memo strategies == first);
+  Alcotest.(check bool) "another objective: same re-estimated catalog" true
+    (run_through memo
+       ~config:{ Aggregator.default_config with objective = Stratrec.Objective.Payoff }
+       strategies
+    == first);
+  Alcotest.(check bool) "the cache kept its entries and hit" true
+    ((C.stats t).C.size > 0 && (C.stats t).C.hits > 0);
   List.iter
     (fun cache ->
       let session =
         match
           Engine.create
             ~config:(Engine.with_cache Engine.default_config cache)
-            ~availability:(Model.Availability.certain 0.6) ~strategies:other ()
+            ~availability:(Model.Availability.certain 0.6) ~strategies ()
         with
         | Ok session -> session
         | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
@@ -323,11 +285,38 @@ let test_catalog_memo () =
       in
       let before = submit () in
       Alcotest.(check bool) "the session keeps its re-estimated catalog" true
-        (submit () == before);
-      Engine.bump_model_version session;
-      Alcotest.(check bool) "a bump forgets the re-estimated catalog" false
         (submit () == before))
     [ None; Some C.default_config ]
+
+(* A memo binds at its first run to that run's catalog array (by
+   identity), W, aggregation and inversion rule. A run through it with
+   anything else is refused rather than re-estimated, and leaves the
+   binding as it was. *)
+let test_memo_binding () =
+  let strategies, other, _ = memo_inputs in
+  let memo = Aggregator.memo () in
+  let first = run_through memo strategies in
+  List.iter
+    (fun (what, second) ->
+      match second () with
+      | _ -> Alcotest.failf "a run with %s went through the bound memo" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("another catalog", fun () -> run_through memo other);
+      ("an equal copy of the catalog", fun () -> run_through memo (Array.copy strategies));
+      ("another W", fun () -> run_through memo ~w:0.6 strategies);
+      ( "another aggregation",
+        fun () ->
+          run_through memo
+            ~config:{ Aggregator.default_config with aggregation = W.Sum_case }
+            strategies );
+      ( "another inversion rule",
+        fun () ->
+          run_through memo
+            ~config:{ Aggregator.default_config with inversion_rule = `Paper_equality }
+            strategies );
+    ];
+  Alcotest.(check bool) "the binding stands" true (run_through memo strategies == first)
 
 (* A session sweeps its catalog's k-skyband in every ADPaR triage. On an
    n = 200 catalog whose skyband is a strict subset, everything a session
@@ -507,23 +496,17 @@ let () =
           Alcotest.test_case "hit/miss and counters" `Quick test_hit_miss_and_counters;
           Alcotest.test_case "quantization guard" `Quick test_quantization_guard;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
-          Alcotest.test_case "context/version invalidation" `Quick
-            test_context_and_version_invalidation;
           Alcotest.test_case "session stats" `Quick test_session_stats;
         ] );
       ( "catalog",
         [
-          Alcotest.test_case "re-estimation memo and flushes" `Quick test_catalog_memo;
+          Alcotest.test_case "re-estimation memo binds once" `Quick test_catalog_memo;
+          Alcotest.test_case "a bound memo refuses other inputs" `Quick test_memo_binding;
           Alcotest.test_case "session owns its catalog" `Quick test_session_owns_catalog;
           Alcotest.test_case "sessions sweep the skyband" `Quick test_sessions_sweep_skyband;
         ] );
       ("clock", [ Alcotest.test_case "fixed clock times ADPaR at zero" `Quick test_fixed_clock ]);
       ( "identity",
         List.map Tq.to_alcotest
-          [
-            prop_cached_identical;
-            prop_cached_identical_domains;
-            prop_eviction_pressure;
-            prop_bump_identity;
-          ] );
+          [ prop_cached_identical; prop_cached_identical_domains; prop_eviction_pressure ] );
     ]

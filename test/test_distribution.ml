@@ -6,7 +6,7 @@ module D = Stratrec_util.Distribution
 
 let empirical_mean dist seed n =
   let rng = Rng.create seed in
-  let samples = D.sample_many dist rng n in
+  let samples = Array.init n (fun _ -> D.sample dist rng) in
   Array.fold_left ( +. ) 0. samples /. float_of_int n
 
 let test_uniform () =

@@ -53,7 +53,7 @@ let test_empty_batch () =
   in
   Alcotest.(check (float 1e-9)) "zero objective" 0. report.Stratrec.Aggregator.objective_value;
   let matrix = Workforce.compute ~requests:[||] ~strategies () in
-  Alcotest.(check int) "empty vector" 0 (Array.length (Workforce.vector matrix Workforce.Sum_case ~k:1))
+  Alcotest.(check int) "no requirement rows" 0 (Array.length matrix.Workforce.cells)
 
 let test_boundary_parameters () =
   (* Every combination of boundary strategy and boundary request must flow

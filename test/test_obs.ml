@@ -586,29 +586,79 @@ let test_engine_trace_file () =
       in
       Alcotest.(check int) "one decision instant per request" 3 (List.length decisions)
 
-(* Snapshot JSON round-trip: to_json renders every number in its shortest
-   round-tripping form, so of_json must recover the snapshot exactly. *)
+(* Snapshot JSON: to_json renders every number in its shortest
+   round-tripping form, so the parsed text gives back every value of the
+   snapshot exactly. [encodes_exactly] reads each series of [snap] back
+   from the parsed document, by its series key and in snapshot order. *)
 
-let roundtrip snap =
-  Result.bind (Json.of_string (Json.to_string (Snapshot.to_json snap))) Snapshot.of_json
+let parsed snap = Json.of_string (Json.to_string (Snapshot.to_json snap))
+
+let encodes_exactly snap doc =
+  let is obj name v = Option.bind (Json.member name obj) Json.to_float = Some v in
+  let bucket b (le, n) =
+    is b "count" (float_of_int n)
+    &&
+    match Option.bind (Json.member "le" b) Json.to_string_value with
+    | Some "+inf" -> le = infinity
+    | Some s -> float_of_string_opt s = Some le
+    | None -> false
+  in
+  let series ({ Snapshot.value; _ } as e) =
+    match Json.member (Snapshot.series_name e) doc with
+    | None -> false
+    | Some v -> (
+        let kind = Option.bind (Json.member "type" v) Json.to_string_value in
+        match (value, Json.member "value" v) with
+        | Snapshot.Counter n, _ -> kind = Some "counter" && is v "value" (float_of_int n)
+        | Snapshot.Gauge g, _ -> kind = Some "gauge" && is v "value" g
+        | Snapshot.Histogram h, Some hv -> (
+            kind = Some "histogram"
+            && is hv "count" (float_of_int h.Snapshot.count)
+            && is hv "sum" h.Snapshot.sum && is hv "min" h.Snapshot.min
+            && is hv "max" h.Snapshot.max
+            &&
+            match Option.bind (Json.member "buckets" hv) Json.to_list with
+            | Some bs ->
+                List.length bs = List.length h.Snapshot.buckets
+                && List.for_all2 bucket bs h.Snapshot.buckets
+            | None -> false)
+        | Snapshot.Histogram _, None -> false)
+  in
+  (match doc with
+  | Json.Object fields -> List.map fst fields = List.map Snapshot.series_name snap
+  | _ -> false)
+  && List.for_all series snap
 
 let test_snapshot_roundtrip_inf_bucket () =
   let reg = Registry.create () in
-  let h = Registry.histogram ~buckets:[| 0.1; 0.3 |] reg "h" in
+  let h =
+    Registry.histogram ~buckets:[| 0.1; 1. /. 7. |] ~labels:[ ("tenant", "acme") ] reg "h"
+  in
   Registry.observe h 5.;
-  Registry.observe h 0.2;
+  Registry.observe h 0.125;
   Registry.incr (Registry.counter reg "c_total");
   Registry.set (Registry.gauge reg "g") (-0.125);
   let snap = Registry.snapshot reg in
-  match roundtrip snap with
-  | Error m -> Alcotest.failf "round-trip failed: %s" m
-  | Ok parsed ->
-      Alcotest.(check bool) "equal after round-trip" true (parsed = snap);
-      (match Snapshot.find parsed "h" with
-      | Some (Snapshot.Histogram { buckets; _ }) ->
-          Alcotest.(check bool) "implicit +inf bucket survives" true
-            (List.exists (fun (le, _) -> le = infinity) buckets)
-      | _ -> Alcotest.fail "histogram missing after round-trip")
+  match parsed snap with
+  | Error m -> Alcotest.failf "rendered JSON does not parse: %s" m
+  | Ok doc -> (
+      Alcotest.(check bool) "every value read back exactly" true (encodes_exactly snap doc);
+      match Option.bind (Json.member {|h{tenant="acme"}|} doc) (Json.member "value") with
+      | None -> Alcotest.fail "labeled histogram missing under its series key"
+      | Some hv ->
+          let field name json = Option.bind (Json.member name json) in
+          let buckets = Option.value (field "buckets" hv Json.to_list) ~default:[] in
+          Alcotest.(check (list (option string)))
+            "bounds: shortest round-tripping, then +inf"
+            [ Some "0.1"; Some "0.14285714285714285"; Some "+inf" ]
+            (List.map (fun b -> field "le" b Json.to_string_value) buckets);
+          Alcotest.(check (list (option int)))
+            "per-bucket counts" [ Some 0; Some 1; Some 1 ]
+            (List.map (fun b -> field "count" b Json.to_int) buckets);
+          Alcotest.(check (list (option (float 0.))))
+            "count, sum, min, max"
+            [ Some 2.; Some 5.125; Some 0.125; Some 5. ]
+            (List.map (fun name -> field name hv Json.to_float) [ "count"; "sum"; "min"; "max" ]))
 
 let snapshot_roundtrip_prop =
   QCheck.Test.make ~count:200 ~name:"snapshot JSON round-trips exactly"
@@ -638,52 +688,9 @@ let snapshot_roundtrip_prop =
           List.iter (Registry.observe h) observations)
         histograms;
       let snap = Registry.snapshot reg in
-      match roundtrip snap with
-      | Ok parsed -> parsed = snap
-      | Error m -> QCheck.Test.fail_reportf "round-trip failed: %s" m)
-
-let test_snapshot_of_json_rejects_garbage () =
-  List.iter
-    (fun (label, doc) ->
-      match Snapshot.of_json doc with
-      | Error m ->
-          Alcotest.(check bool)
-            (label ^ " error is prefixed") true
-            (String.length m >= 9 && String.sub m 0 9 = "snapshot:")
-      | Ok _ -> Alcotest.failf "%s unexpectedly parsed" label)
-    [
-      ("non-object", Json.List []);
-      ("untyped entry", Json.Object [ ("x", Json.Object [ ("value", Json.Number 1.) ]) ]);
-      ( "fractional counter",
-        Json.Object
-          [
-            ( "x",
-              Json.Object [ ("type", Json.String "counter"); ("value", Json.Number 1.5) ] );
-          ] );
-      ( "bad bucket bound",
-        Json.Object
-          [
-            ( "h",
-              Json.Object
-                [
-                  ("type", Json.String "histogram");
-                  ( "value",
-                    Json.Object
-                      [
-                        ("count", Json.Number 0.);
-                        ("sum", Json.Number 0.);
-                        ("min", Json.Number 0.);
-                        ("max", Json.Number 0.);
-                        ( "buckets",
-                          Json.List
-                            [
-                              Json.Object
-                                [ ("le", Json.String "wat"); ("count", Json.Number 0.) ];
-                            ] );
-                      ] );
-                ] );
-          ] );
-    ]
+      match parsed snap with
+      | Ok doc -> encodes_exactly snap doc
+      | Error m -> QCheck.Test.fail_reportf "rendered JSON does not parse: %s" m)
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -801,8 +808,7 @@ let test_log_span_correlation () =
       (* The innermost open span at emission time is the child (id 1). *)
       Alcotest.(check string) "span id of the innermost open span"
         {|{"ts":1.5,"level":"info","span":1,"msg":"inside"}|} inside
-  | _ -> Alcotest.fail "expected two records");
-  Alcotest.(check bool) "noop logger stays silent" false (Log.would_log Log.noop Log.Error)
+  | _ -> Alcotest.fail "expected two records")
 
 let test_log_level_threshold () =
   let log, lines = buffer_log ~level:Log.Warn () in
@@ -811,12 +817,7 @@ let test_log_level_threshold () =
   Log.warn log "kept";
   Log.error log "kept too";
   Alcotest.(check int) "threshold drops below warn" 2 (List.length (lines ()));
-  Alcotest.(check bool) "would_log info" false (Log.would_log log Log.Info);
-  Alcotest.(check bool) "would_log error" true (Log.would_log log Log.Error);
-  Alcotest.(check string) "level labels" "warn" (Log.level_label Log.Warn);
-  match Log.level_of_string "debug" with
-  | Ok Log.Debug -> ()
-  | _ -> Alcotest.fail "level_of_string debug"
+  Alcotest.(check string) "level labels" "warn" (Log.level_label Log.Warn)
 
 let test_log_escaping () =
   let log, lines = buffer_log () in
@@ -936,12 +937,6 @@ let test_labels_canonical () =
     (Labels.escape_value nasty);
   let encoded = Labels.encode_series "m_total" [ ("tenant", nasty) ] in
   Alcotest.(check string) "encoded spelling" "m_total{tenant=\"a\\\\b\\\"c\\nd\"}" encoded;
-  (match Labels.decode_series encoded with
-  | Ok (name, labels) ->
-      Alcotest.(check string) "name round-trips" "m_total" name;
-      Alcotest.(check bool) "labels round-trip" true
-        (Labels.equal labels [ ("tenant", nasty) ])
-  | Error m -> Alcotest.failf "decode failed: %s" m);
   Alcotest.(check string) "unlabeled series is the bare name" "m_total"
     (Labels.encode_series "m_total" [])
 
@@ -1332,8 +1327,6 @@ let () =
           Alcotest.test_case "json round-trip with +inf bucket" `Quick
             test_snapshot_roundtrip_inf_bucket;
           Tq.to_alcotest snapshot_roundtrip_prop;
-          Alcotest.test_case "of_json rejects malformed documents" `Quick
-            test_snapshot_of_json_rejects_garbage;
         ] );
       ( "profiling",
         [

@@ -10,6 +10,9 @@ module Availability = Stratrec_model.Availability
 
 let strategy_ids = List.map (fun s -> s.Strategy.id)
 
+(* Strategies satisfying the request's thresholds, in catalog order. *)
+let candidates d strategies = List.filter (Deployment.satisfied_by d) (Array.to_list strategies)
+
 let check_float = Alcotest.(check (float 1e-9))
 
 let test_availability_expectation () =
@@ -19,7 +22,7 @@ let test_availability_expectation () =
 let test_d3_candidates () =
   (* d3 admits exactly {s2, s3, s4} (§2.3). *)
   let d3 = Paper_example.request 3 in
-  let candidates = Deployment.candidate_strategies d3 (Paper_example.strategies ()) in
+  let candidates = candidates d3 (Paper_example.strategies ()) in
   Alcotest.(check (list int)) "candidates of d3" [ 2; 3; 4 ] (strategy_ids candidates)
 
 let test_d1_d2_have_no_candidates () =
@@ -30,7 +33,7 @@ let test_d1_d2_have_no_candidates () =
       Alcotest.(check (list int))
         (Printf.sprintf "candidates of d%d" i)
         []
-        (strategy_ids (Deployment.candidate_strategies d strategies)))
+        (strategy_ids (candidates d strategies)))
     [ 1; 2 ]
 
 let test_instantiation_matches_table1 () =

@@ -164,7 +164,7 @@ let test_pool_export_gauges () =
          match value with Obs.Snapshot.Gauge _ -> true | _ -> false)
        snap)
 
-(* --- Shard.init / map / split_rng --- *)
+(* --- Shard.init / map --- *)
 
 let test_shard_init_matches_sequential () =
   let pool = Pool.create ~domains:4 in
@@ -177,14 +177,6 @@ let test_shard_init_matches_sequential () =
     "map"
     (Array.map (fun s -> s ^ "!") arr)
     (Shard.map pool ~f:(fun s -> s ^ "!") arr)
-
-let test_split_rng_deterministic () =
-  let streams seed =
-    Shard.split_rng (Rng.create seed) ~shards:4
-    |> Array.map (fun rng -> List.init 5 (fun _ -> Rng.float rng 1.))
-  in
-  Alcotest.(check bool) "same parent, same streams" true (streams 7 = streams 7);
-  Alcotest.(check bool) "different parent, different streams" true (streams 7 <> streams 8)
 
 (* --- sequential/parallel bit-identity --- *)
 
@@ -284,7 +276,6 @@ let () =
           Alcotest.test_case "plan shapes" `Quick test_plan_shapes;
           Alcotest.test_case "init matches sequential" `Quick
             test_shard_init_matches_sequential;
-          Alcotest.test_case "split_rng deterministic" `Quick test_split_rng_deterministic;
         ] );
       ( "pool",
         [

@@ -12,7 +12,7 @@ let test_exact_line () =
   Alcotest.(check (float 1e-9)) "intercept" (-1.) f.R.intercept;
   Alcotest.(check (float 1e-9)) "r^2" 1. f.R.r_squared;
   Alcotest.(check (float 1e-9)) "residual std" 0. f.R.residual_std;
-  Alcotest.(check (float 1e-9)) "predict" 9. (R.predict f 4.)
+  Alcotest.(check (float 1e-9)) "predict" 9. ((f.R.slope *. 4.) +. f.R.intercept)
 
 let test_known_fit () =
   (* Hand-checked least squares: xs=[1;2;3], ys=[2;2;4] -> slope 1,
@@ -61,7 +61,9 @@ let prop_residuals_sum_to_zero =
       let ys = Array.of_list (List.map snd points) in
       let f = R.fit ~xs ~ys in
       let sum = ref 0. in
-      Array.iteri (fun i x -> sum := !sum +. (ys.(i) -. R.predict f x)) xs;
+      Array.iteri
+        (fun i x -> sum := !sum +. (ys.(i) -. ((f.R.slope *. x) +. f.R.intercept)))
+        xs;
       Float.abs !sum < 1e-6 *. float_of_int (Array.length xs))
 
 let prop_r_squared_in_range =

@@ -101,14 +101,6 @@ let test_bernoulli_frequency () =
   Alcotest.(check bool) "frequency near 0.3" true (Float.abs (freq -. 0.3) < 0.01);
   Alcotest.(check bool) "p<=0 never" true (not (Rng.bernoulli rng ~p:(-0.5)))
 
-let test_shuffle_is_permutation () =
-  let rng = Rng.create 11 in
-  let arr = Array.init 100 Fun.id in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
-
 let test_sample_without_replacement () =
   let rng = Rng.create 12 in
   let arr = Array.init 50 Fun.id in
@@ -152,7 +144,6 @@ let () =
           Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
           Alcotest.test_case "bernoulli frequency" `Slow test_bernoulli_frequency;
-          Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "split streams differ" `Quick test_split_streams_differ;
           Alcotest.test_case "choose" `Quick test_choose;

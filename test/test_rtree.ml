@@ -18,7 +18,6 @@ let tree_search tree box = R.search tree box |> List.map snd |> List.sort compar
 let test_empty () =
   let t = R.empty () in
   Alcotest.(check int) "size" 0 (R.size t);
-  Alcotest.(check int) "height" 0 (R.height t);
   Alcotest.(check (list int)) "search" []
     (tree_search t (B.anchored (P.make 1. 1. 1.)));
   Alcotest.(check bool) "invariants" true (R.check_invariants t = Ok ())
@@ -58,14 +57,6 @@ let test_persistence () =
   Alcotest.(check int) "old tree unchanged" 0 (R.size t0);
   Alcotest.(check int) "new tree grown" 1 (R.size t1)
 
-let test_count_in_and_fold () =
-  let entries = random_points 3 100 in
-  let t = R.bulk_load entries in
-  let everything = B.make ~lo:P.zero ~hi:P.ones in
-  Alcotest.(check int) "count_in all" 100 (R.count_in t everything);
-  let sum = R.fold_entries (fun acc _ v -> acc + v) 0 t in
-  Alcotest.(check int) "fold sums payloads" (99 * 100 / 2) sum
-
 let test_nodes_counts () =
   let entries = random_points 4 64 in
   let t = R.bulk_load entries in
@@ -89,70 +80,8 @@ let test_duplicates () =
   let p = P.make 0.5 0.5 0.5 in
   let entries = List.init 30 (fun i -> (p, i)) in
   let t = R.bulk_load entries in
-  Alcotest.(check int) "all duplicates stored" 30 (R.count_in t (B.of_point p));
+  Alcotest.(check int) "all duplicates stored" 30 (List.length (R.search t (B.of_point p)));
   Alcotest.(check bool) "invariants" true (R.check_invariants t = Ok ())
-
-let test_remove_basic () =
-  let entries = random_points 5 40 in
-  let t = R.bulk_load entries in
-  let target_point, target_value = List.nth entries 17 in
-  (match R.remove t target_point target_value with
-  | None -> Alcotest.fail "existing entry should be removable"
-  | Some t' ->
-      Alcotest.(check int) "size shrinks" 39 (R.size t');
-      Alcotest.(check int) "original untouched" 40 (R.size t);
-      Alcotest.(check bool) "invariants hold" true (R.check_invariants t' = Ok ());
-      let remaining =
-        List.filter (fun (p, v) -> not (P.equal p target_point && v = target_value)) entries
-      in
-      let everything = B.make ~lo:P.zero ~hi:P.ones in
-      Alcotest.(check (list int)) "exactly the others remain"
-        (linear_scan remaining everything) (tree_search t' everything));
-  Alcotest.(check bool) "missing entry" true
-    (R.remove t (P.make 2. 2. 2.) 0 = None)
-
-let test_remove_all () =
-  let entries = random_points 6 25 in
-  let t = R.bulk_load entries in
-  let final =
-    List.fold_left
-      (fun t (p, v) ->
-        match R.remove t p v with
-        | Some t' ->
-            Alcotest.(check bool) "invariants along the way" true (R.check_invariants t' = Ok ());
-            t'
-        | None -> Alcotest.fail "every inserted entry must be removable")
-      t entries
-  in
-  Alcotest.(check int) "empty at the end" 0 (R.size final)
-
-let test_remove_duplicate_points () =
-  let p = P.make 0.5 0.5 0.5 in
-  let t = R.bulk_load [ (p, 1); (p, 2); (p, 3) ] in
-  match R.remove t p 2 with
-  | None -> Alcotest.fail "value-directed removal"
-  | Some t' ->
-      let remaining = R.search t' (B.of_point p) |> List.map snd |> List.sort compare in
-      Alcotest.(check (list int)) "removes only the matching value" [ 1; 3 ] remaining
-
-let prop_remove_equals_filter =
-  QCheck.Test.make ~count:80 ~name:"remove agrees with filtered rebuild"
-    QCheck.(pair (list_of_size Gen.(1 -- 80) (triple (float_range 0. 1.) (float_range 0. 1.) (float_range 0. 1.))) (int_bound 79))
-    (fun (coords, index) ->
-      let entries = List.mapi (fun i (x, y, z) -> (P.make x y z, i)) coords in
-      let index = index mod List.length entries in
-      let target_point, target_value = List.nth entries index in
-      let t = R.bulk_load entries in
-      match R.remove t target_point target_value with
-      | None -> false
-      | Some t' ->
-          let expected =
-            List.filter (fun (_, v) -> v <> target_value) entries
-            |> List.map snd |> List.sort compare
-          in
-          let everything = B.make ~lo:P.zero ~hi:P.ones in
-          R.check_invariants t' = Ok ()
-          && tree_search t' everything = expected)
 
 let prop_insert_search_equivalence =
   QCheck.Test.make ~count:60 ~name:"insert-built tree equals linear scan"
@@ -181,18 +110,10 @@ let () =
           Alcotest.test_case "insert small" `Quick test_insert_small;
           Alcotest.test_case "bulk load matches scan" `Quick test_bulk_load_matches_scan;
           Alcotest.test_case "persistence" `Quick test_persistence;
-          Alcotest.test_case "count/fold" `Quick test_count_in_and_fold;
           Alcotest.test_case "nodes counts" `Quick test_nodes_counts;
           Alcotest.test_case "duplicates" `Quick test_duplicates;
-          Alcotest.test_case "remove basic" `Quick test_remove_basic;
-          Alcotest.test_case "remove all" `Quick test_remove_all;
-          Alcotest.test_case "remove duplicate points" `Quick test_remove_duplicate_points;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
-          [
-            prop_insert_search_equivalence;
-            prop_bulk_load_equivalence;
-            prop_remove_equals_filter;
-          ] );
+          [ prop_insert_search_equivalence; prop_bulk_load_equivalence ] );
     ]

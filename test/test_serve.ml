@@ -79,19 +79,6 @@ let test_admission_deadlines () =
     (Invalid_argument "Admission.offer: deadline_hours must be positive (got 0)") (fun () ->
       ignore (Admission.offer q ~now:0. ~tenant:"t" ~deadline_hours:0. "bad"))
 
-let test_admission_expire_only () =
-  let q = Admission.create ~capacity:4 () in
-  (match Admission.offer q ~now:0. ~tenant:"t" ~deadline_hours:1. "dead" with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "unexpected rejection");
-  (match Admission.offer q ~now:0. ~tenant:"t" "alive" with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "unexpected rejection");
-  let dead = Admission.expire q ~now:36000. in
-  Alcotest.(check (list string)) "only the expired leave" [ "dead" ]
-    (List.map (fun a -> a.Admission.item) dead);
-  Alcotest.(check int) "live stay queued" 1 (Admission.length q)
-
 let test_admission_weighted_fairness () =
   (* weight 2 takes two items per DRR pass, weight 1 takes one *)
   let q =
@@ -1395,7 +1382,6 @@ let () =
           Alcotest.test_case "bounded with typed backpressure" `Quick
             test_admission_backpressure;
           Alcotest.test_case "deadline expiry and budgets" `Quick test_admission_deadlines;
-          Alcotest.test_case "expire-only sweep" `Quick test_admission_expire_only;
           Alcotest.test_case "weighted deficit round-robin" `Quick
             test_admission_weighted_fairness;
           Alcotest.test_case "per-tenant quota caps" `Quick test_admission_quota_caps;

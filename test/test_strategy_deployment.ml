@@ -38,7 +38,7 @@ let test_default_labels () =
       ~model:simple_model ()
   in
   Alcotest.(check string) "stage-joined label" "SEQ-COL-CRO+SEQ-COL-CRO" s.Strategy.label;
-  Alcotest.(check int) "stage count" 2 (Strategy.stage_count s);
+  Alcotest.(check int) "stage count" 2 (List.length s.Strategy.stages);
   let d = Deployment.make ~id:3 ~params:(Params.make ~quality:0.5 ~cost:0.5 ~latency:0.5) ~k:2 () in
   Alcotest.(check string) "request label" "d3" d.Deployment.label
 
@@ -63,7 +63,7 @@ let test_satisfied_by_and_candidates () =
   Alcotest.(check bool) "good satisfies" true (Deployment.satisfied_by d good);
   Alcotest.(check bool) "bad quality" false (Deployment.satisfied_by d bad);
   Alcotest.(check bool) "too expensive" false (Deployment.satisfied_by d expensive);
-  let candidates = Deployment.candidate_strategies d [| good; bad; expensive |] in
+  let candidates = List.filter (Deployment.satisfied_by d) [ good; bad; expensive ] in
   Alcotest.(check (list int)) "candidates" [ 1 ]
     (List.map (fun s -> s.Strategy.id) candidates)
 

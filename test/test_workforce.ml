@@ -71,7 +71,8 @@ let test_vector () =
   let matrix =
     matrix_of_rows [| [| Some 0.1; Some 0.2 |]; [| None; Some 0.3 |]; [| Some 0.4; Some 0.5 |] |]
   in
-  let v = W.vector matrix W.Sum_case ~k:2 in
+  (* The paper's vector \vec{W}: one requirement per request row. *)
+  let v = Array.init 3 (W.request_requirement matrix W.Sum_case ~k:2) in
   Alcotest.(check int) "length" 3 (Array.length v);
   (match v.(0) with
   | Some { W.workforce; _ } ->

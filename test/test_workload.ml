@@ -93,7 +93,7 @@ let test_workflows () =
   Alcotest.(check int) "count" 100 (Array.length flows);
   Array.iter
     (fun s ->
-      Alcotest.(check int) "3 stages" 3 (Model.Strategy.stage_count s);
+      Alcotest.(check int) "3 stages" 3 (List.length s.Model.Strategy.stages);
       List.iter
         (fun axis ->
           let v = Params.get s.Model.Strategy.params axis in
