@@ -32,7 +32,9 @@ bench-smoke: build
 # was triaged (accepted == epoch_requests, no admission leak), the
 # queue drained to zero, and the socket was unlinked on exit. A tick
 # that would overflow the daemon clock must be answered with a typed
-# error and leave the socket loop serving. The first daemon runs at two
+# error and leave the socket loop serving, and the clean session must
+# count no transport fault (a short write or EAGAIN is not one). The
+# first daemon runs at two
 # domains, and all four of its submits need ADPaR, so its triage is
 # computed sharded and cached; the fourth repeats the first one's shape
 # in a second epoch, so both its lookups hit the triage cache. Uses the
@@ -85,6 +87,8 @@ serve-smoke: build
 	  || { echo "serve-smoke: the repeated shape did not hit the cache twice"; cat "$$tmp/out"; exit 1; }; \
 	grep -q '^cache_misses_total 6$$' "$$tmp/out" \
 	  || { echo "serve-smoke: expected 6 cache misses (3 shapes x 2 lookups)"; cat "$$tmp/out"; exit 1; }; \
+	grep -q '^serve_io_errors_total 0$$' "$$tmp/out" \
+	  || { echo "serve-smoke: a clean session counted transport faults"; cat "$$tmp/out"; exit 1; }; \
 	sock2="$$tmp/serve2.sock"; \
 	$(SERVE_BIN) --socket "$$sock2" --epoch-requests 8 --faults no-show=1 & pid2=$$!; \
 	for i in $$(seq 1 50); do test -S "$$sock2" && break; sleep 0.1; done; \

@@ -56,7 +56,13 @@ let equal a b =
   Float.equal a.quality b.quality && Float.equal a.cost b.cost
   && Float.equal a.latency b.latency
 
-let to_string t = Printf.sprintf "%.12g,%.12g,%.12g" t.quality t.cost t.latency
+(* Printf's [%.12g] without its format interpreter: the same C
+   conversion, so the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let to_string t =
+  String.concat ","
+    [ format_float "%.12g" t.quality; format_float "%.12g" t.cost; format_float "%.12g" t.latency ]
 
 let of_string s =
   match String.split_on_char ',' s |> List.map String.trim with

@@ -233,6 +233,7 @@ let create ?(clock = Obs.Registry.wall_clock) ?rng ~config ~availability ~strate
 
 let queue_depth t = Admission.length t.queue
 let max_line t = t.config.max_line
+let drain_timeout t = t.config.drain_timeout_seconds
 let epochs t = Engine.epochs t.session
 let stopped t = t.stopped
 let clock_hours t = !(t.offset_hours)
@@ -246,7 +247,8 @@ let registry t =
 (* Transport fault accounting: one shared total plus a per-kind labeled
    series minted on first use, so the scrape names every distinct
    failure mode the transport has absorbed (accept, epipe, econnreset,
-   read, write, oversized) without pre-registering a closed set — all
+   read, write, oversized, slow-consumer, fd-limit) without
+   pre-registering a closed set — all
    under the one serve.io_errors_total family. *)
 let note_io_error t ~kind =
   t.io_error_count <- t.io_error_count + 1;

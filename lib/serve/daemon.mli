@@ -118,6 +118,10 @@ val max_line : t -> int
 (** The configured protocol line limit (the transport's buffering
     guard reads it). *)
 
+val drain_timeout : t -> float
+(** The configured drain budget in seconds (the transport bounds its
+    shutdown flush of queued output by it). *)
+
 val metrics : t -> Stratrec_obs.Snapshot.t
 (** Live cumulative snapshot (the [GET metrics] surface). Refreshes the
     sliding-window gauges and SLO evaluations first, so the snapshot's
@@ -146,4 +150,5 @@ val note_io_error : t -> kind:string -> unit
 (** Count one absorbed transport fault under the unlabeled
     [serve.io_errors_total] and its [serve.io_errors_total{kind="..."}]
     labeled sibling (kinds the socket server reports: ["accept"],
-    ["epipe"], ["econnreset"], ["read"], ["write"], ["oversized"]). *)
+    ["epipe"], ["econnreset"], ["read"], ["write"], ["oversized"],
+    ["slow-consumer"], ["fd-limit"]). *)

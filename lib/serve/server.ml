@@ -80,7 +80,14 @@ module Io = struct
     { read; write }
 end
 
-type conn = { fd : Unix.file_descr; id : int; lines : Lines.t; mutable open_ : bool }
+type conn = {
+  fd : Unix.file_descr;
+  id : int;
+  lines : Lines.t;
+  out : Buffer.t;  (** rendered responses the kernel has not taken yet *)
+  mutable open_ : bool;
+  mutable reading : bool;  (** false once the peer stopped sending *)
+}
 
 let ignore_sigpipe () =
   match Sys.os_type with
@@ -92,44 +99,62 @@ let io_kind ~fallback = function
   | Unix.ECONNRESET -> "econnreset"
   | _ -> fallback
 
-(* Write everything or mark the peer dead. EINTR is a retry, not a
-   failure; any other error drops this peer's remaining responses (the
-   epoch still runs for everyone else) and is reported to [on_error]
-   with its classified kind. *)
-let write_all ?(io = Io.default) ?on_error conn data =
-  if conn.open_ then begin
-    let len = String.length data in
-    let rec go off =
-      if off < len then
-        match io.Io.write conn.fd data off (len - off) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (err, _, _) ->
-            Option.iter (fun f -> f (io_kind ~fallback:"write" err)) on_error;
-            conn.open_ <- false
-        | n -> go (off + n)
-    in
-    go 0
-  end
-
 (* Idempotent: [open_] is the single source of truth, so a second close
    (e.g. read error then sweep at shutdown) never double-closes an fd
    that may have been reused meanwhile. *)
 let close_conn conn =
   if conn.open_ then begin
     conn.open_ <- false;
+    Buffer.reset conn.out;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
+
+(* Hand the kernel as much of the queue as it takes without blocking.
+   EINTR is a retry and EAGAIN leaves the rest queued for a later turn;
+   any other error drops this peer's output (the epoch still runs for
+   everyone else) and is reported to [on_error] with its kind. *)
+let flush_queue ~io ~on_error conn =
+  let len = Buffer.length conn.out in
+  if conn.open_ && len > 0 then begin
+    let data = Buffer.contents conn.out in
+    let rec go off =
+      if off >= len then Some off
+      else
+        match io.Io.write conn.fd data off (len - off) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Some off
+        | exception Unix.Unix_error (err, _, _) ->
+            on_error (io_kind ~fallback:"write" err);
+            None
+        | n -> go (off + n)
+    in
+    match go 0 with
+    | None -> close_conn conn
+    | Some sent when sent = len -> Buffer.reset conn.out
+    | Some sent ->
+        Buffer.clear conn.out;
+        Buffer.add_substring conn.out data sent (len - sent)
+  end
+
+(* A peer whose unsent output outgrows this many maximal lines (1 MiB
+   at the default line limit) is not reading: it is evicted rather than
+   left to hold memory. *)
+let queued_lines_bound = 16
 
 let oversized_error =
   Protocol.render (Protocol.Error_ { reason = "line too long: discarded" })
 
-let deliver ?io ?on_error conns responses =
-  List.iter
-    (fun (client, response) ->
-      match List.find_opt (fun c -> c.id = client && c.open_) conns with
-      | Some conn -> write_all ?io ?on_error conn (Protocol.render response)
-      | None -> ())
-    responses
+let fd_limit_error =
+  Protocol.render
+    (Protocol.Error_ { reason = "too many connections: descriptor beyond the select limit" })
+
+(* [select] watches descriptors below FD_SETSIZE only; for any other it
+   fails with EINVAL before waiting, so a zero-timeout probe tells. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
 
 let bind_socket transport =
   match transport with
@@ -152,64 +177,142 @@ let serve ~daemon ?(io = Io.default) transport =
       Error (Printf.sprintf "cannot bind: %s" (Unix.error_message err))
   | listen_fd -> (
       Unix.listen listen_fd 16;
+      Unix.set_nonblock listen_fd;
       let max_line = Daemon.max_line daemon in
+      let bound = queued_lines_bound * max_line in
       let note kind = Daemon.note_io_error daemon ~kind in
-      let conns = ref [] and next_id = ref 1 and running = ref true in
+      let flush = flush_queue ~io ~on_error:note in
+      let conns = Hashtbl.create 16 and next_id = ref 1 and running = ref true in
       let chunk = Bytes.create 4096 in
+      (* Queue one response; a queue past the bound gets one flush, and
+         a peer still over it after that is evicted. *)
+      let enqueue conn data =
+        if conn.open_ then begin
+          Buffer.add_string conn.out data;
+          if Buffer.length conn.out > bound then begin
+            flush conn;
+            if conn.open_ && Buffer.length conn.out > bound then begin
+              note "slow-consumer";
+              close_conn conn
+            end
+          end
+        end
+      in
+      let send responses =
+        List.iter
+          (fun (client, response) ->
+            match Hashtbl.find_opt conns client with
+            | Some conn -> enqueue conn (Protocol.render response)
+            | None -> ())
+          responses
+      in
+      let accept () =
+        match Unix.accept listen_fd with
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error _ -> note "accept"
+        | fd, _ ->
+            Unix.set_nonblock fd;
+            if selectable fd then begin
+              let conn =
+                {
+                  fd;
+                  id = !next_id;
+                  lines = Lines.create ();
+                  out = Buffer.create 4096;
+                  open_ = true;
+                  reading = true;
+                }
+              in
+              incr next_id;
+              Hashtbl.replace conns conn.id conn
+            end
+            else begin
+              note "fd-limit";
+              (try ignore (io.Io.write fd fd_limit_error 0 (String.length fd_limit_error))
+               with Unix.Unix_error _ -> ());
+              try Unix.close fd with Unix.Unix_error _ -> ()
+            end
+      in
+      let read conn =
+        match io.Io.read conn.fd chunk 0 (Bytes.length chunk) with
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            (* interrupted, not gone: retry next round *)
+            ()
+        | exception Unix.Unix_error (err, _, _) ->
+            note (io_kind ~fallback:"read" err);
+            close_conn conn
+        | 0 -> conn.reading <- false
+        | n ->
+            let lines, dropped = Lines.feed conn.lines ~max_line (Bytes.sub_string chunk 0 n) in
+            Daemon.note_oversized daemon dropped;
+            for _ = 1 to dropped do
+              enqueue conn oversized_error
+            done;
+            List.iter
+              (fun line ->
+                if !running then begin
+                  let responses, verdict = Daemon.handle_line daemon ~client:conn.id line in
+                  send responses;
+                  match verdict with `Continue -> () | `Stop -> running := false
+                end)
+              lines
+      in
+      (* End of a turn: one flush per connection with queued output, then
+         drop the closed ones and close peers that stopped sending once
+         everything they are owed has gone out. *)
+      let end_turn () =
+        Hashtbl.iter (fun _ conn -> flush conn) conns;
+        Hashtbl.filter_map_inplace
+          (fun _ conn ->
+            if conn.open_ && (not conn.reading) && Buffer.length conn.out = 0 then
+              close_conn conn;
+            if conn.open_ then Some conn else None)
+          conns
+      in
+      let pending () =
+        Hashtbl.fold
+          (fun _ conn fds -> if Buffer.length conn.out > 0 then conn.fd :: fds else fds)
+          conns []
+      in
+      (* After shutdown: keep flushing until every queue drains or the
+         daemon's drain budget runs out. *)
+      let drain_output () =
+        let deadline = Unix.gettimeofday () +. Daemon.drain_timeout daemon in
+        let rec go () =
+          let writers = pending () and left = deadline -. Unix.gettimeofday () in
+          if writers <> [] && left > 0. then begin
+            (match Unix.select [] writers [] left with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            | _ -> end_turn ());
+            go ()
+          end
+        in
+        go ()
+      in
       (try
          while !running do
-           let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
-           match Unix.select fds [] [] 1.0 with
+           let readers =
+             Hashtbl.fold
+               (fun _ conn fds -> if conn.reading then conn.fd :: fds else fds)
+               conns [ listen_fd ]
+           in
+           match Unix.select readers (pending ()) [] 1.0 with
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
            | readable, _, _ ->
-               (* new connection *)
-               (if List.mem listen_fd readable then
-                  match Unix.accept listen_fd with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | exception Unix.Unix_error _ -> note "accept"
-                  | fd, _ ->
-                      let conn = { fd; id = !next_id; lines = Lines.create (); open_ = true } in
-                      incr next_id;
-                      conns := !conns @ [ conn ]);
-               List.iter
-                 (fun conn ->
-                   if !running && conn.open_ && List.mem conn.fd readable then
-                     match io.Io.read conn.fd chunk 0 (Bytes.length chunk) with
-                     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                         (* interrupted, not gone: retry next round *)
-                         ()
-                     | exception Unix.Unix_error (err, _, _) ->
-                         note (io_kind ~fallback:"read" err);
-                         close_conn conn
-                     | 0 -> close_conn conn
-                     | n ->
-                         let lines, dropped =
-                           Lines.feed conn.lines ~max_line (Bytes.sub_string chunk 0 n)
-                         in
-                         Daemon.note_oversized daemon dropped;
-                         for _ = 1 to dropped do
-                           write_all ~io ~on_error:note conn oversized_error
-                         done;
-                         List.iter
-                           (fun line ->
-                             if !running then begin
-                               let responses, verdict =
-                                 Daemon.handle_line daemon ~client:conn.id line
-                               in
-                               deliver ~io ~on_error:note !conns responses;
-                               match verdict with
-                               | `Continue -> ()
-                               | `Stop -> running := false
-                             end)
-                           lines)
-                 !conns;
-               conns := List.filter (fun c -> c.open_) !conns
+               if List.mem listen_fd readable then accept ();
+               Hashtbl.fold
+                 (fun _ conn ready -> if List.mem conn.fd readable then conn :: ready else ready)
+                 conns []
+               |> List.sort (fun a b -> Int.compare a.id b.id)
+               |> List.iter (fun conn -> if !running && conn.open_ then read conn);
+               end_turn ()
          done;
+         drain_output ();
          Ok ()
        with Unix.Unix_error (err, fn, _) ->
          Error (Printf.sprintf "socket error in %s: %s" fn (Unix.error_message err)))
       |> fun result ->
-      List.iter close_conn !conns;
+      Hashtbl.iter (fun _ conn -> close_conn conn) conns;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (match transport with
       | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())

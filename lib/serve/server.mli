@@ -10,6 +10,22 @@
     a peer disconnecting mid-epoch only loses its own responses
     (writes to dead peers are dropped, the epoch still runs).
 
+    Writes never block the loop. Every descriptor is non-blocking, and
+    each connection has an output queue: during a loop turn every
+    response (acks, epoch results routed to any client, oversized-line
+    errors) is appended to its connection's queue, and at the end of
+    the turn each queue is flushed with non-blocking writes — one
+    syscall per connection per turn in the common case. Bytes the
+    kernel does not take stay queued and the descriptor joins
+    [select]'s write set until they drain. A queue that outgrows 16
+    times the daemon's line limit (1 MiB at the default) belongs to a
+    peer that is not reading: it is evicted and counted as io-error
+    kind ["slow-consumer"], so one such peer cannot stall the others.
+    A peer that stops sending is closed once its queue drains.
+    [select] cannot watch a descriptor at or beyond FD_SETSIZE, so an
+    accepted connection landing there is refused with one typed error
+    line, closed, and counted as kind ["fd-limit"].
+
     The stdio driver feeds the daemon from an [in_channel] — the cram
     tests and [--stdio] mode — and the client pumps stdin lines into a
     serving socket and streams responses back, which is how the smoke
@@ -73,13 +89,15 @@ end
 val serve : daemon:Daemon.t -> ?io:Io.t -> transport -> (unit, string) result
 (** Bind, accept and serve until a [shutdown] command stops the daemon
     (or a fatal socket error). All pending requests are answered before
-    the listener closes. Errors are I/O-level only — protocol problems
-    never end the loop. Absorbed transport faults (accept failures,
-    [EPIPE]/[ECONNRESET], read/write errors, oversized-line drops) are
-    counted through {!Daemon.note_io_error} as
-    [serve.io_errors_total{kind}]. [io] (default {!Io.default})
-    replaces the byte layer — the chaos tests inject {!Io.faulty}
-    here. *)
+    the listener closes, and the queued output is flushed first,
+    for at most the daemon's drain budget ({!Daemon.drain_timeout}).
+    Errors are I/O-level only — protocol problems never end the loop.
+    Absorbed transport faults (accept failures, [EPIPE]/[ECONNRESET],
+    read/write errors, oversized-line drops, slow-consumer evictions,
+    fd-limit refusals) are counted through {!Daemon.note_io_error} as
+    [serve.io_errors_total{kind}]; a short write or [EAGAIN] is not a
+    fault. [io] (default {!Io.default}) replaces the byte layer — the
+    chaos tests inject {!Io.faulty} here. *)
 
 val run_stdio : daemon:Daemon.t -> in_channel -> out_channel -> unit
 (** Feed lines from the channel to the daemon (single client 0) until

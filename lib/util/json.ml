@@ -26,14 +26,19 @@ let escape_string buffer s =
     s;
   Buffer.add_char buffer '"'
 
+(* The C conversion Printf's [%g] ends in, called without Printf's
+   format interpreter: same bytes, a third of the cost. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let number_to_string f =
   if not (Float.is_finite f) then invalid_arg "Json.to_string: non-finite number";
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 1e15 then
+    (* What %.0f prints: exact below 1e15, and -0 keeps its sign. *)
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else
     (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.17g" f in
-    let shorter = Printf.sprintf "%.15g" f in
-    if float_of_string shorter = f then shorter else s
+    let shorter = format_float "%.15g" f in
+    if float_of_string shorter = f then shorter else format_float "%.17g" f
 
 let to_string ?(indent = 0) t =
   let buffer = Buffer.create 256 in

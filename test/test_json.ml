@@ -120,6 +120,66 @@ let prop_pretty_roundtrip =
       | Ok parsed -> Json.equal doc parsed
       | Error _ -> false)
 
+(* The Printf printers the number fast paths replaced, kept as oracles:
+   the fast paths must print the same bytes for every float. *)
+let printf_number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.17g" f in
+    let shorter = Printf.sprintf "%.15g" f in
+    if float_of_string shorter = f then shorter else s
+
+let printf_params (p : Stratrec_model.Params.t) =
+  Printf.sprintf "%.12g,%.12g,%.12g" p.quality p.cost p.latency
+
+let edge_floats =
+  [
+    0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 5e-324; -5e-324;
+    Float.min_float; 2.2250738585072009e-308; 1e-310; Float.max_float; -.Float.max_float;
+    1e15 -. 0.5; 0.1; 1. /. 3.;
+  ]
+
+(* Random bit patterns cover every exponent; integral and short-decimal
+   draws exercise the %.0f and %.15g branches, which random bits rarely
+   reach. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        (2, map float_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000));
+        ( 2,
+          map2
+            (fun digits x -> float_of_string (Printf.sprintf "%.*g" digits x))
+            (int_range 1 17) (float_range (-1e6) 1e6) );
+        (1, oneofl edge_floats);
+      ])
+
+let arb_float = QCheck.make ~print:(Printf.sprintf "%h") gen_float
+
+let test_number_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_number f)
+        (Json.to_string (Json.Number f)))
+    edge_floats;
+  Alcotest.(check string) "-0 keeps its sign" "-0" (Json.to_string (Json.Number (-0.)))
+
+let prop_number_matches_printf =
+  QCheck.Test.make ~count:5000 ~name:"number printer = the Printf oracle" arb_float (fun f ->
+      if Float.is_finite f then Json.to_string (Json.Number f) = printf_number f
+      else
+        match Json.to_string (Json.Number f) with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+
+let prop_params_matches_printf =
+  QCheck.Test.make ~count:5000 ~name:"Params.to_string = the Printf oracle"
+    (QCheck.triple arb_float arb_float arb_float)
+    (fun (quality, cost, latency) ->
+      let p = Stratrec_model.Params.make_unchecked ~quality ~cost ~latency in
+      Stratrec_model.Params.to_string p = printf_params p)
+
 let () =
   Alcotest.run "json"
     [
@@ -132,7 +192,14 @@ let () =
           Alcotest.test_case "accessors" `Quick test_accessors;
           Alcotest.test_case "pretty printing" `Quick test_pretty_printing;
           Alcotest.test_case "non-finite rejected" `Quick test_non_finite_rejected;
+          Alcotest.test_case "number edge cases match Printf" `Quick test_number_edges;
         ] );
       ( "properties",
-        List.map Tq.to_alcotest [ prop_roundtrip; prop_pretty_roundtrip ] );
+        List.map Tq.to_alcotest
+          [
+            prop_roundtrip;
+            prop_pretty_roundtrip;
+            prop_number_matches_printf;
+            prop_params_matches_printf;
+          ] );
     ]

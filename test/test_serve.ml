@@ -1006,6 +1006,204 @@ let test_serve_socket_chaos () =
       | Error e -> Alcotest.failf "response is not JSON (%s): %S" e l)
     lines
 
+(* Helpers for the socket tests below: a client fd on a serving Unix
+   socket, and line reads that fail the test after [timeout] seconds of
+   silence instead of blocking forever. *)
+let socket_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "stratrec-%s-%d.sock" name (Unix.getpid ()))
+
+let rec dial path tries =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.02;
+      dial path (tries - 1)
+
+let send_all fd data =
+  let rec go off =
+    if off < String.length data then
+      match Unix.write_substring fd data off (String.length data - off) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | w -> go (off + w)
+  in
+  go 0
+
+(* Read lines from [fd] until [enough] holds for the lines read so far
+   (or the peer closes, when [enough] is [None]). A receive timeout
+   rather than select guards the reads, so it works on any descriptor. *)
+let read_lines ?(timeout = 20.) ?enough fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  let buf = Bytes.create 4096 and got = Buffer.create 4096 in
+  let lines () =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents got))
+  in
+  let rec go () =
+    match enough with
+    | Some f when f (lines ()) -> lines ()
+    | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.failf "no answer within %.0f s" timeout
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> lines ()
+        | 0 -> (
+            match enough with
+            | None -> lines ()
+            | Some _ -> Alcotest.failf "connection closed early: %s" (Buffer.contents got))
+        | n ->
+            Buffer.add_subbytes got buf 0 n;
+            go ())
+  in
+  go ()
+
+let has_status status id line =
+  match Json.of_string line with
+  | Ok j ->
+      Option.bind (Json.member "status" j) Json.to_string_value = Some status
+      && Option.bind (Json.member "id" j) Json.to_int = Some id
+  | Error _ -> false
+
+(* A peer that floods submits and never reads must not stall the
+   others. Its unsent output outgrows the bound (16 lines of 512 bytes
+   here), so it is evicted and counted as a slow consumer, while client
+   B, whose requests share an epoch with the flood, gets every answer.
+   Every read is timeout-guarded: a loop that blocks writing to the
+   flooder fails this test instead of hanging it. *)
+let test_serve_slow_consumer () =
+  fixed_clock := 1000.;
+  let daemon = make_daemon ~queue_capacity:64 ~epoch_requests:8 ~max_line:512 () in
+  let path = socket_path "slow" in
+  let server =
+    Domain.spawn (fun () -> Serve.Server.serve ~daemon (Serve.Server.Unix_socket path))
+  in
+  let a = dial path 250 in
+  let b = dial path 250 in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () ->
+      let b_ids = [ 1; 2; 3 ] in
+      List.iter
+        (fun id -> send_all b (submit_line ~id ~params:(0.91, 0.58, 0.59) ~k:2 () ^ "\n"))
+        b_ids;
+      ignore
+        (read_lines b ~enough:(fun ls -> List.for_all (fun id -> List.exists (has_status "accepted" id) ls) b_ids));
+      (* A writes without blocking until the daemon hangs up on it, or
+         stops reading it for five seconds. *)
+      Unix.set_nonblock a;
+      let flood =
+        String.concat ""
+          (List.init 20_000 (fun i ->
+               submit_line ~id:(i + 100) ~params:(0.91, 0.58, 0.59) ~k:2 () ^ "\n"))
+      in
+      let rec push off =
+        if off < String.length flood then
+          match Unix.write_substring a flood off (String.length flood - off) with
+          | n -> push (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+              match Unix.select [] [ a ] [] 5.0 with
+              | _, [], _ -> ()
+              | _ -> push off
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off)
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+      in
+      push 0;
+      send_all b "{\"op\":\"flush\"}\n";
+      let answers =
+        read_lines b ~enough:(fun ls ->
+            List.for_all (fun id -> List.exists (has_status "completed" id) ls) b_ids)
+      in
+      List.iter
+        (fun id ->
+          Alcotest.(check int) (Printf.sprintf "B's request %d completed once" id) 1
+            (List.length (List.filter (has_status "completed" id) answers)))
+        b_ids;
+      send_all b "{\"op\":\"shutdown\"}\n";
+      let rest = read_lines b in
+      Alcotest.(check bool) "B saw the shutdown" true
+        (List.mem {|{"ok":true,"status":"shutting-down"}|} rest);
+      (match Domain.join server with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "serve failed: %s" e);
+      Alcotest.(check int) "the flooder was evicted once" 1
+        (Snapshot.counter_value ~labels:[ ("kind", "slow-consumer") ] (Daemon.metrics daemon)
+           "serve.io_errors_total");
+      Alcotest.(check int) "no leaked requests" 0 (Daemon.queue_depth daemon))
+
+(* A reader that lags behind loses nothing: forty scrapes (over half a
+   megabyte, more than the socket buffer takes, less than the eviction
+   bound) queue up while it sleeps, wait in select's write set, and are
+   flushed in full after shutdown, before the listener closes. *)
+let test_serve_lagging_reader () =
+  fixed_clock := 1000.;
+  let daemon = make_daemon () in
+  let path = socket_path "lag" in
+  let server =
+    Domain.spawn (fun () -> Serve.Server.serve ~daemon (Serve.Server.Unix_socket path))
+  in
+  let fd = dial path 250 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      send_all fd (String.concat "" (List.init 40 (fun _ -> "GET metrics\n")));
+      send_all fd "{\"op\":\"shutdown\"}\n";
+      Unix.sleepf 0.3;
+      let lines = read_lines fd in
+      (match Domain.join server with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "serve failed: %s" e);
+      Alcotest.(check int) "every scrape arrived whole" 40
+        (List.length (List.filter (( = ) "# EOF") lines));
+      Alcotest.(check (option string)) "shutdown answered last"
+        (Some {|{"ok":true,"status":"shutting-down"}|})
+        (List.nth_opt lines (List.length lines - 1));
+      Alcotest.(check int) "a lagging reader is no transport fault" 0
+        (Daemon.io_error_count daemon))
+
+(* More connections than select can watch (FD_SETSIZE, 1024): every
+   descriptor beyond the limit is refused with one typed error line and
+   counted as an fd-limit io error, and the daemon keeps serving the
+   connections it holds. Client and server ends live in this process,
+   so the test needs about 2.2k descriptors. *)
+let test_serve_fd_limit () =
+  fixed_clock := 1000.;
+  let daemon = make_daemon ~epoch_requests:8 () in
+  let path = socket_path "fdlimit" in
+  let server =
+    Domain.spawn (fun () -> Serve.Server.serve ~daemon (Serve.Server.Unix_socket path))
+  in
+  let first = dial path 250 in
+  let others = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) (first :: !others))
+    (fun () ->
+      send_all first (submit_line ~id:1 ~params:(0.91, 0.58, 0.59) ~k:2 () ^ "\n");
+      ignore (read_lines first ~enough:(List.exists (has_status "accepted" 1)));
+      for _ = 2 to 1100 do
+        others := dial path 250 :: !others
+      done;
+      (match read_lines (List.hd !others) with
+      | [ line ] ->
+          Alcotest.(check bool) ("refused with a typed error: " ^ line) true
+            (String.starts_with ~prefix:{|{"ok":false,"status":"error","error":"too many connections|}
+               line)
+      | lines -> Alcotest.failf "expected one refusal line, got %d" (List.length lines));
+      send_all first "{\"op\":\"flush\"}\n";
+      ignore (read_lines first ~enough:(List.exists (has_status "completed" 1)));
+      send_all first "{\"op\":\"shutdown\"}\n";
+      ignore (read_lines first);
+      (match Domain.join server with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "serve failed: %s" e);
+      Alcotest.(check bool) "refusals counted as fd-limit" true
+        (Snapshot.counter_value ~labels:[ ("kind", "fd-limit") ] (Daemon.metrics daemon)
+           "serve.io_errors_total"
+        >= 1))
+
 (* Randomized protocol floods: any mix of valid submits, flushes,
    ticks (up to 1e308 hours), reads and printable garbage is always
    answered with at least one typed response that renders, never an
@@ -1431,6 +1629,12 @@ let () =
             test_pump_under_faults;
           Alcotest.test_case "select loop serves through injected faults" `Quick
             test_serve_socket_chaos;
+          Alcotest.test_case "a peer that never reads is evicted" `Quick
+            test_serve_slow_consumer;
+          Alcotest.test_case "a lagging reader gets everything by shutdown" `Quick
+            test_serve_lagging_reader;
+          Alcotest.test_case "descriptors beyond select's limit refused" `Quick
+            test_serve_fd_limit;
         ] );
       ( "engine session",
         [
