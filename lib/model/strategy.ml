@@ -23,8 +23,6 @@ let with_params t params = { t with params }
 let instantiate t ~availability =
   with_params t (Linear_model.estimate t.model ~availability)
 
-let workforce_requirement t ~request = Linear_model.workforce_requirement t.model ~request
-
 let workflow_space_size ~stages =
   if stages < 0 then invalid_arg "Strategy.workflow_space_size: negative stages";
   Float.pow (float_of_int Dimension.combo_count) (float_of_int stages)

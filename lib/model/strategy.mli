@@ -36,10 +36,6 @@ val instantiate : t -> availability:float -> t
 (** Re-estimates [params] from the model at the given availability
     (Aggregator step 1, §2.2). *)
 
-val workforce_requirement : t -> request:Params.t -> float option
-(** Minimum availability for this strategy to meet the request thresholds
-    (§3.2); [None] when infeasible. *)
-
 val workflow_space_size : stages:int -> float
 (** Number of distinct strategies for a workflow of [stages] tasks when
     each stage picks one of the 8 combos: [8 ^ stages] (§2.1's

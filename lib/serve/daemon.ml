@@ -331,21 +331,28 @@ let shed_reason t ~tenant =
       in
       if Admission.tenant_depth t.queue ~tenant >= share then Some "over-share" else None
 
+let e2e_p99 t = Obs.Window.quantile t.w_e2e 0.99
+
 (* One ladder evaluation: queue saturation and the sliding-window e2e
    p99 are the pressure signals. Called once per handled line, so the
-   walk is deterministic under a fake clock and costs two reads when
-   steady. *)
+   walk is deterministic under a fake clock. The p99 builds a histogram
+   of the window, so it is computed only when the ladder reads it (the
+   latency signal is on) or an escalation logs it: a steady step without
+   the latency signal costs two reads. *)
 let evaluate_brownout t =
   let saturation =
     float_of_int (Admission.length t.queue) /. float_of_int t.config.queue_capacity
   in
-  let p99 = Obs.Window.quantile t.w_e2e 0.99 in
+  let latency_signal = t.config.brownout.Brownout.p99_high > 0. in
+  (* With the latency signal off, Brownout.evaluate never reads p99. *)
+  let p99 = if latency_signal then e2e_p99 t else 0. in
   let log = t.config.engine.Engine.log in
   let num f = Stratrec_util.Json.Number f in
   let rung_of i = num (float_of_int i) in
   match Brownout.evaluate t.brownout ~saturation ~p99 with
   | Brownout.Steady -> ()
   | Brownout.Escalated { from_; to_; reason } ->
+      let p99 = if latency_signal then p99 else e2e_p99 t in
       Obs.Registry.incr t.brownout_escalations;
       Obs.Registry.set t.brownout_rung_gauge (float_of_int to_);
       apply_rung_effects t;
@@ -953,8 +960,8 @@ let handle_line t ~client line =
     | Ok command ->
         let result = handle_command t ~client command in
         (* One ladder step per handled line: deterministic walk, and a
-           steady rung 0 costs two reads — the bit-identity contract
-           for unloaded serving holds. *)
+           steady rung 0 without the latency signal costs two reads —
+           the bit-identity contract for unloaded serving holds. *)
         evaluate_brownout t;
         (* Then one incident check: with a flight recorder configured,
            health transitions and SLO burn trips dump the ring here. A

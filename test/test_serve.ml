@@ -733,6 +733,38 @@ let test_daemon_brownout_ladder () =
     "service restored" [ "accepted" ]
     (statuses (drive daemon [ submit 7 ]))
 
+(* With the latency signal off the ladder never reads the e2e p99, yet
+   an escalation still logs the window's p99: the value the scrape's
+   gauge reads at that instant. *)
+let test_daemon_brownout_escalation_log () =
+  fixed_clock := 1000.;
+  let lines = ref [] in
+  let log =
+    Obs.Log.create ~clock:(fun () -> !fixed_clock) ~writer:(fun l -> lines := l :: !lines) ()
+  in
+  let daemon =
+    make_daemon ~engine:(Engine.with_log Engine.default_config log) ~queue_capacity:4
+      ~epoch_requests:8 ()
+  in
+  let submit id = submit_line ~id ~params:(0.91, 0.58, 0.59) ~k:2 () in
+  ignore (drive daemon [ submit 1; submit 2 ]);
+  fixed_clock := 1000.5;
+  ignore (drive daemon [ {|{"op":"flush"}|} ]);
+  ignore (drive daemon [ submit 3; submit 4; submit 5; submit 6 ]);
+  Alcotest.(check int) "escalated once" 1 (Daemon.brownout_rung daemon);
+  let logged =
+    List.filter_map
+      (fun line ->
+        match Json.of_string line with
+        | Ok j when Json.member "msg" j = Some (Json.String "brownout escalated") ->
+            Option.bind (Json.member "p99_seconds" j) Json.to_float
+        | _ -> None)
+      !lines
+  in
+  let window = Snapshot.gauge_value (Daemon.metrics daemon) "serve.e2e_seconds.window.p99" in
+  Alcotest.(check bool) "the window saw the 0.5 s requests" true (window > 0.);
+  Alcotest.(check (list (float 0.))) "escalation logs the window p99" [ window ] logged
+
 (* The drain verb: everything queued is answered within the budget, the
    summary counts it, and the daemon refuses new work afterwards while
    health stays scrapeable and names the state. *)
@@ -1614,6 +1646,8 @@ let () =
             test_daemon_quota_rejection;
           Alcotest.test_case "brownout ladder escalates, sheds, recovers" `Quick
             test_daemon_brownout_ladder;
+          Alcotest.test_case "brownout escalation logs the window p99" `Quick
+            test_daemon_brownout_escalation_log;
           Alcotest.test_case "drain answers everything then refuses" `Quick
             test_daemon_drain;
           Alcotest.test_case "zero-budget drain force-closes typed" `Quick

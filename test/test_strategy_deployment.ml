@@ -88,11 +88,11 @@ let test_workforce_requirement () =
   (* quality 0.7 -> w = 0.5; latency 0.4 -> w = 1.0; cost cap (0.6-0.2)/0.5
      = 0.8 < 1.0 -> infeasible. *)
   Alcotest.(check (option (float 1e-9))) "infeasible via cap" None
-    (Strategy.workforce_requirement s
+    (Model.Workforce.workforce_requirement s.Strategy.model
        ~request:(Params.make ~quality:0.7 ~cost:0.6 ~latency:0.4));
   (* Looser latency: w = max(0.5, 0.5) = 0.5, cap 0.8 ok. *)
   Alcotest.(check (option (float 1e-9))) "feasible" (Some 0.5)
-    (Strategy.workforce_requirement s
+    (Model.Workforce.workforce_requirement s.Strategy.model
        ~request:(Params.make ~quality:0.7 ~cost:0.6 ~latency:0.6))
 
 let test_workflow_space_size () =

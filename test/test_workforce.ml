@@ -1,10 +1,14 @@
-(* Unit tests for the workforce-requirement matrix and aggregation (§3.2). *)
+(* Tests for the workforce-requirement matrix, its aggregation and the
+   scan that replaced it (§3.2). The inversion rules' own unit cases are
+   in test_workforce_inversion. *)
 
 module Model = Stratrec_model
 module Params = Model.Params
 module W = Model.Workforce
 module Strategy = Model.Strategy
 module Deployment = Model.Deployment
+module LM = Model.Linear_model
+module Rng = Stratrec_util.Rng
 
 let combo = List.hd Model.Dimension.all_combos
 
@@ -21,6 +25,12 @@ let strategy id =
     ~model:dummy_model
 
 let request id k = Deployment.make ~id ~params:(Params.make ~quality:0.4 ~cost:0.6 ~latency:0.6) ~k ()
+
+let model ~q ~c ~l =
+  let pair (alpha, beta) = { LM.alpha; beta } in
+  { LM.quality = pair q; cost = pair c; latency = pair l }
+
+(* --- the matrix and its aggregation --- *)
 
 (* A matrix with hand-set requirements via compute_with. *)
 let matrix_of_rows rows =
@@ -66,6 +76,39 @@ let test_sum_starts_at_zero () =
   in
   Alcotest.(check bool) "sum is +0." false (Float.sign_bit (workforce W.Sum_case));
   Alcotest.(check bool) "max is -0." true (Float.sign_bit (workforce W.Max_case))
+
+(* Strategies 0 and 1 meet the request at zero workforce, so the heap's
+   root is 0. before strategy 2, whose cost cap (0.6 - (0.6 + 5e-10)) /.
+   1. sits within the equality tolerance below 0.: its requirement is
+   negative and must displace the root. *)
+let test_negative_displaces_zero_root () =
+  let free = model ~q:(1., 0.5) ~c:(1., 0.5) ~l:(-1., 0.5) in
+  let capped = { free with LM.cost = { LM.alpha = 1.; beta = 0.6 +. 5e-10 } } in
+  let strategies =
+    Array.mapi
+      (fun id m ->
+        Strategy.single ~id combo
+          ~params:(Params.make ~quality:0.5 ~cost:0.5 ~latency:0.5)
+          ~model:m)
+      [| free; free; capped |]
+  in
+  let d = request 0 2 in
+  let matrix = W.compute ~requests:[| d |] ~strategies () in
+  List.iter
+    (fun (aggregation, name, expected) ->
+      List.iter
+        (fun (path, result) ->
+          match result with
+          | Some { W.workforce; chosen } ->
+              Alcotest.(check (list int)) (path ^ " chosen") [ 2; 0 ] chosen;
+              Alcotest.(check string) (path ^ " " ^ name) (Printf.sprintf "%h" expected)
+                (Printf.sprintf "%h" workforce)
+          | None -> Alcotest.fail (path ^ ": expected a requirement"))
+        [
+          ("scan", W.streaming_requirement aggregation ~k:2 ~strategies d);
+          ("row", W.request_requirement matrix aggregation ~k:2 0);
+        ])
+    [ (W.Max_case, "Max-case", 0.); (W.Sum_case, "Sum-case", -0x1.12e0cp-31) ]
 
 let test_vector () =
   let matrix =
@@ -142,8 +185,6 @@ let prop_streaming_equals_matrix =
              | _ -> false))
 
 (* --- the scan against the code it replaced --- *)
-
-module LM = Model.Linear_model
 
 (* The list-fold inversions, the matrix row and the k-smallest
    aggregation the allocation-free scan replaced, kept as its oracle (the
@@ -237,14 +278,20 @@ module Reference = struct
     end
 end
 
-module Rng = Stratrec_util.Rng
-
 (* Coefficients of every shape the inversion distinguishes: constant
-   (alpha = 0), negative and positive slopes. *)
+   (alpha = 0. or -0.), negative and positive slopes, and slopes so small
+   that (t - beta) /. alpha overflows to an infinity. *)
 let coeffs rng =
-  match Rng.int rng 6 with
+  match Rng.int rng 8 with
   | 0 -> { LM.alpha = 0.; beta = Rng.uniform rng ~lo:0. ~hi:1. }
   | 1 -> { LM.alpha = -.Rng.uniform rng ~lo:0.05 ~hi:1.; beta = Rng.uniform rng ~lo:0. ~hi:1. }
+  | 2 -> { LM.alpha = -0.; beta = Rng.uniform rng ~lo:0. ~hi:1. }
+  | 3 ->
+      let alpha = Rng.uniform rng ~lo:1e-310 ~hi:1e-308 in
+      {
+        LM.alpha = (if Rng.int rng 2 = 0 then alpha else -.alpha);
+        beta = Rng.uniform rng ~lo:0. ~hi:1.;
+      }
   | _ ->
       let alpha = Rng.uniform rng ~lo:0.05 ~hi:1. in
       { LM.alpha; beta = Rng.uniform rng ~lo:(-0.2) ~hi:(1. -. alpha) }
@@ -292,6 +339,48 @@ let thresholds rng strategies =
         ~cost:(LM.response m.LM.cost (w +. delta))
         ~latency:(LM.response m.LM.latency w)
 
+(* Lenient thresholds and a copy of the catalog in which about half the
+   strategies meet them at zero workforce (every floor at most 0., every
+   cap at least 0.) and about a quarter have one axis capped at delta,
+   within 2e-9 of 0. or exactly at 0. (a quality cap is then -0.): once
+   k zero pairs fill the heap, only a negative requirement may enter it.
+   Every strategy's parameters satisfy these thresholds. *)
+let zero_root rng strategies =
+  let u lo hi = Rng.uniform rng ~lo ~hi in
+  let r = Params.make_unchecked ~quality:(u 0. 0.4) ~cost:(u 0.6 1.) ~latency:(u 0.6 1.) in
+  (* Quality's floor and cap are at most 0. once beta >= t, cost's and
+     latency's once beta <= t, whatever the slope. *)
+  let free () =
+    {
+      LM.quality = { (coeffs rng) with LM.beta = u r.Params.quality 1. };
+      cost = { (coeffs rng) with LM.beta = u 0. r.Params.cost };
+      latency = { (coeffs rng) with LM.beta = u 0. r.Params.latency };
+    }
+  in
+  let capped () =
+    let m = free () in
+    let delta = [| -2e-9; -1e-9; -5e-10; -1e-10; 0.; 1e-10 |].(Rng.int rng 6) in
+    let alpha = u 0.05 1. in
+    (* A cap at delta: beta = t - alpha *. delta, so t - beta has the
+       sign of -delta, opposite to alpha's on a capping axis. *)
+    match Rng.int rng 3 with
+    | 0 ->
+        let alpha = -.alpha in
+        { m with LM.quality = { LM.alpha; beta = r.Params.quality -. (alpha *. delta) } }
+    | 1 -> { m with LM.cost = { LM.alpha; beta = r.Params.cost -. (alpha *. delta) } }
+    | _ -> { m with LM.latency = { LM.alpha; beta = r.Params.latency -. (alpha *. delta) } }
+  in
+  let strategies =
+    Array.map
+      (fun s ->
+        match Rng.int rng 4 with
+        | 0 | 1 -> { s with Strategy.model = free () }
+        | 2 -> { s with Strategy.model = capped () }
+        | _ -> s)
+      strategies
+  in
+  (strategies, r)
+
 (* Float.equal, and the same sign: Float.equal alone takes -0. for 0. *)
 let same_float a b = Float.equal a b && Float.sign_bit a = Float.sign_bit b
 
@@ -313,7 +402,9 @@ let same_cell a b =
   | W.Feasible a, W.Feasible b -> same_float a b
   | W.Feasible _, W.Infeasible | W.Infeasible, W.Feasible _ -> false
 
-(* k in 1-6, or k = n and k = n + 1 (an answer of None, early). *)
+(* k in 1-6, or k = n and k = n + 1 (an answer of None, early). Each
+   case checks four threshold draws on the catalog and one zero-root
+   draw. *)
 let prop_scan_equals_reference =
   QCheck.Test.make ~count:300 ~name:"scan equals the matrix + Kselect reference"
     QCheck.(quad small_nat (int_range 0 300) (int_range 1 8) (pair bool bool))
@@ -323,32 +414,32 @@ let prop_scan_equals_reference =
       let k = if kk <= 6 then kk else max 1 (n + kk - 7) in
       let rule = if paper then `Paper_equality else `Direction_aware in
       let aggregation = if sum_case then W.Sum_case else W.Max_case in
-      List.for_all
-        (fun id ->
-          let d = Deployment.make ~id ~params:(thresholds rng strategies) ~k () in
-          let request = d.Deployment.params in
-          let inversions_agree =
-            Array.for_all
-              (fun s ->
-                let m = s.Strategy.model in
-                same_inversion
-                  (LM.workforce_requirement m ~request)
-                  (Reference.workforce_requirement m ~request)
-                && same_inversion
-                     (LM.workforce_requirement_paper m ~request)
-                     (Reference.workforce_requirement_paper m ~request))
-              strategies
-          in
-          let row = Reference.row ~rule ~strategies d in
-          let expected = Reference.request_requirement row aggregation ~k in
-          let matrix = W.compute ~rule ~requests:[| d |] ~strategies () in
-          inversions_agree
-          && Array.for_all2 same_cell matrix.W.cells.(0) row
-          && same_requirement (W.request_requirement matrix aggregation ~k 0) expected
-          && same_requirement
-               (W.streaming_requirement ~rule aggregation ~k ~strategies d)
-               expected)
-        [ 0; 1; 2; 3 ])
+      let agrees ~id strategies request =
+        let d = Deployment.make ~id ~params:request ~k () in
+        let inversions_agree =
+          Array.for_all
+            (fun s ->
+              let m = s.Strategy.model in
+              same_inversion
+                (W.workforce_requirement m ~request)
+                (Reference.workforce_requirement m ~request)
+              && same_inversion
+                   (W.workforce_requirement_paper m ~request)
+                   (Reference.workforce_requirement_paper m ~request))
+            strategies
+        in
+        let row = Reference.row ~rule ~strategies d in
+        let expected = Reference.request_requirement row aggregation ~k in
+        let matrix = W.compute ~rule ~requests:[| d |] ~strategies () in
+        inversions_agree
+        && Array.for_all2 same_cell matrix.W.cells.(0) row
+        && same_requirement (W.request_requirement matrix aggregation ~k 0) expected
+        && same_requirement (W.streaming_requirement ~rule aggregation ~k ~strategies d) expected
+      in
+      List.for_all (fun id -> agrees ~id strategies (thresholds rng strategies)) [ 0; 1; 2; 3 ]
+      &&
+      let strategies, request = zero_root rng strategies in
+      agrees ~id:4 strategies request)
 
 (* k comes straight from a request: one far above the catalog size must
    be answered None before anything is sized by it. *)
@@ -374,6 +465,35 @@ let test_unbounded_k () =
   check "streaming" (fun () -> W.streaming_requirement W.Max_case ~k ~strategies d);
   check "row" (fun () -> W.request_requirement matrix W.Sum_case ~k 0)
 
+(* No strategy costs the scan a call or a float box, so a call
+   allocates its k-slot heap and its answer, whatever |S|. Two
+   requests on the same catalog: a lenient one, which k strategies meet
+   at zero workforce, so the prune skips most of the rest, and one for
+   which every qualifying strategy needs workforce, so each of them is
+   inverted. *)
+let test_scan_allocates_nothing_per_strategy () =
+  let strategies =
+    Model.Workload.strategies (Rng.create 2020) ~n:1000 ~kind:Model.Workload.Uniform
+  in
+  List.iter
+    (fun (request, quality) ->
+      let d =
+        Deployment.make ~id:0 ~params:(Params.make ~quality ~cost:0.95 ~latency:0.95) ~k:2 ()
+      in
+      List.iter
+        (fun (rule_name, rule) ->
+          let name = request ^ ", " ^ rule_name in
+          let scan () = W.streaming_requirement ~rule W.Max_case ~k:2 ~strategies d in
+          let words = Gc.minor_words () in
+          let result = scan () in
+          let words = Gc.minor_words () -. words in
+          Alcotest.(check bool) (name ^ " is met") true (result <> None);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.0f minor words" name words)
+            true (words < 64.))
+        [ ("direction-aware", `Direction_aware); ("paper", `Paper_equality) ])
+    [ ("lenient", 0.1); ("demanding", 0.7) ]
+
 let () =
   Alcotest.run "workforce"
     [
@@ -383,6 +503,8 @@ let () =
           Alcotest.test_case "insufficient candidates" `Quick test_insufficient_candidates;
           Alcotest.test_case "k validation" `Quick test_k_validation;
           Alcotest.test_case "sum starts at 0." `Quick test_sum_starts_at_zero;
+          Alcotest.test_case "a negative requirement displaces a zero root" `Quick
+            test_negative_displaces_zero_root;
           Alcotest.test_case "vector" `Quick test_vector;
           Alcotest.test_case "compute respects satisfaction" `Quick
             test_compute_respects_satisfaction;
@@ -390,5 +512,7 @@ let () =
           Tq.to_alcotest prop_streaming_equals_matrix;
           Tq.to_alcotest prop_scan_equals_reference;
           Alcotest.test_case "unbounded k" `Quick test_unbounded_k;
+          Alcotest.test_case "scan allocates nothing per strategy" `Quick
+            test_scan_allocates_nothing_per_strategy;
         ] );
     ]
