@@ -4,14 +4,12 @@
    experiment replays the same Zipf-distributed multi-epoch workload —
    a hot head of demanding shapes, a long cold tail — through Engine
    sessions at three cache policies (off, a deliberately undersized
-   capacity, the default) and times the triage path. Every cached run's
-   observable output (rendered per-epoch reports, decision log, final
-   counters sans the cache.* instruments, span tree) is checked
-   bit-identical against the uncached baseline; a mismatch aborts the
-   harness with exit 1, the same correctness-gate discipline as exp_par. *)
+   capacity, the default) and times the triage path. That a cached
+   session's output (per-epoch reports and decisions, counters sans the
+   cache.* instruments, span tree) is bit-identical to an uncached one
+   is test_cache's property, not this harness's. *)
 
 module Model = Stratrec_model
-module Obs = Stratrec_obs
 module Rng = Stratrec_util.Rng
 module Tabular = Stratrec_util.Tabular
 module Engine = Stratrec.Engine
@@ -40,23 +38,6 @@ let zipf_draw rng cdf =
   done;
   !lo
 
-(* Everything deterministic a session produces; timing histograms
-   contribute observation counts only (the values are clock readings),
-   gauges are dropped (cache.size / cache.hit_ratio are the point of
-   the sweep, not part of the identity surface), and the cache.*
-   counters are the documented exception to bit-identity. *)
-let counters_fingerprint snapshot =
-  List.filter_map
-    (fun ({ Obs.Snapshot.name; value; _ } as entry) ->
-      if String.starts_with ~prefix:"cache." name then None
-      else
-        let series = Obs.Snapshot.series_name entry in
-        match value with
-        | Obs.Snapshot.Counter n -> Some (series, `Counter n)
-        | Obs.Snapshot.Gauge _ -> None
-        | Obs.Snapshot.Histogram h -> Some (series, `Observations h.Obs.Snapshot.count))
-    snapshot
-
 let one_run ~cache ~strategies ~w ~epoch_batches =
   let config = Engine.with_cache Engine.default_config cache in
   let session =
@@ -68,35 +49,20 @@ let one_run ~cache ~strategies ~w ~epoch_batches =
         Printf.eprintf "exp_cache: create failed: %s\n" (Engine.error_message e);
         exit 1
   in
-  let epoch_fps = ref [] in
   let elapsed, () =
     Bench_common.time (fun () ->
         List.iter
           (fun batch ->
             match Engine.submit session batch with
-            | Ok report ->
-                epoch_fps :=
-                  ( Format.asprintf "%a" Stratrec.Aggregator.pp_report report.Engine.aggregate,
-                    List.map
-                      (fun d -> Format.asprintf "%a" Obs.Trace.pp_decision d)
-                      report.Engine.decisions )
-                  :: !epoch_fps
+            | Ok _ -> ()
             | Error e ->
                 Printf.eprintf "exp_cache: submit failed: %s\n" (Engine.error_message e);
                 exit 1)
           epoch_batches)
   in
-  let tree =
-    List.map
-      (fun n -> (n.Obs.Trace.id, n.Obs.Trace.parent, n.Obs.Trace.name, n.Obs.Trace.depth))
-      (Obs.Trace.nodes (Engine.session_trace session))
-  in
-  let fingerprint =
-    (List.rev !epoch_fps, counters_fingerprint (Engine.session_metrics session), tree)
-  in
   let stats = Engine.cache_stats session in
   Engine.close session;
-  (elapsed, fingerprint, stats)
+  (elapsed, stats)
 
 let run () =
   Bench_common.section "CACHE - epoch-scoped triage cache under Zipf traffic";
@@ -125,34 +91,19 @@ let run () =
     "catalog |S| = %d, %d shapes (zipf s=%.1f), %d requests x %d epochs, k = %d, W = %.1f, \
      %d run(s) per point\n"
     n shapes skew m epochs k w runs;
-  let t = Tabular.create ~columns:[ "cache"; "seconds"; "speedup"; "hit_ratio"; "identical" ] in
-  let baseline_seconds = ref 0. in
-  let baseline_fingerprint = ref None in
+  let t = Tabular.create ~columns:[ "cache"; "seconds"; "speedup"; "hit_ratio" ] in
+  let baseline_seconds = ref None in
   List.iter
     (fun cache ->
       let samples =
         List.init runs (fun _ -> one_run ~cache ~strategies ~w ~epoch_batches)
       in
       let seconds =
-        List.fold_left (fun acc (s, _, _) -> acc +. s) 0. samples /. float_of_int runs
+        List.fold_left (fun acc (s, _) -> acc +. s) 0. samples /. float_of_int runs
       in
-      let _, fp, stats = List.hd samples in
-      let identical =
-        match !baseline_fingerprint with
-        | None ->
-            baseline_seconds := seconds;
-            baseline_fingerprint := Some fp;
-            "baseline"
-        | Some base ->
-            if fp <> base then begin
-              Printf.eprintf
-                "exp_cache: run with --cache %s is NOT bit-identical to the uncached \
-                 baseline\n"
-                (C.policy_to_string cache);
-              exit 1
-            end;
-            "yes"
-      in
+      let baseline = Option.value !baseline_seconds ~default:seconds in
+      baseline_seconds := Some baseline;
+      let _, stats = List.hd samples in
       let hit_ratio =
         match stats with
         | None -> "-"
@@ -165,13 +116,12 @@ let run () =
         [
           C.policy_to_string cache;
           Printf.sprintf "%.3f" seconds;
-          Printf.sprintf "%.2fx" (!baseline_seconds /. seconds);
+          Printf.sprintf "%.2fx" (baseline /. seconds);
           hit_ratio;
-          identical;
         ])
     [ None; Some { C.capacity = max 2 (shapes / 4) }; Some C.default_config ];
   Bench_common.print_table ~title:"triage wall-clock by cache policy" t;
   print_endline
-    "Expected shape: every cached row identical to the uncached baseline; the default\n\
-     capacity converges to the Zipf head's hit ratio and beats the uncached run on\n\
-     the full-size workload (the undersized row shows eviction churn eating the gain)."
+    "Expected shape: the default capacity converges to the Zipf head's hit ratio and\n\
+     beats the uncached run on the full-size workload (the undersized row shows\n\
+     eviction churn eating the gain)."

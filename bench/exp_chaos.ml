@@ -53,7 +53,7 @@ let run_plan ~n ~m faults =
       ~strategies ~requests ()
   with
   | Error e -> failwith (Engine.error_message e)
-  | Ok report -> report
+  | Ok report -> (report, Obs.Registry.snapshot metrics)
 
 let run () =
   Bench_common.section "Chaos - resilient deployment under fault injection";
@@ -69,14 +69,14 @@ let run () =
   in
   List.iter
     (fun (label, faults) ->
-      let report = run_plan ~n ~m faults in
+      let report, snapshot = run_plan ~n ~m faults in
       let completed, rejected =
         List.partition
           (fun (d : Engine.deployed) ->
             match d.Engine.outcome with Engine.Completed _ -> true | Engine.Rejected _ -> false)
           report.Engine.deployed
       in
-      let counter = Obs.Snapshot.counter_value report.Engine.metrics in
+      let counter = Obs.Snapshot.counter_value snapshot in
       Tabular.add_row t
         [
           label;

@@ -121,12 +121,18 @@ let with_log destination f =
       with Sys_error message -> Error (`Msg message))
 
 (* The engine config every run-producing subcommand starts from, built
-   through the setter surface so new config fields can't break the CLI. *)
-let engine_config ~log ~deploy ~domains ~profile ~cache =
+   through the setter surface so new config fields can't break the CLI.
+   The run records into the registry and trace passed here, which the
+   subcommand reads afterwards for --metrics and --trace. *)
+let engine_config ~metrics ~trace ~log ~deploy ~domains ~profile ~cache =
   Engine.(
     with_cache
       (with_log
-         (with_profile (with_domains (with_deploy default_config deploy) domains) profile)
+         (with_profile
+            (with_domains
+               (with_deploy (with_trace (with_metrics default_config metrics) trace) deploy)
+               domains)
+            profile)
          log)
       cache)
 
@@ -206,7 +212,7 @@ let deploy_arg =
 
 let capacity_arg =
   let doc = "Workers per deployed HIT." in
-  Arg.(value & opt int 5 & info [ "capacity" ] ~docv:"C" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "capacity" ] ~docv:"C" ~doc)
 
 let population_arg =
   let doc = "Simulated platform population for the deploy stage." in
@@ -284,9 +290,10 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
   let requests = Model.Workload.requests rng ~m ~k in
   let deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
   let availability = Model.Availability.certain w in
+  let metrics = Obs.Registry.create () and trace = Obs.Trace.create () in
   let config =
     Engine.with_aggregator
-      (engine_config ~log ~deploy ~domains ~profile ~cache)
+      (engine_config ~metrics ~trace ~log ~deploy ~domains ~profile ~cache)
       {
         Stratrec.Aggregator.default_config with
         Stratrec.Aggregator.objective;
@@ -302,9 +309,9 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
   print_deployed report;
   let* () =
     emit_metrics ~show:show_metrics ~format:metrics_format ~out:metrics_out
-      report.Engine.metrics
+      (Obs.Registry.snapshot metrics)
   in
-  emit_trace trace_dest report.Engine.trace
+  emit_trace trace_dest trace
 
 let recommend_cmd =
   let m_arg =
@@ -467,7 +474,8 @@ let example show_metrics metrics_format metrics_out trace_dest log_dest profile 
     deploy_config ~rng ~deploy ~faults ~retries ~population:200 ~capacity:5
       ~window:Sim.Window.Weekend
   in
-  let config = engine_config ~log ~deploy ~domains ~profile ~cache in
+  let metrics = Obs.Registry.create () and trace = Obs.Trace.create () in
+  let config = engine_config ~metrics ~trace ~log ~deploy ~domains ~profile ~cache in
   let* report =
     Result.map_error engine_msg
       (Engine.run ~config ~rng
@@ -480,9 +488,9 @@ let example show_metrics metrics_format metrics_out trace_dest log_dest profile 
   print_deployed report;
   let* () =
     emit_metrics ~show:show_metrics ~format:metrics_format ~out:metrics_out
-      report.Engine.metrics
+      (Obs.Registry.snapshot metrics)
   in
-  emit_trace trace_dest report.Engine.trace
+  emit_trace trace_dest trace
 
 let example_cmd =
   Cmd.v

@@ -87,7 +87,7 @@ let population_arg =
 
 let capacity_arg =
   let doc = "Workers per deployed HIT." in
-  Arg.(value & opt int 5 & info [ "capacity" ] ~docv:"C" ~doc)
+  Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "capacity" ] ~docv:"C" ~doc)
 
 let window_arg =
   let doc = "Deployment window: weekend, early-week or late-week." in

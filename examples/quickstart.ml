@@ -30,9 +30,12 @@ let () =
     (Model.Availability.expected availability);
 
   (* One façade call runs the whole recommend -> ADPaR-triage pipeline
-     and returns a typed report with a metrics snapshot. *)
+     and returns a typed report of the outcomes. The run records its
+     metrics into a registry we own, so we can read them afterwards. *)
+  let metrics = Stratrec_obs.Registry.create () in
+  let config = Stratrec.Engine.(with_metrics default_config metrics) in
   let report =
-    match Stratrec.Engine.run ~availability ~strategies ~requests () with
+    match Stratrec.Engine.run ~config ~availability ~strategies ~requests () with
     | Ok report -> report
     | Error e -> failwith (Stratrec.Engine.error_message e)
   in
@@ -51,9 +54,10 @@ let () =
         alt.Stratrec.Adpar.recommended)
     (Stratrec.Aggregator.alternatives report.Stratrec.Engine.aggregate);
 
-  (* The report also tallies the triage and carries the run's telemetry. *)
+  (* The report also tallies the triage; the registry holds the run's
+     telemetry. *)
   let counts = report.Stratrec.Engine.counts in
   Format.printf "@.%d/%d satisfied, %d repaired by ADPaR@." counts.Stratrec.Engine.satisfied
     counts.Stratrec.Engine.requests counts.Stratrec.Engine.alternatives;
   Stratrec_util.Tabular.print ~title:"run metrics"
-    (Stratrec_obs.Snapshot.to_table report.Stratrec.Engine.metrics)
+    (Stratrec_obs.Snapshot.to_table (Stratrec_obs.Registry.snapshot metrics))

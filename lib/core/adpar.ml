@@ -382,15 +382,12 @@ let answer ?(clock = Fun.const 0.) ?(prune = true) ?skyband ?k ~strategies reque
     search_seconds = clock () -. started;
   }
 
-let phases = [ "adpar.relaxations"; "adpar.sweep"; "adpar.select" ]
-
 let record ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) a =
   let count name by = if by > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) by in
   count "adpar.calls_total" 1;
   Obs.Trace.span trace "adpar.exact"
     ~attrs:[ ("k", Obs.Trace.Int a.k); ("strategies", Obs.Trace.Int a.catalog_size) ]
     (fun () ->
-      List.iter (fun phase -> Obs.Trace.span trace phase ignore) phases;
       match a.result with
       | Some r -> Obs.Trace.add_attr trace "distance" (Obs.Trace.Float r.distance)
       | None -> Obs.Trace.add_attr trace "no_alternative" (Obs.Trace.Bool true));

@@ -142,13 +142,10 @@ val record :
     sample of [search_seconds] (as {!Stratrec_obs.Span.observe} records
     it), and [adpar.no_alternative_total] when [result] is [None].
 
-    [trace] gets an [adpar.exact] span (attributes: k, catalog size, and
-    the resulting distance or [no_alternative]) with one child per
-    sweep-line phase: [adpar.relaxations] (event-queue build),
-    [adpar.sweep] (the pruned quality/cost sweep) and [adpar.select]
-    (envelope reconstruction and k-cover selection). The spans are
-    opened when the answer is recorded, after the search: they give the
-    call's place in the tree, not its timing, which is
+    [trace] gets one [adpar.exact] span, with no children (attributes:
+    k, catalog size, and the resulting distance or [no_alternative]). It
+    is opened when the answer is recorded, after the search: it gives
+    the call's place in the tree, not its timing, which is
     [adpar.search_seconds]. *)
 
 (** {1 Trace — the paper's working data structures (Tables 2–5)} *)

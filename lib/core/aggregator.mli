@@ -148,7 +148,7 @@ val run :
     [aggregator.batch] span with the {!Batchstrat.run} span and one
     [request] span per request as children (attributes: request index,
     label, outcome); unsatisfied [request] spans contain the
-    {!Adpar.exact} phase spans. Every request additionally records one
+    {!Adpar.exact} span. Every request additionally records one
     {!Stratrec_obs.Trace.decision}: [Satisfied] with the workforce and
     strategy labels, [Triaged] with ADPaR's alternative triple and L2
     distance, or [Rejected] with the binding constraint. *)
@@ -172,7 +172,7 @@ val retriage :
 
     Records [aggregator.retriage_total] and opens an
     [aggregator.retriage] span (request, relax, resulting distance) with
-    the {!Adpar.exact} phase spans as children.
+    the {!Adpar.exact} span as its child.
     @raise Invalid_argument if [relax] is outside [\[0, 1\]]. *)
 
 val satisfied : report -> (Stratrec_model.Deployment.t * Stratrec_model.Strategy.t list) list

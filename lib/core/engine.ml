@@ -88,9 +88,7 @@ type report = {
   counts : counts;
   deployed : deployed list;
   lineage : lineage;
-  metrics : Obs.Snapshot.t;
   decisions : Obs.Trace.decision list;
-  trace : Obs.Trace.t;
 }
 
 type error =
@@ -587,9 +585,7 @@ let submit ?deadline_hours session requests_in =
                     triage_seconds = Float.max 0. (triage_done -. stage_start);
                     deploy_seconds = Float.max 0. (deploy_done -. triage_done);
                   };
-                metrics = [];
                 decisions = [];
-                trace;
               })
         in
         Option.iter
@@ -608,21 +604,14 @@ let submit ?deadline_hours session requests_in =
               ("no_alternative", Json.Number (float_of_int report.counts.no_alternative));
               ("deployed", Json.Number (float_of_int (List.length report.deployed)));
             ];
-        (* Snapshot after the span has finished, so the snapshot itself sees
-           the engine.run_seconds observation (and the trace its closed
-           engine.run root). Decisions: only this epoch's tail — earlier
-           epochs already reported theirs. *)
-        (* Bookkeeping always reads the session's real trace: while the
-           live switch is off the real buffer does not grow, so the
-           fresh-decision arithmetic stays consistent across toggles. *)
+        (* Decisions: only this epoch's tail — earlier epochs already
+           reported theirs. Bookkeeping always reads the session's real
+           trace: while the live switch is off the real buffer does not
+           grow, so the fresh-decision arithmetic stays consistent across
+           toggles. *)
         let fresh = Obs.Trace.decisions_after session.trace session.decisions_seen in
         session.decisions_seen <- session.decisions_seen + List.length fresh;
-        Ok
-          {
-            report with
-            metrics = Obs.Registry.snapshot metrics;
-            decisions = fresh;
-          }
+        Ok { report with decisions = fresh }
 
 let run ?(config = default_config) ?rng ~availability ~strategies ~requests () =
   match validate config ~strategies ~requests with

@@ -6,9 +6,10 @@
       owns a single consolidated configuration (embedding the shared
       {!Aggregator.config}), executes the full recommend → ADPaR-triage →
       deploy pipeline, reports failures as typed [result] errors instead
-      of exceptions or process exits, and returns a report that carries
-      both the per-request outcomes and a deterministic metrics snapshot
-      of the run ({!Stratrec_obs.Snapshot}).
+      of exceptions or process exits, and returns the run's per-request
+      outcomes. A caller that wants the run's metrics or trace passes in
+      its own registry and trace ({!with_metrics}, {!with_trace}) and
+      reads them afterwards.
 
     - The {e session} API ({!create} / {!submit} / {!close}) — the same
       pipeline as a long-lived service: a session owns the metrics
@@ -21,6 +22,13 @@
       reused instead of re-spawned. [run] is implemented as
       create → submit → close, so a single-epoch session is bit-identical
       to the one-shot path by construction.
+
+    A {!report} holds one epoch's result and nothing of the session's
+    state. Session metrics and the trace have one way out each:
+    {!session_metrics} and {!session_trace} on a session, or the registry
+    and trace the caller passed in. The daemon reads {!session_metrics}
+    when it is scraped, and once per epoch only with its flight
+    recorder armed.
 
     The middle-layer framing of the paper (§2: StratRec sits between
     requesters and platforms) maps directly: requesters hand the engine a
@@ -60,13 +68,15 @@ type config = {
           {!Aggregator.run} and {!Stream_aggregator.create} consume *)
   metrics : Stratrec_obs.Registry.t option;
       (** [None] (the default) gives every run/session a fresh private
-          registry, so report snapshots are per-run; supply a registry to
-          accumulate across runs *)
+          registry, read through {!session_metrics}; supply a registry to
+          read a {!run}'s metrics afterwards, or to accumulate across
+          runs *)
   trace : Stratrec_obs.Trace.t option;
       (** [None] (the default) gives every run/session a fresh private
           trace, so [report.decisions] is always populated; supply a
-          trace (or {!Stratrec_obs.Trace.noop}) to accumulate spans
-          across runs or to disable tracing entirely *)
+          trace to read a {!run}'s spans afterwards or to accumulate them
+          across runs, or {!Stratrec_obs.Trace.noop} to disable tracing
+          entirely *)
   deploy : deploy_config option;  (** [None]: recommend-only *)
   domains : int;
       (** domains for the sharded triage path (see {!Aggregator.run});
@@ -164,8 +174,8 @@ type deployed = {
   attempts : attempt list;  (** full attempt history, oldest first *)
 }
 
-(** Triage tally of a run — the same numbers the metrics snapshot carries
-    as [aggregator.*_total] counters. *)
+(** Triage tally of one epoch — the numbers this epoch adds to the
+    [aggregator.*_total] counters. *)
 type counts = {
   requests : int;
   satisfied : int;
@@ -185,23 +195,20 @@ type lineage = {
   deploy_seconds : float;  (** resilience-ladder deploy stage; 0. without one *)
 }
 
+(** One epoch's result, and only that: the session's metrics and trace
+    are read through {!session_metrics} and {!session_trace}, or from
+    the registry and trace the caller passed in. *)
 type report = {
   epoch : int;  (** 1-based epoch index within the session; 1 for {!run} *)
   aggregate : Aggregator.report;  (** full per-request outcomes *)
   counts : counts;
   deployed : deployed list;  (** empty without a {!deploy_config} *)
   lineage : lineage;  (** stage-duration breakdown of this epoch *)
-  metrics : Stratrec_obs.Snapshot.t;
-      (** snapshot taken after the deploy stage — cumulative over the
-          session when the registry persists across epochs *)
   decisions : Stratrec_obs.Trace.decision list;
       (** one per request of {e this} epoch, in decision order (satisfied
           first, then triaged) — empty only when [config.trace] is
-          {!Stratrec_obs.Trace.noop} *)
-  trace : Stratrec_obs.Trace.t;
-      (** the trace the run wrote into — render with
-          {!Stratrec_obs.Trace.to_chrome_json} or
-          {!Stratrec_obs.Trace.pp} *)
+          {!Stratrec_obs.Trace.noop} or tracing is switched off
+          ({!set_observability}) *)
 }
 
 type error =
@@ -213,10 +220,6 @@ type error =
   | `Session_closed  (** {!submit} after {!close} *) ]
 
 val error_message : error -> string
-
-val counts_of_report : Aggregator.report -> counts
-(** Tally an aggregator report (also usable on reports produced without
-    the engine). *)
 
 val load_catalog : path:string -> (Stratrec_model.Strategy.t array, error) result
 (** {!Stratrec_model.Codec} catalog loading with the error lifted into
@@ -240,7 +243,8 @@ val create :
   (session, error) result
 (** Validates the configuration and catalog up front ([`Empty_catalog],
     [`Invalid_config]) and allocates the persistent state: the registry
-    and trace (fresh private ones unless the config supplies them), the
+    and trace (fresh private ones unless the config supplies them; read
+    them with {!session_metrics} and {!session_trace}), the
     circuit breaker (when the deploy policy carries one — its failure
     history then spans epochs), and the simulated deploy clock at 0.
     The session keeps its own copy of [strategies]: mutating the
@@ -264,12 +268,14 @@ val submit :
 (** Run one epoch: triage the micro-batch through BatchStrat + ADPaR
     (sharded over [config.domains]) and, with a deploy stage configured,
     walk every satisfied request down the resilience ladder. Counters
-    accumulate in the session registry; [report.metrics] is the
-    cumulative snapshot and [report.decisions] only this epoch's
-    decisions. A fixed request batch submitted as the first epoch of a
-    fresh session yields a report bit-identical to {!run} on the same
-    inputs — per-request decisions, counters, span tree and rendered
-    aggregate included, at any domain count.
+    accumulate in the session registry and spans in the session trace;
+    the report carries this epoch's outcomes and decisions and no copy
+    of either, so an epoch's cost does not grow with the registry. Read
+    the cumulative state with {!session_metrics} and {!session_trace}
+    when it is wanted. A fixed request batch submitted as the first
+    epoch of a fresh session yields a report bit-identical to {!run} on
+    the same inputs, and leaves the session registry and trace with the
+    same counters and span tree as the run's — at any domain count.
 
     [deadline_hours] caps the deploy retry policy's per-request deadline
     budget for this epoch (the serve layer passes the tightest remaining
@@ -291,11 +297,15 @@ val epochs : session -> int
 val closed : session -> bool
 
 val session_metrics : session -> Stratrec_obs.Snapshot.t
-(** Live cumulative snapshot of the session registry — the daemon's
+(** Live cumulative snapshot of the session registry, taken when called
+    — the only way a session's metrics leave the engine. The daemon's
     [GET metrics] surface renders this via
     {!Stratrec_obs.Snapshot.to_openmetrics}. *)
 
 val session_trace : session -> Stratrec_obs.Trace.t
+(** The session's trace buffer: every epoch's spans and decisions so
+    far. Render with {!Stratrec_obs.Trace.to_chrome_json} or
+    {!Stratrec_obs.Trace.pp}. *)
 
 val breaker_state : session -> Stratrec_resilience.Breaker.state option
 (** The deploy circuit breaker's live state — [None] when the session
@@ -313,10 +323,10 @@ val cache_hit_ratio : session -> float option
 val set_observability : session -> trace:bool -> unit
 (** Flip the session's tracing between epochs — the serve brownout
     ladder's first rung. With [~trace:false] subsequent epochs run
-    against {!Stratrec_obs.Trace.noop}: the session trace neither grows
+    against {!Stratrec_obs.Trace.noop}: {!session_trace} neither grows
     nor loses history, and reports carry no fresh decisions;
     [~trace:true] restores the session trace. Off the determinism path:
-    counters and triage decisions are unaffected. *)
+    counters ({!session_metrics}) and triage outcomes are unaffected. *)
 
 (** {1 One-shot} *)
 
@@ -340,6 +350,12 @@ val run :
     also records [engine.runs_total], [engine.deploys_total] and the
     [engine.run_seconds] span in the run's registry.
 
+    The session [run] opens is closed before it returns, so its
+    registry and trace are out of reach unless the caller owns them:
+    pass fresh ones with {!with_metrics} and {!with_trace}, then
+    snapshot and render them after [run]. They hold exactly what the
+    run recorded, everything listed below included.
+
     The deploy stage additionally records the resilience counters
     ([resilience.attempts_total], [resilience.retries_total],
     [resilience.fallbacks_total], [resilience.retriages_total],
@@ -350,7 +366,7 @@ val run :
 
     The run's trace carries an [engine.run] root span over the whole
     pipeline — the {!Aggregator.run} span tree (one [request] child per
-    request, with the algorithm-phase spans below) plus an
+    request, with an [adpar.exact] span below each triaged one) plus an
     [engine.deploy] span when a deploy stage runs. Under [engine.deploy],
     each satisfied request opens a [deploy.request] span with one
     [deploy.attempt] child per rung execution (attributes: attempt index,

@@ -16,11 +16,7 @@ val params_of_json : Json.t -> (Params.t, string) result
     ["QUALITY,COST,LATENCY"] of {!Params.of_string} (the same spelling
     the CLI's [--request] argument uses). *)
 
-val coeffs_to_json : Linear_model.coeffs -> Json.t
-val coeffs_of_json : Json.t -> (Linear_model.coeffs, string) result
-
 val model_to_json : Linear_model.t -> Json.t
-val model_of_json : Json.t -> (Linear_model.t, string) result
 
 val strategy_to_json : Strategy.t -> Json.t
 val strategy_of_json : Json.t -> (Strategy.t, string) result

@@ -12,10 +12,6 @@ type style = Crowd_only | Hybrid
 (** One (Structure, Organization, Style) instantiation, e.g. SEQ-IND-CRO. *)
 type combo = { structure : structure; organization : organization; style : style }
 
-val all_structures : structure list
-val all_organizations : organization list
-val all_styles : style list
-
 val all_combos : combo list
 (** All [2 x 2 x 2 = 8] combinations, in a fixed order. *)
 

@@ -30,8 +30,6 @@ val single :
 val point : t -> Stratrec_geom.Point3.t
 (** Normalized smaller-is-better point of {!val-params}. *)
 
-val with_params : t -> Params.t -> t
-
 val instantiate : t -> availability:float -> t
 (** Re-estimates [params] from the model at the given availability
     (Aggregator step 1, §2.2). *)

@@ -3,7 +3,6 @@ module Distribution = Stratrec_util.Distribution
 
 type dist_kind = Uniform | Normal
 
-let dist_kind_label = function Uniform -> "Uniform" | Normal -> "Normal"
 let dist_kind_to_string = function Uniform -> "uniform" | Normal -> "normal"
 
 let dist_kind_of_string s =

@@ -8,10 +8,6 @@
 
 type dist_kind = Uniform | Normal
 
-val dist_kind_label : dist_kind -> string
-(** Capitalized display form ("Uniform"/"Normal"), as in the paper's
-    figures. *)
-
 val dist_kind_to_string : dist_kind -> string
 (** CLI spelling (["uniform"]/["normal"]) — inverse of
     {!dist_kind_of_string}, the standard codec pair every CLI-parseable
@@ -20,9 +16,6 @@ val dist_kind_to_string : dist_kind -> string
 val dist_kind_of_string : string -> (dist_kind, string) result
 (** Case-insensitive ["uniform"] / ["normal"] — the CLI's [--dist]
     values. *)
-
-val param_distribution : dist_kind -> Stratrec_util.Distribution.t
-(** U[0.5,1] or N(0.75,0.1) truncated to [\[0,1\]]. *)
 
 val strategies :
   Stratrec_util.Rng.t -> n:int -> kind:dist_kind -> Strategy.t array
@@ -35,14 +28,6 @@ val requests : Stratrec_util.Rng.t -> m:int -> k:int -> Deployment.t array
     smaller-is-better space, i.e. generous budgets: the cost and latency
     upper bounds are the drawn values, the quality lower bound is
     [1 - draw]. *)
-
-val requests_with :
-  Stratrec_util.Rng.t ->
-  m:int ->
-  k:int ->
-  dist:Stratrec_util.Distribution.t ->
-  Deployment.t array
-(** Requests with a custom parameter distribution (clamped to [\[0,1\]]). *)
 
 val workflows :
   Stratrec_util.Rng.t -> n:int -> stages:int -> kind:dist_kind -> Strategy.t array

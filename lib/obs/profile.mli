@@ -12,8 +12,8 @@
 
     - [<name>.wall_seconds] — {!Registry.duration_buckets}
     - [<name>.gc.minor_words], [<name>.gc.major_words],
-      [<name>.gc.promoted_words] — {!allocation_buckets}
-    - [<name>.gc.major_collections] — {!collection_buckets}
+      [<name>.gc.promoted_words] — log-spaced words, 1e3 .. 1e10
+    - [<name>.gc.major_collections] — 1, 2, 5, 10, 20, 50, 100, 1000
 
     Profiling stays off the determinism path by construction: it touches
     no counters, spans or decision records, only histograms (whose
@@ -22,12 +22,6 @@
     report, counters, span tree and decision log of a run bit-identical,
     sharded or not. On a disabled registry {!time} reduces to calling the
     wrapped function: no clock read, no [Gc.quick_stat]. *)
-
-val allocation_buckets : float array
-(** Log-spaced words: 1e3 .. 1e10. *)
-
-val collection_buckets : float array
-(** Major-collection counts: 1, 2, 5, 10, 20, 50, 100, 1000. *)
 
 val time : ?clock:(unit -> float) -> Registry.t -> string -> (unit -> 'a) -> 'a
 (** [time registry name f] runs [f ()] and records the wall/GC

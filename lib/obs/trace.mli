@@ -13,7 +13,7 @@
     currently open on the trace (the pipeline is single-threaded per
     run, so a span stack suffices) and closes it when the wrapped
     function returns or raises. The collected tree renders two ways: a
-    human-readable table ({!to_tree}, via {!Stratrec_util.Tabular}) and
+    human-readable table ({!pp}, via {!Stratrec_util.Tabular}) and
     Chrome trace-event JSON ({!to_chrome_json}, via
     {!Stratrec_util.Json}) loadable in [chrome://tracing] or Perfetto.
 
@@ -122,10 +122,6 @@ val dropped : t -> int
 
 (** {1 Renderers} *)
 
-val to_tree : t -> Stratrec_util.Tabular.t
-(** Columns [span | ms | attrs]; the span column indents children under
-    their parent. *)
-
 val to_chrome_json : t -> Stratrec_util.Json.t
 (** Chrome trace-event JSON: [{"traceEvents": [...],
     "displayTimeUnit": "ms"}] with one complete ("ph":"X") event per
@@ -134,12 +130,11 @@ val to_chrome_json : t -> Stratrec_util.Json.t
     ("ph":"i") event per decision record. Timestamps are microseconds
     on the trace clock. *)
 
-val pp_attr : Format.formatter -> attr -> unit
-
 val pp_decision : Format.formatter -> decision -> unit
 (** Deterministic one-line rendering, e.g.
     ["d1 -> triaged {q=0.400; c=0.500; l=0.280} distance 0.3300"]. *)
 
 val pp : Format.formatter -> t -> unit
-(** The rendered tree table followed by the decision lines — what the
-    CLI prints on [--trace] without a file. *)
+(** The rendered tree table (columns [span | ms | attrs], children
+    indented under their parent) followed by the decision lines — what
+    the CLI prints on [--trace] without a file. *)

@@ -103,11 +103,6 @@ val quantile : t -> float -> float
     aggregated slot histograms — always within
     [\[min_value, max_value\]]; [0.] when empty. *)
 
-val to_histogram : t -> Snapshot.histogram
-(** The aggregated live state as a snapshot histogram (the structure
-    {!quantile} reads) — for callers that want several quantiles without
-    re-aggregating. *)
-
 val reset : t -> unit
 (** Empty every slot and restart the live-span origin (the next
     observation becomes the window's first). *)

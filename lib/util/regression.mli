@@ -23,9 +23,6 @@ val fit : xs:float array -> ys:float array -> fit
 val slope_confidence_interval : level:float -> fit -> float * float
 (** CI for the slope at [level] (e.g. 0.9). Requires [n >= 3]. *)
 
-val intercept_confidence_interval : level:float -> fit -> float * float
-(** CI for the intercept at [level]. Requires [n >= 3]. *)
-
 val within_confidence : level:float -> fit -> slope:float -> intercept:float -> bool
 (** Whether a reference (slope, intercept) lies inside both CIs — the
     paper's Table 6 validation criterion. *)

@@ -14,11 +14,6 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy sharing no state with the original. *)
 
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. Useful for
-    giving each simulated entity its own generator. *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 

@@ -115,10 +115,10 @@ let test_lru_eviction () =
 
 (* Everything deterministic a session produces: per-epoch rendered
    aggregates and decision records, the cumulative counters and
-   histogram observation counts (timing values are clock readings), and
-   the span tree with ids and attributes. The cache.* instruments are
-   the documented exception — the only observable difference a cache may
-   introduce. *)
+   histogram observation counts after each epoch (timing values are
+   clock readings), and the span tree with ids and attributes. The
+   cache.* instruments are the documented exception — the only
+   observable difference a cache may introduce. *)
 let cache_metric name =
   String.length name >= 6 && String.sub name 0 6 = "cache."
 
@@ -143,10 +143,11 @@ let decision_fingerprint (d : Obs.Trace.decision) =
         Printf.sprintf "triaged %h/%h/%h d=%h" quality cost latency distance
     | Obs.Trace.Rejected { binding } -> "rejected " ^ binding)
 
-let report_fingerprint (report : Engine.report) =
+(* [snapshot] is the session's metrics, read right after the epoch. *)
+let report_fingerprint (report : Engine.report) snapshot =
   ( Format.asprintf "%a" Aggregator.pp_report report.Engine.aggregate,
     List.map decision_fingerprint report.Engine.decisions,
-    snapshot_fingerprint report.Engine.metrics )
+    snapshot_fingerprint snapshot )
 
 (* The epoch batch doubles each generated request under a shifted id, so
    even the first epoch carries intra-epoch repeats and later epochs are
@@ -176,7 +177,7 @@ let observable ?cache ~domains ~epochs seed m w =
   let reports =
     List.init epochs (fun _ ->
         match Engine.submit session batch with
-        | Ok report -> report_fingerprint report
+        | Ok report -> report_fingerprint report (Engine.session_metrics session)
         | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
   in
   let counters = snapshot_fingerprint (Engine.session_metrics session) in
@@ -351,7 +352,7 @@ let skyband_epochs ?cache ~domains () =
       let reports =
         List.init 2 (fun _ ->
             match Engine.submit session batch with
-            | Ok report -> report
+            | Ok report -> (report, Engine.session_metrics session)
             | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
       in
       let tree =
@@ -405,7 +406,7 @@ let test_fixed_clock () =
 let test_sessions_sweep_skyband () =
   let observed ?cache ~domains () =
     let reports, tree = skyband_epochs ?cache ~domains () in
-    (List.map report_fingerprint reports, tree)
+    (List.map (fun (report, snapshot) -> report_fingerprint report snapshot) reports, tree)
   in
   let uncached = observed ~domains:1 () in
   Alcotest.(check bool) "domains=4 = domains=1" true (observed ~domains:4 () = uncached);
@@ -416,14 +417,18 @@ let test_sessions_sweep_skyband () =
         true
         (observed ~cache:C.default_config ~domains () = uncached))
     [ 1; 4 ];
-  let first = List.hd (fst (skyband_epochs ~domains:1 ())) in
+  let first, first_metrics = List.hd (fst (skyband_epochs ~domains:1 ())) in
+  let run_metrics = Obs.Registry.create () in
   (match
-     Engine.run ~availability:(Model.Availability.certain 0.75) ~strategies:skyband_catalog
+     Engine.run
+       ~config:(Engine.with_metrics Engine.default_config run_metrics)
+       ~availability:(Model.Availability.certain 0.75) ~strategies:skyband_catalog
        ~requests:skyband_requests ()
    with
   | Ok run ->
       Alcotest.(check bool) "submit = run" true
-        (report_fingerprint run = report_fingerprint first)
+        (report_fingerprint run (Obs.Registry.snapshot run_metrics)
+        = report_fingerprint first first_metrics)
   | Error e -> Alcotest.failf "run failed: %s" (Engine.error_message e));
   let catalog = first.Engine.aggregate.Aggregator.strategies in
   Alcotest.(check bool) "the skyband is a strict subset" true
@@ -439,7 +444,7 @@ let test_sessions_sweep_skyband () =
           ignore (Stratrec.Adpar.exact ~metrics:full ~strategies:catalog d))
     first.Engine.aggregate.Aggregator.outcomes;
   let events snapshot = Snapshot.counter_value snapshot "adpar.sweep_events_total" in
-  let session = events first.Engine.metrics
+  let session = events first_metrics
   and stateless = events (Obs.Registry.snapshot full) in
   Alcotest.(check bool)
     (Printf.sprintf "session sweep events %d below the full sweep's %d" session stateless)
@@ -465,7 +470,7 @@ let test_session_owns_catalog () =
         | Ok session ->
             let submit batch =
               match Engine.submit session batch with
-              | Ok report -> report_fingerprint report
+              | Ok report -> report_fingerprint report (Engine.session_metrics session)
               | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
             in
             ignore (submit first);

@@ -12,8 +12,9 @@ module Rng = Stratrec_util.Rng
 
 (* One randomized scenario, fully derived from an integer seed: the
    workload, the platform, the fault plan and the resilience knobs all
-   come from the same generator stream. *)
-let run_scenario seed =
+   come from the same generator stream. The run records into
+   [metrics]. *)
+let run_scenario ?(metrics = Stratrec_obs.Registry.create ()) seed =
   let rng = Rng.create seed in
   let strategies = Model.Workload.strategies rng ~n:12 ~kind:Model.Workload.Uniform in
   let requests = Model.Workload.requests rng ~m:6 ~k:2 in
@@ -23,7 +24,7 @@ let run_scenario seed =
   let platform = Sim.Platform.create rng ~population:(20 + Rng.int rng 60) in
   let resilience = Res.Degrade.with_retries Res.Degrade.resilient retries in
   let config =
-    Engine.with_deploy Engine.default_config
+    Engine.with_deploy (Engine.with_metrics Engine.default_config metrics)
       (Some
          {
            Engine.platform;
@@ -137,14 +138,14 @@ let test_chaos_metrics () =
   let rec find seed =
     if seed > 200 then Alcotest.fail "no faulted scenario found in 200 seeds"
     else
-      match run_scenario seed with
+      let metrics = Stratrec_obs.Registry.create () in
+      match run_scenario ~metrics seed with
       | faults, Ok report
         when (not (Res.Fault.is_none faults)) && report.Engine.deployed <> [] ->
-          (seed, report)
+          (report, Stratrec_obs.Registry.snapshot metrics)
       | _ -> find (seed + 1)
   in
-  let _, report = find 0 in
-  let snap = report.Engine.metrics in
+  let report, snap = find 0 in
   let counter = Stratrec_obs.Snapshot.counter_value snap in
   let attempts =
     List.fold_left

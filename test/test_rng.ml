@@ -111,15 +111,6 @@ let test_sample_without_replacement () =
   Alcotest.check_raises "too many" (Invalid_argument "Rng.sample_without_replacement")
     (fun () -> ignore (Rng.sample_without_replacement rng 51 arr))
 
-let test_split_streams_differ () =
-  let a = Rng.create 13 in
-  let b = Rng.split a in
-  let differs = ref false in
-  for _ = 1 to 10 do
-    if not (Int64.equal (Rng.bits64 a) (Rng.bits64 b)) then differs := true
-  done;
-  Alcotest.(check bool) "split stream differs" true !differs
-
 let test_choose () =
   let rng = Rng.create 14 in
   let arr = [| "a"; "b"; "c" |] in
@@ -145,7 +136,6 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
           Alcotest.test_case "bernoulli frequency" `Slow test_bernoulli_frequency;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
-          Alcotest.test_case "split streams differ" `Quick test_split_streams_differ;
           Alcotest.test_case "choose" `Quick test_choose;
         ] );
     ]

@@ -1379,7 +1379,9 @@ let counter_fingerprint snapshot =
       | _ -> None)
     snapshot
 
-let report_fingerprint (report : Engine.report) =
+(* [snapshot] is the metrics the epoch left: the session's, or the
+   registry a run was given. *)
+let report_fingerprint (report : Engine.report) snapshot =
   let aggregate = Format.asprintf "%a" Aggregator.pp_report report.Engine.aggregate in
   let deployed =
     List.map
@@ -1394,7 +1396,7 @@ let report_fingerprint (report : Engine.report) =
   in
   ( aggregate,
     List.map decision_fingerprint report.Engine.decisions,
-    counter_fingerprint report.Engine.metrics,
+    counter_fingerprint snapshot,
     deployed )
 
 let run_vs_submit ~domains ~deploy () =
@@ -1417,11 +1419,13 @@ let run_vs_submit ~domains ~deploy () =
   in
   let run_fp =
     let rng = Stratrec_util.Rng.create 42 in
+    let metrics = Obs.Registry.create () in
     match
-      Engine.run ~config:(make_config rng) ~rng:(Stratrec_util.Rng.create 7) ~availability
-        ~strategies ~requests ()
+      Engine.run
+        ~config:(Engine.with_metrics (make_config rng) metrics)
+        ~rng:(Stratrec_util.Rng.create 7) ~availability ~strategies ~requests ()
     with
-    | Ok report -> report_fingerprint report
+    | Ok report -> report_fingerprint report (Obs.Registry.snapshot metrics)
     | Error e -> Alcotest.failf "run failed: %s" (Engine.error_message e)
   in
   let submit_fp =
@@ -1434,8 +1438,9 @@ let run_vs_submit ~domains ~deploy () =
     | Ok session -> (
         match Engine.submit session (List.map Request.of_deployment (Array.to_list requests)) with
         | Ok report ->
+            let snapshot = Engine.session_metrics session in
             Engine.close session;
-            report_fingerprint report
+            report_fingerprint report snapshot
         | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
   in
   let check_part name proj =
@@ -1519,7 +1524,7 @@ let test_session_lifecycle () =
   Alcotest.(check int)
     "registry accumulates across epochs"
     (2 * Array.length requests)
-    (Snapshot.counter_value r2.Engine.metrics "aggregator.requests_total");
+    (Snapshot.counter_value (Engine.session_metrics session) "aggregator.requests_total");
   Alcotest.(check int)
     "decisions are per-epoch, not cumulative"
     (Array.length requests)
@@ -1555,6 +1560,41 @@ let test_decisions_at_capacity () =
   Alcotest.(check (list string)) "epoch 2: the two that fit" [ "d3"; "d1" ] (labels ());
   Alcotest.(check (list string)) "epoch 3: none" [] (labels ());
   Engine.close session
+
+(* An epoch's cost does not grow with the registry: a report copies none
+   of it. The caller's registry holds 1,000 extra counter series on one
+   side and none on the other; after a warm-up epoch, the second submit
+   allocates the same on both, to within 256 minor words. *)
+let test_epoch_cost_flat_in_registry () =
+  let availability, strategies, requests = paper_inputs () in
+  let batch = List.map Request.of_deployment (Array.to_list requests) in
+  let second_submit_words ~extra =
+    let metrics = Obs.Registry.create () in
+    for i = 1 to extra do
+      Obs.Registry.incr (Obs.Registry.counter metrics (Printf.sprintf "extra.series_%d_total" i))
+    done;
+    let config = Engine.with_metrics Engine.default_config metrics in
+    match Engine.create ~config ~availability ~strategies () with
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+    | Ok session ->
+        let submit () =
+          match Engine.submit session batch with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+        in
+        submit ();
+        let words = Gc.minor_words () in
+        submit ();
+        let words = Gc.minor_words () -. words in
+        Engine.close session;
+        words
+  in
+  let empty = second_submit_words ~extra:0 in
+  let full = second_submit_words ~extra:1000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words with 1,000 extra series against %.0f without" full empty)
+    true
+    (Float.abs (full -. empty) <= 256.)
 
 let test_submit_deadline_validation () =
   let availability, strategies, requests = paper_inputs () in
@@ -1679,6 +1719,8 @@ let () =
             test_submit_equals_run_deploy;
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "decisions at trace capacity" `Quick test_decisions_at_capacity;
+          Alcotest.test_case "epoch cost flat in registry size" `Quick
+            test_epoch_cost_flat_in_registry;
           Alcotest.test_case "deadline budget validation" `Quick
             test_submit_deadline_validation;
         ] );

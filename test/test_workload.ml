@@ -119,10 +119,6 @@ let test_workflow_quality_composes_down () =
   Alcotest.(check bool) "compounding drags quality" true
     (mean_quality multi <= mean_quality single)
 
-let test_dist_labels () =
-  Alcotest.(check string) "uniform" "Uniform" (Workload.dist_kind_label Workload.Uniform);
-  Alcotest.(check string) "normal" "Normal" (Workload.dist_kind_label Workload.Normal)
-
 let () =
   Alcotest.run "workload"
     [
@@ -137,6 +133,5 @@ let () =
           Alcotest.test_case "workflows" `Quick test_workflows;
           Alcotest.test_case "workflow quality composes" `Quick
             test_workflow_quality_composes_down;
-          Alcotest.test_case "distribution labels" `Quick test_dist_labels;
         ] );
     ]
