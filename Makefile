@@ -37,9 +37,11 @@ bench-smoke: build
 # first daemon runs at two
 # domains, and all four of its submits need ADPaR, so its triage is
 # computed sharded and cached; the fourth repeats the first one's shape
-# in a second epoch, so both its lookups hit the triage cache. Uses the
-# built binary directly so client and server never race for the dune
-# build lock.
+# in a second epoch, so both its lookups hit the triage cache. The
+# second daemon, whose deploys all fail, also gets a tenant spelled as a
+# UTF-16 surrogate-pair escape, and must ack it as the raw 4-byte UTF-8
+# character. Uses the built binary directly so client and server never
+# race for the dune build lock.
 SERVE_BIN = ./_build/default/bin/stratrec_serve.exe
 serve-smoke: build
 	@tmp=$$(mktemp -d); sock="$$tmp/serve.sock"; \
@@ -97,6 +99,7 @@ serve-smoke: build
 	  '{"op":"submit","id":1,"params":"0.5,0.9,0.9","k":2}' \
 	  '{"op":"submit","id":2,"params":"0.6,0.8,0.8","k":2}' \
 	  '{"op":"submit","id":3,"params":"0.5,0.8,0.9","k":2}' \
+	  '{"op":"submit","id":4,"params":"0.5,0.8,0.8","k":2,"tenant":"acme\ud83d\ude00"}' \
 	  '{"op":"flush"}' \
 	  'GET health' \
 	  '{"op":"shutdown"}' \
@@ -105,6 +108,8 @@ serve-smoke: build
 	wait $$pid2 || { echo "serve-smoke: breaker server exited non-zero"; exit 1; }; \
 	grep -q '"status":"health","state":"degraded","reasons":\["breaker-open"\]' "$$tmp/out2" \
 	  || { echo "serve-smoke: forced breaker-open not reflected in GET health"; cat "$$tmp/out2"; exit 1; }; \
+	grep -qF "$$(printf '"status":"accepted","id":4,"tenant":"acme\360\237\230\200"')" "$$tmp/out2" \
+	  || { echo "serve-smoke: a surrogate-pair tenant was not acked as raw UTF-8"; cat "$$tmp/out2"; exit 1; }; \
 	echo "serve-smoke: daemon served, scraped, degraded under faults and shut down cleanly"
 
 # Full gate: everything compiles (libraries, CLI, examples, benches),

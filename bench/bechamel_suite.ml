@@ -105,6 +105,80 @@ let rtree_test =
   Test.make ~name:"substrate:rtree-bulk-load-1k"
     (Staged.stage (fun () -> ignore (Stratrec_geom.Rtree.bulk_load entries)))
 
+(* The serve codec, per call and without a socket: a submit line shaped
+   like perfbench's, a completed response with lineage, and the
+   exposition of a warm daemon's registry. *)
+module Serve = Stratrec_serve
+
+let parse_submit_test =
+  let line = {|{"op":"submit","id":123457,"params":"0.7234,0.1821,0.3310","k":2}|} in
+  Test.make ~name:"serve:parse-submit" (Staged.stage (fun () -> ignore (Serve.Protocol.parse line)))
+
+let render_completed_test =
+  let response =
+    Serve.Protocol.Completed
+      {
+        id = 123457;
+        tenant = "";
+        epoch = 15433;
+        outcome =
+          Serve.Protocol.Alternative
+            {
+              params = Model.Params.make ~quality:0.6871 ~cost:0.2245 ~latency:0.3310;
+              distance = 0.1152789142;
+            };
+        deployed = None;
+        lineage =
+          Some
+            {
+              Serve.Protocol.queue_seconds = 0.000183;
+              triage_seconds = 4.91e-05;
+              deploy_seconds = 0.;
+              total_seconds = 0.0002321;
+            };
+      }
+  in
+  Test.make ~name:"serve:render-completed"
+    (Staged.stage (fun () -> ignore (Serve.Protocol.render response)))
+
+(* The registry a zipf-hot scrape reads (78 series): a daemon with
+   stratrec-serve's default flags over an n=200 catalog, after 1024
+   requests of 40 demanding shapes with a scrape and a health probe
+   every 64. Built when the row runs, not when the suite loads. *)
+let warm_snapshot () =
+  let rng = Rng.create 2020 in
+  let strategies = Model.Workload.strategies rng ~n:200 ~kind:Model.Workload.Uniform in
+  let config =
+    {
+      Serve.Daemon.default_config with
+      engine =
+        Stratrec.Engine.with_cache Stratrec.Engine.default_config
+          (Some Stratrec.Triage_cache.default_config);
+    }
+  in
+  let daemon =
+    match
+      Serve.Daemon.create ~config ~availability:(Model.Availability.certain 0.75) ~strategies ()
+    with
+    | Ok daemon -> daemon
+    | Error e -> failwith (Stratrec.Engine.error_message e)
+  in
+  let shapes =
+    Array.init 40 (fun _ ->
+        (Rng.uniform rng ~lo:0.5 ~hi:1., Rng.uniform rng ~lo:0. ~hi:0.6, Rng.uniform rng ~lo:0. ~hi:0.6))
+  in
+  let send line = ignore (Serve.Daemon.handle_line daemon ~client:0 line) in
+  for id = 1 to 1024 do
+    let q, c, l = shapes.(Rng.int rng 40) in
+    send (Printf.sprintf {|{"op":"submit","id":%d,"params":"%.4f,%.4f,%.4f","k":2}|} id q c l);
+    if id mod 64 = 0 then List.iter send [ "GET metrics"; "GET health" ]
+  done;
+  Serve.Daemon.metrics daemon
+
+let openmetrics_scrape_test =
+  Test.make_with_resource ~name:"serve:openmetrics-scrape" Test.uniq ~allocate:warm_snapshot
+    ~free:ignore (Staged.stage Stratrec_obs.Snapshot.to_openmetrics)
+
 let tests =
   Test.make_grouped ~name:"stratrec"
     [
@@ -118,6 +192,9 @@ let tests =
       fig17_test;
       fig18_test;
       rtree_test;
+      parse_submit_test;
+      render_completed_test;
+      openmetrics_scrape_test;
     ]
 
 let run () =

@@ -37,7 +37,7 @@ let equal a b =
   && Int.equal (k a) (k b)
   && Params.equal (params a) (params b)
 
-let default_label i = Printf.sprintf "d%d" i
+let default_label i = "d" ^ string_of_int i
 
 let to_json t =
   let base =

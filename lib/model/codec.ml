@@ -35,10 +35,12 @@ let params_to_json (p : Params.t) =
 
 let params_of_json json =
   match json with
-  | Json.String s ->
+  | Json.String s -> (
       (* The compact "QUALITY,COST,LATENCY" spelling shared with the CLI's
          --request argument. *)
-      Result.map_error (Printf.sprintf "params %S: %s" s) (Params.of_string s)
+      match Params.of_string s with
+      | Ok params -> Ok params
+      | Error message -> Error (Printf.sprintf "params %S: %s" s message))
   | _ ->
       let* quality = field "quality" json float_value in
       let* cost = field "cost" json float_value in

@@ -2,7 +2,7 @@ type t = { id : int; label : string; params : Params.t; k : int }
 
 let make ~id ?label ~params ~k () =
   if k < 1 then invalid_arg "Deployment.make: k must be >= 1";
-  let label = match label with Some l -> l | None -> Printf.sprintf "d%d" id in
+  let label = match label with Some l -> l | None -> "d" ^ string_of_int id in
   { id; label; params; k }
 
 let payoff t = t.params.Params.cost

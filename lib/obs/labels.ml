@@ -52,18 +52,19 @@ let compare a b =
 let equal a b = compare a b = 0
 
 (* Label values escape backslash, double quote and newline, per the
-   exposition format. *)
-let escape_value text =
-  let buf = Buffer.create (String.length text) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    text;
-  Buffer.contents buf
+   exposition format; each run needing no escape is added whole. *)
+let add_escaped_value buf text =
+  let n = String.length text in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    match String.unsafe_get text i with
+    | ('\\' | '"' | '\n') as c ->
+        Buffer.add_substring buf text !run (i - !run);
+        Buffer.add_string buf (match c with '\\' -> "\\\\" | '"' -> "\\\"" | _ -> "\\n");
+        run := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf text !run (n - !run)
 
 let render_pairs buf labels =
   List.iteri
@@ -71,7 +72,7 @@ let render_pairs buf labels =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf key;
       Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape_value value);
+      add_escaped_value buf value;
       Buffer.add_char buf '"')
     labels
 

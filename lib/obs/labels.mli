@@ -23,12 +23,10 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val escape_value : string -> string
-(** Exposition-format label-value escaping: backslash, double quote and
-    newline. *)
-
 val render : t -> string
-(** [{k="v",k2="v2"}] for non-empty labels, [""] for {!empty}. *)
+(** [{k="v",k2="v2"}] for non-empty labels, [""] for {!empty}. Values
+    are escaped per the exposition format: backslash, double quote and
+    newline. *)
 
 val render_pairs : Buffer.t -> t -> unit
 (** The comma-joined pairs without the surrounding braces — for

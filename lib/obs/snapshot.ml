@@ -158,76 +158,106 @@ let sanitize_name name =
     | _ -> mapped
 
 (* HELP text escaping per the exposition format: backslash and newline. *)
-let escape_help text =
-  let buf = Buffer.create (String.length text) in
+let add_escaped_help buf text =
   String.iter
-    (fun c ->
-      match c with
+    (function
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
-    text;
-  Buffer.contents buf
+    text
 
-let openmetrics_float f =
-  if Float.is_nan f then "NaN"
-  else if f = Float.infinity then "+Inf"
-  else if f = Float.neg_infinity then "-Inf"
-  else Json.to_string (Json.Number f)
+let add_openmetrics_float buf f =
+  if Float.is_nan f then Buffer.add_string buf "NaN"
+  else if f = Float.infinity then Buffer.add_string buf "+Inf"
+  else if f = Float.neg_infinity then Buffer.add_string buf "-Inf"
+  else Json.add_number buf f
 
-let to_openmetrics t =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+(* Each line is appended piece by piece — the family's sanitized name
+   (computed once per family), a suffix, the label block, the value —
+   with no per-line string. *)
+let add_openmetrics buf t =
+  let sample sname suffix labels =
+    Buffer.add_string buf sname;
+    Buffer.add_string buf suffix;
+    (match labels with
+    | [] -> ()
+    | _ ->
+        Buffer.add_char buf '{';
+        Labels.render_pairs buf labels;
+        Buffer.add_char buf '}');
+    Buffer.add_char buf ' '
+  in
+  let int_value n =
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf '\n'
+  in
+  let float_value f =
+    add_openmetrics_float buf f;
+    Buffer.add_char buf '\n'
+  in
   (* Labeled siblings of one family sit consecutively in series order;
      the HELP/TYPE block is emitted once per family, from its first
      series (the registry guarantees one instrument kind per family). *)
-  let previous = ref None in
+  let family = ref None in
   List.iter
     (fun { name; labels; value } ->
-      let sname = sanitize_name name in
-      let rendered = Labels.render labels in
-      (* Histogram buckets compose the series labels with le; the series
-         labels come first, matching the canonical exposition order. *)
-      let bucket_labels bound =
-        let b = Buffer.create 32 in
-        Buffer.add_char b '{';
-        Labels.render_pairs b labels;
-        if labels <> [] then Buffer.add_char b ',';
-        Buffer.add_string b "le=\"";
-        Buffer.add_string b (Labels.escape_value bound);
-        Buffer.add_string b "\"}";
-        Buffer.contents b
+      let sname =
+        match !family with
+        | Some (previous, sname) when String.equal previous name -> sname
+        | Some _ | None ->
+            let sname = sanitize_name name in
+            family := Some (name, sname);
+            Buffer.add_string buf "# HELP ";
+            Buffer.add_string buf sname;
+            Buffer.add_char buf ' ';
+            add_escaped_help buf name;
+            Buffer.add_string buf "\n# TYPE ";
+            Buffer.add_string buf sname;
+            Buffer.add_string buf
+              (match value with
+              | Counter _ -> " counter\n"
+              | Gauge _ -> " gauge\n"
+              | Histogram _ -> " histogram\n");
+            sname
       in
-      if !previous <> Some name then begin
-        previous := Some name;
-        line "# HELP %s %s" sname (escape_help name);
-        line "# TYPE %s %s" sname
-          (match value with
-          | Counter _ -> "counter"
-          | Gauge _ -> "gauge"
-          | Histogram _ -> "histogram")
-      end;
       match value with
-      | Counter n -> line "%s%s %d" sname rendered n
-      | Gauge v -> line "%s%s %s" sname rendered (openmetrics_float v)
+      | Counter n ->
+          sample sname "" labels;
+          int_value n
+      | Gauge v ->
+          sample sname "" labels;
+          float_value v
       | Histogram h ->
           (* Exposition buckets are cumulative; ours are per-bucket. The
              final (+inf) bound always renders as le="+Inf" — snapshots
              carry it explicitly, but cap the cumulative count at the
-             total either way. *)
+             total either way. Bucket labels compose the series labels
+             with le, series labels first, the canonical exposition
+             order. *)
           let cum = ref 0 in
           List.iter
             (fun (le, n) ->
               cum := !cum + n;
-              let bound =
-                if Float.is_finite le then openmetrics_float le else "+Inf"
-              in
-              line "%s_bucket%s %d" sname (bucket_labels bound) !cum)
+              Buffer.add_string buf sname;
+              Buffer.add_string buf "_bucket{";
+              Labels.render_pairs buf labels;
+              (match labels with [] -> () | _ -> Buffer.add_char buf ',');
+              Buffer.add_string buf "le=\"";
+              if Float.is_finite le then add_openmetrics_float buf le
+              else Buffer.add_string buf "+Inf";
+              Buffer.add_string buf "\"} ";
+              int_value !cum)
             h.buckets;
-          line "%s_sum%s %s" sname rendered (openmetrics_float h.sum);
-          line "%s_count%s %d" sname rendered h.count)
+          sample sname "_sum" labels;
+          float_value h.sum;
+          sample sname "_count" labels;
+          int_value h.count)
     t;
-  Buffer.add_string buf "# EOF\n";
+  Buffer.add_string buf "# EOF\n"
+
+let to_openmetrics t =
+  let buf = Buffer.create 4096 in
+  add_openmetrics buf t;
   Buffer.contents buf
 
 let pp ppf t = Format.pp_print_string ppf (Tabular.render (to_table t))

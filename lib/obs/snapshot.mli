@@ -64,6 +64,9 @@ val to_table : t -> Stratrec_util.Tabular.t
     the detail column. The metric column shows the encoded series
     ([name{k="v"}] for labeled series). *)
 
+val add_openmetrics : Buffer.t -> t -> unit
+(** {!to_openmetrics}, appended to a buffer. *)
+
 val to_openmetrics : t -> string
 (** Prometheus/OpenMetrics text exposition in snapshot (series) order,
     terminated by [# EOF]. Exactly one [# HELP] (carrying the original

@@ -61,6 +61,7 @@ type t = {
   mutable draining : bool;
       (** set by the [drain] verb: the queue has been flushed and the
           daemon refuses new work while staying scrapeable *)
+  exposition : Buffer.t;  (** where each [GET metrics] text is written *)
   mutable io_error_count : int;
   io_error_kinds : (string, Obs.Registry.counter) Hashtbl.t;
   (* serve.* instruments, all in the session registry *)
@@ -180,6 +181,7 @@ let create ?(clock = Obs.Registry.wall_clock) ?rng ~config ~availability ~strate
             stopped = false;
             brownout = Result.get_ok (Brownout.create config.brownout);
             draining = false;
+            exposition = Buffer.create 4096;
             io_error_count = 0;
             io_error_kinds = Hashtbl.create 8;
             submits = counter "serve.submits_total";
@@ -402,6 +404,15 @@ let refresh_observability t =
 let metrics t =
   refresh_observability t;
   Engine.session_metrics t.session
+
+(* The GET metrics text, written through the daemon's one exposition
+   buffer: after the first scrape it has the size a scrape needs, so a
+   scrape allocates its text and no buffer grown from scratch, which
+   would be major-heap garbage (see [Server.flush_queue]). *)
+let exposition t =
+  Buffer.clear t.exposition;
+  Obs.Snapshot.add_openmetrics t.exposition (metrics t);
+  Buffer.contents t.exposition
 
 let update_depth t =
   Obs.Registry.set t.depth_gauge (float_of_int (Admission.length t.queue))
@@ -904,7 +915,7 @@ let handle_command t ~client command =
   | Protocol.Metrics ->
       ( [
           ( client,
-            Protocol.Metrics_text (Obs.Snapshot.to_openmetrics (metrics t)) );
+            Protocol.Metrics_text (exposition t) );
         ],
         `Continue )
   | Protocol.Health tenant -> ([ (client, health ?tenant t) ], `Continue)

@@ -52,14 +52,21 @@ let get_command path =
   | "slo" -> Slo tenant
   | _ -> Unknown_get path
 
+(* [GET ] in any letter case, read without lowercasing the line. *)
+let has_get_prefix line =
+  String.length line > 4
+  && Char.lowercase_ascii line.[0] = 'g'
+  && Char.lowercase_ascii line.[1] = 'e'
+  && Char.lowercase_ascii line.[2] = 't'
+  && line.[3] = ' '
+
 let parse ?(max_line = default_max_line) line =
   if String.length line > max_line then
     Error
       (Printf.sprintf "line too long (%d bytes, limit %d)" (String.length line) max_line)
   else
     let trimmed = String.trim line in
-    let lowered = String.lowercase_ascii trimmed in
-    if String.length lowered > 4 && String.sub lowered 0 4 = "get " then
+    if has_get_prefix trimmed then
       Ok (get_command (String.trim (String.sub trimmed 4 (String.length trimmed - 4))))
     else
       let* json =
@@ -187,171 +194,188 @@ type response =
   | Error_ of { reason : string }
   | Metrics_text of string
 
-let bool b = Json.Bool b
-let str s = Json.String s
-let num f = Json.Number f
-let int i = Json.Number (float_of_int i)
+(* The writer appends each field where it goes: keys are constants that
+   need no escaping, strings and floats go through the Json writers, and
+   ints print with [string_of_int], exactly at any magnitude. *)
 
-let tenant_field tenant = if tenant = "" then [] else [ ("tenant", str tenant) ]
+let head buffer ~ok status =
+  Buffer.add_string buffer (if ok then {|{"ok":true,"status":"|} else {|{"ok":false,"status":"|});
+  Buffer.add_string buffer status;
+  Buffer.add_char buffer '"'
 
-let outcome_fields = function
+let key buffer name =
+  Buffer.add_string buffer {|,"|};
+  Buffer.add_string buffer name;
+  Buffer.add_string buffer {|":|}
+
+let int_field buffer name i =
+  key buffer name;
+  Buffer.add_string buffer (string_of_int i)
+
+let num_field buffer name f =
+  key buffer name;
+  Json.add_number buffer f
+
+let str_field buffer name s =
+  key buffer name;
+  Json.add_string buffer s
+
+let bool_field buffer name b =
+  key buffer name;
+  Buffer.add_string buffer (if b then "true" else "false")
+
+let opt_str_field buffer name = function
+  | None -> ()
+  | Some s -> str_field buffer name s
+
+let tenant_field buffer tenant = if tenant <> "" then str_field buffer "tenant" tenant
+
+(* The common opening of a per-request response. *)
+let request_head buffer ~ok status ~id ~tenant =
+  head buffer ~ok status;
+  int_field buffer "id" id;
+  tenant_field buffer tenant
+
+let rec add_items buffer add ~first = function
+  | [] -> ()
+  | item :: rest ->
+      if not first then Buffer.add_char buffer ',';
+      add buffer item;
+      add_items buffer add ~first:false rest
+
+let add_list buffer add items =
+  Buffer.add_char buffer '[';
+  add_items buffer add ~first:true items;
+  Buffer.add_char buffer ']'
+
+let add_outcome buffer = function
   | Satisfied { strategies; workforce } ->
-      [
-        ("outcome", str "satisfied");
-        ("strategies", Json.List (List.map str strategies));
-        ("workforce", num workforce);
-      ]
+      str_field buffer "outcome" "satisfied";
+      key buffer "strategies";
+      add_list buffer Json.add_string strategies;
+      num_field buffer "workforce" workforce
   | Alternative { params; distance } ->
-      [
-        ("outcome", str "alternative");
-        ("alternative", str (Model.Params.to_string params));
-        ("distance", num distance);
-      ]
-  | Workforce_limited -> [ ("outcome", str "workforce-limited") ]
-  | No_alternative -> [ ("outcome", str "no-alternative") ]
+      str_field buffer "outcome" "alternative";
+      str_field buffer "alternative" (Model.Params.to_string params);
+      num_field buffer "distance" distance
+  | Workforce_limited -> str_field buffer "outcome" "workforce-limited"
+  | No_alternative -> str_field buffer "outcome" "no-alternative"
 
-let lineage_field = function
-  | None -> []
-  | Some { queue_seconds; triage_seconds; deploy_seconds; total_seconds } ->
-      [
-        ( "lineage",
-          Json.Object
-            [
-              ("queue_seconds", num queue_seconds);
-              ("triage_seconds", num triage_seconds);
-              ("deploy_seconds", num deploy_seconds);
-              ("total_seconds", num total_seconds);
-            ] );
-      ]
+let add_lineage buffer { queue_seconds; triage_seconds; deploy_seconds; total_seconds } =
+  Buffer.add_string buffer {|,"lineage":{"queue_seconds":|};
+  Json.add_number buffer queue_seconds;
+  num_field buffer "triage_seconds" triage_seconds;
+  num_field buffer "deploy_seconds" deploy_seconds;
+  num_field buffer "total_seconds" total_seconds;
+  Buffer.add_char buffer '}'
 
-let slo_status_fields s =
-  Json.Object
-    (("slo", str s.slo)
-     :: (match s.slo_tenant with None -> [] | Some t -> [ ("tenant", str t) ])
-    @ [
-        ("burning", bool s.burning);
-        ("fast_burn_rate", num s.fast_burn_rate);
-        ("slow_burn_rate", num s.slow_burn_rate);
-        ("budget_remaining", num s.budget_remaining);
-      ])
+let add_slo_status buffer s =
+  Buffer.add_string buffer {|{"slo":|};
+  Json.add_string buffer s.slo;
+  opt_str_field buffer "tenant" s.slo_tenant;
+  bool_field buffer "burning" s.burning;
+  num_field buffer "fast_burn_rate" s.fast_burn_rate;
+  num_field buffer "slow_burn_rate" s.slow_burn_rate;
+  num_field buffer "budget_remaining" s.budget_remaining;
+  Buffer.add_char buffer '}'
 
-let render response =
-  match response with
+let render_into buffer = function
+  | Metrics_text text -> Buffer.add_string buffer text
+  | response ->
+      (match response with
+      | Accepted { id; tenant; queue_depth } ->
+          request_head buffer ~ok:true "accepted" ~id ~tenant;
+          int_field buffer "queue_depth" queue_depth
+      | Queue_full { id; tenant; queue_depth } ->
+          request_head buffer ~ok:false "queue-full" ~id ~tenant;
+          int_field buffer "queue_depth" queue_depth
+      | Quota_exceeded { id; tenant; queued; limit } ->
+          request_head buffer ~ok:false "quota-exceeded" ~id ~tenant;
+          int_field buffer "queued" queued;
+          int_field buffer "limit" limit
+      | Overloaded { id; tenant; rung; reason } ->
+          request_head buffer ~ok:false "overloaded" ~id ~tenant;
+          int_field buffer "rung" rung;
+          str_field buffer "reason" reason
+      | Draining { id; tenant } -> request_head buffer ~ok:false "draining" ~id ~tenant
+      | Drain_expired { id; tenant; waited_seconds } ->
+          request_head buffer ~ok:false "drain-expired" ~id ~tenant;
+          num_field buffer "waited_seconds" waited_seconds
+      | Drained { answered; expired; forced; epochs } ->
+          head buffer ~ok:true "drained";
+          int_field buffer "answered" answered;
+          int_field buffer "expired" expired;
+          int_field buffer "forced" forced;
+          int_field buffer "epochs" epochs
+      | Deadline_expired { id; tenant; waited_seconds } ->
+          request_head buffer ~ok:false "deadline-expired" ~id ~tenant;
+          num_field buffer "waited_seconds" waited_seconds
+      | Duplicate_id { id; tenant } -> request_head buffer ~ok:false "duplicate-id" ~id ~tenant
+      | Completed { id; tenant; epoch; outcome; deployed; lineage } ->
+          request_head buffer ~ok:true "completed" ~id ~tenant;
+          int_field buffer "epoch" epoch;
+          add_outcome buffer outcome;
+          opt_str_field buffer "deployed" deployed;
+          (match lineage with None -> () | Some lineage -> add_lineage buffer lineage)
+      | Epoch_closed { epoch; admitted; expired } ->
+          head buffer ~ok:true "epoch-closed";
+          int_field buffer "epoch" epoch;
+          int_field buffer "admitted" admitted;
+          int_field buffer "expired" expired
+      | Health_status
+          {
+            state;
+            scope;
+            reasons;
+            breaker;
+            queue_depth;
+            queue_capacity;
+            slo_burning;
+            epochs;
+            brownout_rung;
+            draining;
+            io_errors;
+            cache_hit_ratio;
+          } ->
+          head buffer ~ok:(state <> Unhealthy) "health";
+          opt_str_field buffer "tenant" scope;
+          str_field buffer "state" (health_state_label state);
+          key buffer "reasons";
+          add_list buffer Json.add_string reasons;
+          opt_str_field buffer "breaker" breaker;
+          int_field buffer "queue_depth" queue_depth;
+          int_field buffer "queue_capacity" queue_capacity;
+          int_field buffer "slo_burning" slo_burning;
+          int_field buffer "epochs" epochs;
+          int_field buffer "brownout_rung" brownout_rung;
+          bool_field buffer "draining" draining;
+          int_field buffer "io_errors" io_errors;
+          (match cache_hit_ratio with None -> () | Some r -> num_field buffer "cache_hit_ratio" r)
+      | Slo_report slos ->
+          head buffer ~ok:true "slo";
+          key buffer "slos";
+          add_list buffer add_slo_status slos
+      | Dumped { path; records } ->
+          head buffer ~ok:true "dumped";
+          str_field buffer "path" path;
+          int_field buffer "records" records
+      | Unknown_endpoint { path } ->
+          head buffer ~ok:false "unknown-endpoint";
+          str_field buffer "path" path
+      | Pong -> head buffer ~ok:true "pong"
+      | Ticked { clock_hours } ->
+          head buffer ~ok:true "ticked";
+          num_field buffer "clock_hours" clock_hours
+      | Shutting_down -> head buffer ~ok:true "shutting-down"
+      | Error_ { reason } ->
+          head buffer ~ok:false "error";
+          str_field buffer "error" reason
+      | Metrics_text _ -> assert false);
+      Buffer.add_string buffer "}\n"
+
+let render = function
   | Metrics_text text -> text
-  | _ ->
-      let fields =
-        match response with
-        | Accepted { id; tenant; queue_depth } ->
-            [ ("ok", bool true); ("status", str "accepted"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("queue_depth", int queue_depth) ]
-        | Queue_full { id; tenant; queue_depth } ->
-            [ ("ok", bool false); ("status", str "queue-full"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("queue_depth", int queue_depth) ]
-        | Quota_exceeded { id; tenant; queued; limit } ->
-            [ ("ok", bool false); ("status", str "quota-exceeded"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("queued", int queued); ("limit", int limit) ]
-        | Overloaded { id; tenant; rung; reason } ->
-            [ ("ok", bool false); ("status", str "overloaded"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("rung", int rung); ("reason", str reason) ]
-        | Draining { id; tenant } ->
-            [ ("ok", bool false); ("status", str "draining"); ("id", int id) ]
-            @ tenant_field tenant
-        | Drain_expired { id; tenant; waited_seconds } ->
-            [ ("ok", bool false); ("status", str "drain-expired"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("waited_seconds", num waited_seconds) ]
-        | Drained { answered; expired; forced; epochs } ->
-            [
-              ("ok", bool true);
-              ("status", str "drained");
-              ("answered", int answered);
-              ("expired", int expired);
-              ("forced", int forced);
-              ("epochs", int epochs);
-            ]
-        | Deadline_expired { id; tenant; waited_seconds } ->
-            [ ("ok", bool false); ("status", str "deadline-expired"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("waited_seconds", num waited_seconds) ]
-        | Duplicate_id { id; tenant } ->
-            [ ("ok", bool false); ("status", str "duplicate-id"); ("id", int id) ]
-            @ tenant_field tenant
-        | Completed { id; tenant; epoch; outcome; deployed; lineage } ->
-            [ ("ok", bool true); ("status", str "completed"); ("id", int id) ]
-            @ tenant_field tenant
-            @ [ ("epoch", int epoch) ]
-            @ outcome_fields outcome
-            @ (match deployed with
-              | None -> []
-              | Some verdict -> [ ("deployed", str verdict) ])
-            @ lineage_field lineage
-        | Epoch_closed { epoch; admitted; expired } ->
-            [
-              ("ok", bool true);
-              ("status", str "epoch-closed");
-              ("epoch", int epoch);
-              ("admitted", int admitted);
-              ("expired", int expired);
-            ]
-        | Health_status
-            {
-              state;
-              scope;
-              reasons;
-              breaker;
-              queue_depth;
-              queue_capacity;
-              slo_burning;
-              epochs;
-              brownout_rung;
-              draining;
-              io_errors;
-              cache_hit_ratio;
-            } ->
-            [ ("ok", bool (state <> Unhealthy)); ("status", str "health") ]
-            @ (match scope with None -> [] | Some t -> [ ("tenant", str t) ])
-            @ [
-                ("state", str (health_state_label state));
-                ("reasons", Json.List (List.map str reasons));
-              ]
-            @ (match breaker with None -> [] | Some b -> [ ("breaker", str b) ])
-            @ [
-                ("queue_depth", int queue_depth);
-                ("queue_capacity", int queue_capacity);
-                ("slo_burning", int slo_burning);
-                ("epochs", int epochs);
-                ("brownout_rung", int brownout_rung);
-                ("draining", bool draining);
-                ("io_errors", int io_errors);
-              ]
-            @ (match cache_hit_ratio with
-              | None -> []
-              | Some r -> [ ("cache_hit_ratio", num r) ])
-        | Slo_report slos ->
-            [
-              ("ok", bool true);
-              ("status", str "slo");
-              ("slos", Json.List (List.map slo_status_fields slos));
-            ]
-        | Dumped { path; records } ->
-            [
-              ("ok", bool true);
-              ("status", str "dumped");
-              ("path", str path);
-              ("records", int records);
-            ]
-        | Unknown_endpoint { path } ->
-            [ ("ok", bool false); ("status", str "unknown-endpoint"); ("path", str path) ]
-        | Pong -> [ ("ok", bool true); ("status", str "pong") ]
-        | Ticked { clock_hours } ->
-            [ ("ok", bool true); ("status", str "ticked"); ("clock_hours", num clock_hours) ]
-        | Shutting_down -> [ ("ok", bool true); ("status", str "shutting-down") ]
-        | Error_ { reason } ->
-            [ ("ok", bool false); ("status", str "error"); ("error", str reason) ]
-        | Metrics_text _ -> assert false
-      in
-      Json.to_string (Json.Object fields) ^ "\n"
+  | response ->
+      let buffer = Buffer.create 256 in
+      render_into buffer response;
+      Buffer.contents buffer

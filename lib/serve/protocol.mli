@@ -16,7 +16,13 @@
     input and never crashes on it (the chaos tests flood this parser).
 
     Responses are single-line JSON objects with a stable shape:
-    [ok : bool], [status : string], then status-specific fields. *)
+    [ok : bool], [status : string], then status-specific fields.
+
+    Strings on the wire may use any JSON escape. A UTF-16 surrogate
+    pair ([\uD83D\uDE00]) decodes to the one character it spells, as
+    four UTF-8 bytes, so a tenant sent escaped and the same tenant sent
+    as raw UTF-8 are one tenant and are echoed as the same bytes; a
+    lone surrogate is malformed JSON. *)
 
 type command =
   | Submit of Stratrec.Request.t
@@ -169,8 +175,17 @@ type response =
   | Metrics_text of string
       (** multi-line OpenMetrics exposition, [# EOF]-terminated *)
 
+val render_into : Buffer.t -> response -> unit
+(** Append the exact bytes to write, newline-terminated (the OpenMetrics
+    blob already ends in one). Fields are written straight into the
+    buffer, strings and floats through {!Stratrec_util.Json.add_string}
+    and {!Stratrec_util.Json.add_number}, ints with [string_of_int]: no
+    JSON tree is built. The server renders into each connection's
+    output queue with it. @raise Invalid_argument on a non-finite float
+    field, as {!render} does. *)
+
 val render : response -> string
-(** The exact bytes to write, newline-terminated (the OpenMetrics blob
-    already ends in one). *)
+(** {!render_into} a fresh buffer: the bytes as a string (a
+    {!Metrics_text} blob is returned as it is). *)
 
 val outcome_of_aggregator : Stratrec.Aggregator.request_outcome -> outcome

@@ -12,29 +12,39 @@ module Lines = struct
 
   let create () = { buf = Buffer.create 256; discarding = false }
 
-  let feed t ~max_line chunk =
-    let lines = ref [] and dropped = ref 0 in
-    String.iter
-      (fun c ->
-        if c = '\n' then
-          if t.discarding then begin
-            t.discarding <- false;
-            incr dropped
-          end
-          else begin
-            lines := Buffer.contents t.buf :: !lines;
-            Buffer.clear t.buf
-          end
-        else if t.discarding then ()
+  (* Append [chunk.[start, stop)], which holds no newline, unless that
+     takes the buffer past [max_line]: then the discard starts. *)
+  let segment t ~max_line chunk start stop =
+    if (not t.discarding) && stop > start then
+      if stop - start > max_line - Buffer.length t.buf then begin
+        Buffer.clear t.buf;
+        t.discarding <- true
+      end
+      else Buffer.add_substring t.buf chunk start (stop - start)
+
+  (* Newlines are found by search, and the bytes between two are copied
+     as one segment. *)
+  let rec split t ~max_line chunk start lines dropped =
+    match String.index_from_opt chunk start '\n' with
+    | None ->
+        segment t ~max_line chunk start (String.length chunk);
+        (List.rev lines, dropped)
+    | Some stop when (not t.discarding) && Buffer.length t.buf = 0 && stop - start <= max_line ->
+        (* the whole line is in this chunk: one copy *)
+        split t ~max_line chunk (stop + 1) (String.sub chunk start (stop - start) :: lines) dropped
+    | Some stop ->
+        segment t ~max_line chunk start stop;
+        if t.discarding then begin
+          t.discarding <- false;
+          split t ~max_line chunk (stop + 1) lines (dropped + 1)
+        end
         else begin
-          Buffer.add_char t.buf c;
-          if Buffer.length t.buf > max_line then begin
-            Buffer.clear t.buf;
-            t.discarding <- true
-          end
-        end)
-      chunk;
-    (List.rev !lines, !dropped)
+          let line = Buffer.contents t.buf in
+          Buffer.clear t.buf;
+          split t ~max_line chunk (stop + 1) (line :: lines) dropped
+        end
+
+  let feed t ~max_line chunk = split t ~max_line chunk 0 [] 0
 end
 
 (* The pluggable byte layer under every socket read and write. The
@@ -45,10 +55,10 @@ end
 module Io = struct
   type t = {
     read : Unix.file_descr -> bytes -> int -> int -> int;
-    write : Unix.file_descr -> string -> int -> int -> int;
+    write : Unix.file_descr -> bytes -> int -> int -> int;
   }
 
-  let default = { read = Unix.read; write = Unix.write_substring }
+  let default = { read = Unix.read; write = Unix.write }
 
   type faults = {
     partial_write : float;  (** write only half the requested bytes *)
@@ -75,7 +85,7 @@ module Io = struct
       else if hit faults.epipe then raise (Unix.Unix_error (Unix.EPIPE, "write", ""))
       else
         let len = if hit faults.partial_write && len > 1 then (len + 1) / 2 else len in
-        Unix.write_substring fd data off len
+        Unix.write fd data off len
     in
     { read; write }
 end
@@ -112,11 +122,17 @@ let close_conn conn =
 (* Hand the kernel as much of the queue as it takes without blocking.
    EINTR is a retry and EAGAIN leaves the rest queued for a later turn;
    any other error drops this peer's output (the epoch still runs for
-   everyone else) and is reported to [on_error] with its kind. *)
-let flush_queue ~io ~on_error conn =
+   everyone else) and is reported to [on_error] with its kind. The queue
+   is blitted into [scratch], the server's one write buffer, grown to
+   the largest queue flushed so far: a flush allocates nothing. A copy
+   of each queue larger than 2 KiB would go straight to the major heap,
+   and the major GC slices collecting it lengthen the latency tail. *)
+let flush_queue ~io ~scratch ~on_error conn =
   let len = Buffer.length conn.out in
   if conn.open_ && len > 0 then begin
-    let data = Buffer.contents conn.out in
+    if Bytes.length !scratch < len then scratch := Bytes.create (max len (2 * Bytes.length !scratch));
+    let data = !scratch in
+    Buffer.blit conn.out 0 data 0 len;
     let rec go off =
       if off >= len then Some off
       else
@@ -133,7 +149,7 @@ let flush_queue ~io ~on_error conn =
     | Some sent when sent = len -> Buffer.reset conn.out
     | Some sent ->
         Buffer.clear conn.out;
-        Buffer.add_substring conn.out data sent (len - sent)
+        Buffer.add_subbytes conn.out data sent (len - sent)
   end
 
 (* A peer whose unsent output outgrows this many maximal lines (1 MiB
@@ -181,29 +197,35 @@ let serve ~daemon ?(io = Io.default) transport =
       let max_line = Daemon.max_line daemon in
       let bound = queued_lines_bound * max_line in
       let note kind = Daemon.note_io_error daemon ~kind in
-      let flush = flush_queue ~io ~on_error:note in
+      let flush = flush_queue ~io ~scratch:(ref (Bytes.create 4096)) ~on_error:note in
       let conns = Hashtbl.create 16 and next_id = ref 1 and running = ref true in
       let chunk = Bytes.create 4096 in
-      (* Queue one response; a queue past the bound gets one flush, and
-         a peer still over it after that is evicted. *)
-      let enqueue conn data =
-        if conn.open_ then begin
-          Buffer.add_string conn.out data;
-          if Buffer.length conn.out > bound then begin
-            flush conn;
-            if conn.open_ && Buffer.length conn.out > bound then begin
-              note "slow-consumer";
-              close_conn conn
-            end
+      (* A queue past the bound gets one flush, and a peer still over it
+         after that is evicted. *)
+      let bound_queue conn =
+        if Buffer.length conn.out > bound then begin
+          flush conn;
+          if conn.open_ && Buffer.length conn.out > bound then begin
+            note "slow-consumer";
+            close_conn conn
           end
         end
       in
+      let enqueue conn data =
+        if conn.open_ then begin
+          Buffer.add_string conn.out data;
+          bound_queue conn
+        end
+      in
+      (* Each response is rendered straight into its connection's queue. *)
       let send responses =
         List.iter
           (fun (client, response) ->
             match Hashtbl.find_opt conns client with
-            | Some conn -> enqueue conn (Protocol.render response)
-            | None -> ())
+            | Some conn when conn.open_ ->
+                Protocol.render_into conn.out response;
+                bound_queue conn
+            | Some _ | None -> ())
           responses
       in
       let accept () =
@@ -228,7 +250,10 @@ let serve ~daemon ?(io = Io.default) transport =
             end
             else begin
               note "fd-limit";
-              (try ignore (io.Io.write fd fd_limit_error 0 (String.length fd_limit_error))
+              (try
+                 ignore
+                   (io.Io.write fd (Bytes.unsafe_of_string fd_limit_error) 0
+                      (String.length fd_limit_error))
                with Unix.Unix_error _ -> ());
               try Unix.close fd with Unix.Unix_error _ -> ()
             end
@@ -362,8 +387,8 @@ let pump ?(io = Io.default) fd ic oc =
             input_open := false;
             (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
         | line ->
-            let data = line ^ "\n" in
-            let len = String.length data in
+            let data = Bytes.unsafe_of_string (line ^ "\n") in
+            let len = Bytes.length data in
             let rec go off =
               if off < len then
                 match io.Io.write fd data off (len - off) with

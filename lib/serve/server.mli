@@ -63,11 +63,11 @@ end
 module Io : sig
   type t = {
     read : Unix.file_descr -> bytes -> int -> int -> int;
-    write : Unix.file_descr -> string -> int -> int -> int;
+    write : Unix.file_descr -> bytes -> int -> int -> int;
   }
 
   val default : t
-  (** [Unix.read] / [Unix.write_substring], no faults. *)
+  (** [Unix.read] / [Unix.write], no faults. *)
 
   (** Independent per-call fault probabilities, each in [\[0, 1\]]. *)
   type faults = {

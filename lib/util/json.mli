@@ -3,8 +3,12 @@
     Strategy catalogs and deployment requests are exchanged as JSON by the
     CLI and any surrounding tooling; the container is dependency-sealed, so
     this is a small self-contained implementation (objects, arrays,
-    strings with escapes including \uXXXX for the BMP, numbers, booleans,
-    null). Numbers are represented as OCaml floats. *)
+    strings with escapes, numbers, booleans, null). Numbers are
+    represented as OCaml floats. A [\u] escape takes exactly four hex
+    digits. A UTF-16 surrogate pair (a [\uD800]-[\uDBFF] escape
+    followed by a [\uDC00]-[\uDFFF] escape) decodes to the one code
+    point it spells, as four UTF-8 bytes; a lone surrogate of either
+    kind is an invalid escape. *)
 
 type t =
   | Null
@@ -18,6 +22,21 @@ val to_string : ?indent:int -> t -> string
 (** Serialize; [indent] > 0 pretty-prints with that many spaces per
     level (default 0: compact). Non-finite numbers raise
     [Invalid_argument] (JSON cannot represent them). *)
+
+(** {1 Writers} — the bytes {!to_string} prints for one value, appended
+    to a buffer, for callers that write a document without building a
+    [t]. *)
+
+val add_string : Buffer.t -> string -> unit
+(** The quoted string: double quote and backslash are backslash-escaped,
+    control bytes written as the two-character escapes or as a [\u00XX]
+    escape, and every other byte (UTF-8 included) as itself. *)
+
+val add_number : Buffer.t -> float -> unit
+(** Integral values below 1e15 as integers ([-0] keeps its sign), others
+    in the shortest of [%.15g] / [%.17g] that reads back exactly.
+    @raise Invalid_argument on a non-finite number, with nothing
+    appended. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error string carries a character

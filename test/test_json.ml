@@ -180,6 +180,198 @@ let prop_params_matches_printf =
       let p = Stratrec_model.Params.make_unchecked ~quality ~cost ~latency in
       Stratrec_model.Params.to_string p = printf_params p)
 
+(* [\u] escapes: exactly four hex digits, and UTF-16 surrogate pairs
+   decode to one code point. *)
+let test_unicode_escapes () =
+  let parses_to name expected input =
+    Alcotest.(check (result json string)) name (Ok (Json.String expected)) (Json.of_string input)
+  in
+  let fails_with name offset message input =
+    Alcotest.(check (result json string))
+      name
+      (Error (Printf.sprintf "JSON parse error at offset %d: %s" offset message))
+      (Json.of_string input)
+  in
+  parses_to "lower and upper case hex" "\xc3\xa9\xc3\xa9" {|"\u00e9\u00E9"|};
+  parses_to "last code point before the surrogates" "\xed\x9f\xbf" {|"\ud7ff"|};
+  parses_to "first code point after them" "\xee\x80\x80" {|"\ue000"|};
+  parses_to "a surrogate pair is one 4-byte code point" "acme\xf0\x9f\x98\x80"
+    {|"acme\ud83d\ude00"|};
+  parses_to "upper-case pair" "\xf0\x9f\x98\x80" {|"\uD83D\uDE00"|};
+  parses_to "lowest pair" "\xf0\x90\x80\x80" {|"\ud800\udc00"|};
+  parses_to "highest pair" "\xf4\x8f\xbf\xbf" {|"\udbff\udfff"|};
+  (* An OCaml digit separator is not a hex digit: reported after the
+     four characters, where any other non-hex digit is. *)
+  fails_with "separator inside" 8 "invalid \\u escape" {|"a\u1_2bz"|};
+  fails_with "trailing separators" 7 "invalid \\u escape" {|"\u12__"|};
+  fails_with "non-hex letter" 7 "invalid \\u escape" {|"\u12g4"|};
+  fails_with "sign" 7 "invalid \\u escape" {|"\u+123"|};
+  fails_with "truncated" 3 "truncated \\u escape" {|"\u12|};
+  (* The same inputs the per-character parser accepted. *)
+  Alcotest.(check (result json string))
+    "the old parser read the separator" (Ok (Json.String "a\xc4\xabz")) (Json_ref.of_string {|"a\u1_2bz"|});
+  fails_with "lone high surrogate" 7 "invalid \\u escape" {|"\ud83d"|};
+  fails_with "high surrogate then another escape" 7 "invalid \\u escape" {|"\ud83d\n"|};
+  fails_with "high surrogate then a non-surrogate" 13 "invalid \\u escape" {|"\ud83d\u0041"|};
+  fails_with "two high surrogates" 13 "invalid \\u escape" {|"\ud83d\ud83d"|};
+  fails_with "lone low surrogate" 7 "invalid \\u escape" {|"\ude00"|};
+  fails_with "truncated low half" 9 "truncated \\u escape" {|"\ud83d\ude0|};
+  fails_with "bad digit in the low half" 13 "invalid \\u escape" {|"\ud83d\ude0_"|}
+
+(* The string writer against the per-byte escaper it replaced, on every
+   byte value. *)
+let prop_add_string_matches_ref =
+  QCheck.Test.make ~count:1000 ~name:"Json.add_string = the per-byte escaper"
+    QCheck.(string_gen_of_size Gen.(0 -- 40) Gen.char)
+    (fun s ->
+      let buffer = Buffer.create 16 and expected = Buffer.create 16 in
+      Json.add_string buffer s;
+      Json_ref.escape_string expected s;
+      Buffer.contents buffer = Buffer.contents expected
+      && Json.to_string (Json.String s) = Buffer.contents expected)
+
+(* Strict structural equality: numbers compared by their bits, so -0.
+   and 0. differ. *)
+let rec strict_equal a b =
+  match (a, b) with
+  | Json.Number x, Json.Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List x, Json.List y -> List.equal strict_equal x y
+  | Json.Object x, Json.Object y ->
+      List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && strict_equal v1 v2) x y
+  | _ -> Json.equal a b
+
+(* Raw JSON text, written by hand rather than printed, so it carries
+   what the printer never emits: whitespace, every escape, upper-case
+   hex, number spellings such as -0, 1E+2 or 01, raw UTF-8, and now and
+   then a raw control byte, which neither parser accepts. *)
+let gen_text =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; ""; " "; "\n"; "\t "; "\r\n  " ] in
+  let hex_escape =
+    map2
+      (fun code upper ->
+        let hex = Printf.sprintf "%04x" code in
+        "\\u" ^ if upper then String.uppercase_ascii hex else hex)
+      (oneof [ int_range 0 0xff; int_range 0x100 0xd7ff; int_range 0xe000 0xffff ])
+      bool
+  in
+  let piece =
+    frequency
+      [
+        (6, map (String.make 1) (char_range ' ' '~') >|= fun c -> if c = "\"" || c = "\\" then "x" else c);
+        (2, oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ]);
+        (2, hex_escape);
+        (1, oneofl [ "\xc3\xa9"; "\xf0\x9f\x98\x80"; "\x7f" ]);
+        (1, map (fun i -> if i = 0 then "\x1f" else "") (int_bound 3));
+      ]
+  in
+  let string_lit = map (fun parts -> "\"" ^ String.concat "" parts ^ "\"") (list_size (0 -- 8) piece) in
+  let number =
+    oneof
+      [
+        map string_of_int (int_range (-1_000_000) 1_000_000);
+        map (Printf.sprintf "%.17g") (float_range (-1e6) 1e6);
+        map (Printf.sprintf "%g") (float_range (-1e-3) 1e-3);
+        oneofl [ "-0"; "0.5e-3"; "1E+2"; "-.5"; "01"; "1."; "1e308"; "2.5E-310"; "123456789012345678" ];
+      ]
+  in
+  let rec value depth =
+    let scalar =
+      frequency
+        [
+          (1, oneofl [ "true"; "false"; "null" ]);
+          (3, number);
+          (3, string_lit);
+        ]
+    in
+    if depth = 0 then scalar
+    else
+      let nested = value (depth - 1) in
+      let wrap l r items = map2 (fun w items -> l ^ w ^ String.concat "," items ^ w ^ r) ws items in
+      frequency
+        [
+          (3, scalar);
+          (1, wrap "[" "]" (list_size (0 -- 4) (map2 ( ^ ) ws nested)));
+          ( 1,
+            wrap "{" "}"
+              (list_size (0 -- 4)
+                 (map3 (fun k w v -> k ^ w ^ ":" ^ w ^ v) string_lit ws nested)) );
+        ]
+  in
+  map3 (fun a v b -> a ^ v ^ b) ws (value 3) ws
+
+(* A document as the printer writes it, or as text; then maybe cut
+   short, or with bytes replaced, inserted or removed. *)
+let gen_input =
+  let open QCheck.Gen in
+  let interesting =
+    oneof
+      [ oneofl [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; 'u'; 'e'; '-'; '.'; '0'; '_'; ' '; '\x01' ]; char ]
+  in
+  let mutate s =
+    if s = "" then map (String.make 1) interesting
+    else
+      let n = String.length s in
+      map3
+        (fun kind i c ->
+          let i = i mod n in
+          match kind with
+          | 0 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+          | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+          | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
+        (int_bound 2) nat interesting
+  in
+  let base =
+    oneof
+      [
+        map Json.to_string gen_json;
+        map (Json.to_string ~indent:2) gen_json;
+        gen_text;
+      ]
+  in
+  base >>= fun s ->
+  frequency
+    [
+      (2, return s);
+      (1, map (fun i -> String.sub s 0 (i mod (String.length s + 1))) nat);
+      (2, mutate s);
+      (1, mutate s >>= mutate);
+    ]
+
+(* True where one of the two fixed [\u] readings applies: four
+   characters holding an OCaml digit separator, or a surrogate. The
+   oracle is compared everywhere else. *)
+let unicode_fix_applies input =
+  let n = String.length input in
+  let rec scan i =
+    i + 1 < n
+    && ((input.[i] = '\\'
+        && input.[i + 1] = 'u'
+        &&
+        let quad = String.sub input (i + 2) (min 4 (n - i - 2)) in
+        String.contains quad '_'
+        || String.length quad = 4
+           && String.for_all
+                (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+                quad
+           &&
+           let code = int_of_string ("0x" ^ quad) in
+           code >= 0xd800 && code <= 0xdfff)
+       || scan (i + 1))
+  in
+  scan 0
+
+let prop_parser_matches_ref =
+  QCheck.Test.make ~count:3000 ~name:"Json.of_string = the per-character parser"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_input)
+    (fun input ->
+      unicode_fix_applies input
+      ||
+      match (Json.of_string input, Json_ref.of_string input) with
+      | Ok got, Ok want -> strict_equal got want
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let () =
   Alcotest.run "json"
     [
@@ -193,6 +385,7 @@ let () =
           Alcotest.test_case "pretty printing" `Quick test_pretty_printing;
           Alcotest.test_case "non-finite rejected" `Quick test_non_finite_rejected;
           Alcotest.test_case "number edge cases match Printf" `Quick test_number_edges;
+          Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
@@ -201,5 +394,7 @@ let () =
             prop_pretty_roundtrip;
             prop_number_matches_printf;
             prop_params_matches_printf;
+            prop_add_string_matches_ref;
+            prop_parser_matches_ref;
           ] );
     ]

@@ -914,6 +914,71 @@ let openmetrics_shape_prop =
         (String.split_on_char '\n' text)
       && contains ~needle:"# EOF" text)
 
+(* The exposition against the Printf one it replaced, on snapshots
+   written directly: families of consecutive series, names that need
+   sanitizing or HELP escaping, label values that need escaping, NaN and
+   infinite gauges and sums, and histograms with non-finite bounds. *)
+let openmetrics_matches_printf_prop =
+  let gen =
+    QCheck.Gen.(
+      let name =
+        frequency
+          [
+            ( 3,
+              oneofl
+                [ "serve.requests_total"; "lat.seconds"; "9lives"; ""; "a-b:c"; "back\\slash\nnl"; "x" ] );
+            (1, string_size ~gen:printable (0 -- 6));
+          ]
+      in
+      let label_value =
+        oneof
+          [
+            string_size ~gen:printable (0 -- 6);
+            oneofl [ "a\\b"; "q\"uote"; "new\nline"; "\xc3\xa9"; ""; "\\\"\n" ];
+          ]
+      in
+      let labels = list_size (0 -- 2) (pair (oneofl [ "tenant"; "reason"; "kind" ]) label_value) in
+      let float =
+        frequency
+          [
+            (3, float_range (-1e3) 1e3);
+            ( 2,
+              oneofl
+                [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 1e15; 1e15 +. 2.; 5e-324; 0.1 ] );
+          ]
+      in
+      let histogram =
+        map3
+          (fun buckets count sum ->
+            Snapshot.Histogram { Snapshot.buckets; count; sum; min = 0.; max = 0. })
+          (list_size (0 -- 4) (pair float (int_bound 50)))
+          (int_bound 200) float
+      in
+      let value =
+        oneof
+          [
+            map (fun n -> Snapshot.Counter n) (int_range (-5) 1_000_000);
+            map (fun v -> Snapshot.Gauge v) float;
+            histogram;
+          ]
+      in
+      map List.concat
+        (list_size (0 -- 6)
+           (map2
+              (fun name series ->
+                List.map (fun (labels, value) -> { Snapshot.name; labels; value }) series)
+              name
+              (list_size (1 -- 3) (pair labels value)))))
+  in
+  QCheck.Test.make ~count:1000 ~name:"to_openmetrics = the Printf exposition"
+    (QCheck.make ~print:Openmetrics_ref.to_openmetrics gen)
+    (fun snapshot ->
+      let expected = Openmetrics_ref.to_openmetrics snapshot in
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "before\n";
+      Snapshot.add_openmetrics buf snapshot;
+      Snapshot.to_openmetrics snapshot = expected && Buffer.contents buf = "before\n" ^ expected)
+
 (* Metric labels *)
 
 module Labels = Obs.Labels
@@ -935,8 +1000,8 @@ let test_labels_canonical () =
        "Stratrec_obs.Labels: invalid label key \"bad-key\" (want [a-zA-Z_][a-zA-Z0-9_]*)")
     (fun () -> ignore (Labels.normalize [ ("bad-key", "v") ]));
   let nasty = "a\\b\"c\nd" in
-  Alcotest.(check string) "backslash, quote and newline escape" "a\\\\b\\\"c\\nd"
-    (Labels.escape_value nasty);
+  Alcotest.(check string) "backslash, quote and newline escape" "{k=\"a\\\\b\\\"c\\nd\"}"
+    (Labels.render [ ("k", nasty) ]);
   let encoded = Labels.encode_series "m_total" [ ("tenant", nasty) ] in
   Alcotest.(check string) "encoded spelling" "m_total{tenant=\"a\\\\b\\\"c\\nd\"}" encoded;
   Alcotest.(check string) "unlabeled series is the bare name" "m_total"
@@ -1353,6 +1418,7 @@ let () =
             test_openmetrics_histogram;
           Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
           Tq.to_alcotest openmetrics_shape_prop;
+          Tq.to_alcotest openmetrics_matches_printf_prop;
         ] );
       ( "labels",
         [

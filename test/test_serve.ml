@@ -1643,6 +1643,180 @@ let test_request_codecs () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing id must be rejected"
 
+(* The response writer against the tree renderer it replaced, on every
+   constructor. Ints stay below 1e15, where the tree renderer printed
+   them as integers too. *)
+let gen_response =
+  let open QCheck.Gen in
+  let nasty = oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "\x01"; "\x1f"; "\x7f"; "\xc3\xa9"; "\xf0\x9f\x98\x80"; "/" ] in
+  let str =
+    frequency
+      [
+        (1, return "");
+        (3, string_size ~gen:printable (0 -- 8));
+        (2, map (String.concat "") (list_size (1 -- 6) (oneof [ nasty; string_size ~gen:printable (0 -- 3) ])));
+      ]
+  in
+  let float =
+    frequency
+      [
+        (3, float_range (-1e6) 1e6);
+        (2, map Int64.float_of_bits ui64 >|= fun f -> if Float.is_finite f then f else 0.5);
+        ( 2,
+          oneofl
+            [
+              0.; -0.; 5e-324; -5e-324; 2.2250738585072009e-308; 1e-310; 1e15 -. 0.5;
+              -.(1e15 -. 0.5); 999999999999999.9; 1e15; -1e15; 1e15 +. 2.; 0.1; 1. /. 3.;
+              Float.max_float;
+            ] );
+        (1, map float_of_int (int_range (-1_000_000_000) 1_000_000_000));
+      ]
+  in
+  let int =
+    frequency [ (3, int_range (-3) 100); (1, int_range (-999_999_999_999_999) 999_999_999_999_999) ]
+  in
+  let opt g = option g in
+  let outcome =
+    oneof
+      [
+        map2
+          (fun strategies workforce -> Protocol.Satisfied { strategies; workforce })
+          (list_size (0 -- 3) str) float;
+        map2
+          (fun (quality, cost, latency) distance ->
+            Protocol.Alternative
+              { params = Model.Params.make_unchecked ~quality ~cost ~latency; distance })
+          (triple float float float) float;
+        return Protocol.Workforce_limited;
+        return Protocol.No_alternative;
+      ]
+  in
+  let lineage =
+    map
+      (fun (queue_seconds, triage_seconds, deploy_seconds, total_seconds) ->
+        { Protocol.queue_seconds; triage_seconds; deploy_seconds; total_seconds })
+      (quad float float float float)
+  in
+  let slo_status =
+    map
+      (fun ((slo, slo_tenant, burning), (fast_burn_rate, slow_burn_rate, budget_remaining)) ->
+        { Protocol.slo; slo_tenant; burning; fast_burn_rate; slow_burn_rate; budget_remaining })
+      (pair (triple str (opt str) bool) (triple float float float))
+  in
+  let state = oneofl [ Protocol.Ready; Protocol.Degraded; Protocol.Unhealthy ] in
+  oneof
+    [
+      map3 (fun id tenant queue_depth -> Protocol.Accepted { id; tenant; queue_depth }) int str int;
+      map3 (fun id tenant queue_depth -> Protocol.Queue_full { id; tenant; queue_depth }) int str int;
+      map2
+        (fun (id, tenant) (queued, limit) -> Protocol.Quota_exceeded { id; tenant; queued; limit })
+        (pair int str) (pair int int);
+      map2
+        (fun (id, tenant) (rung, reason) -> Protocol.Overloaded { id; tenant; rung; reason })
+        (pair int str) (pair int str);
+      map2 (fun id tenant -> Protocol.Draining { id; tenant }) int str;
+      map3
+        (fun id tenant waited_seconds -> Protocol.Drain_expired { id; tenant; waited_seconds })
+        int str float;
+      map
+        (fun (answered, expired, forced, epochs) ->
+          Protocol.Drained { answered; expired; forced; epochs })
+        (quad int int int int);
+      map3
+        (fun id tenant waited_seconds -> Protocol.Deadline_expired { id; tenant; waited_seconds })
+        int str float;
+      map2 (fun id tenant -> Protocol.Duplicate_id { id; tenant }) int str;
+      map2
+        (fun (id, tenant, epoch) (outcome, deployed, lineage) ->
+          Protocol.Completed { id; tenant; epoch; outcome; deployed; lineage })
+        (triple int str int)
+        (triple outcome (opt str) (opt lineage));
+      map3
+        (fun epoch admitted expired -> Protocol.Epoch_closed { epoch; admitted; expired })
+        int int int;
+      map3
+        (fun (state, scope, reasons, breaker) (queue_depth, queue_capacity, slo_burning, epochs)
+             (brownout_rung, draining, io_errors, cache_hit_ratio) ->
+          Protocol.Health_status
+            {
+              state;
+              scope;
+              reasons;
+              breaker;
+              queue_depth;
+              queue_capacity;
+              slo_burning;
+              epochs;
+              brownout_rung;
+              draining;
+              io_errors;
+              cache_hit_ratio;
+            })
+        (quad state (opt str) (list_size (0 -- 3) str) (opt str))
+        (quad int int int int)
+        (quad int bool int (opt float));
+      map (fun slos -> Protocol.Slo_report slos) (list_size (0 -- 3) slo_status);
+      map2 (fun path records -> Protocol.Dumped { path; records }) str int;
+      map (fun path -> Protocol.Unknown_endpoint { path }) str;
+      return Protocol.Pong;
+      map (fun clock_hours -> Protocol.Ticked { clock_hours }) float;
+      return Protocol.Shutting_down;
+      map (fun reason -> Protocol.Error_ { reason }) str;
+      map (fun text -> Protocol.Metrics_text text) str;
+    ]
+
+let prop_render_matches_tree =
+  QCheck.Test.make ~count:2000 ~name:"render = the tree renderer, on every constructor"
+    (QCheck.make ~print:Serve_ref.render gen_response)
+    (fun response ->
+      let expected = Serve_ref.render response in
+      let buffer = Buffer.create 16 in
+      Buffer.add_string buffer "queued\n";
+      Protocol.render_into buffer response;
+      Protocol.render response = expected && Buffer.contents buffer = "queued\n" ^ expected)
+
+(* A non-finite float raises, as it did in the tree printer. *)
+let test_render_non_finite () =
+  List.iter
+    (fun f ->
+      let response = Protocol.Ticked { clock_hours = f } in
+      Alcotest.check_raises "tree renderer" (Invalid_argument "Json.to_string: non-finite number")
+        (fun () -> ignore (Serve_ref.render response));
+      Alcotest.check_raises "writer" (Invalid_argument "Json.to_string: non-finite number")
+        (fun () -> ignore (Protocol.render response)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* Line framing by search against the per-byte framer, on any chunking
+   of a stream that holds empty, exact-limit and oversized lines. After
+   the last chunk a newline flushes what each still buffers: the same
+   line, or the same drop. *)
+let prop_lines_match_per_byte =
+  let gen =
+    QCheck.Gen.(
+      let line = frequency [ (3, string_size ~gen:printable (0 -- 10)); (1, string_size ~gen:printable (10 -- 30)) ] in
+      map3
+        (fun (max_line, lines) tail cuts ->
+          let stream = String.concat "\n" lines ^ tail in
+          let n = String.length stream in
+          let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+          let rec chunks from = function
+            | [] -> [ String.sub stream from (n - from) ]
+            | c :: rest -> String.sub stream from (c - from) :: chunks c rest
+          in
+          (max_line, chunks 0 cuts))
+        (pair (int_range 0 12) (list_size (0 -- 12) line))
+        (oneof [ return ""; return "\n"; string_size ~gen:printable (0 -- 20) ])
+        (list_size (0 -- 10) nat))
+  in
+  QCheck.Test.make ~count:1000 ~name:"Lines.feed = the per-byte framer, any chunking"
+    (QCheck.make ~print:QCheck.Print.(pair int (list string)) gen)
+    (fun (max_line, chunks) ->
+      let fast = Serve.Server.Lines.create () and slow = Serve_ref.Lines.create () in
+      List.for_all
+        (fun chunk ->
+          Serve.Server.Lines.feed fast ~max_line chunk = Serve_ref.Lines.feed slow ~max_line chunk)
+        (chunks @ [ "\n" ]))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1663,6 +1837,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "render" `Quick test_protocol_render;
           Alcotest.test_case "health/slo/unknown endpoints" `Quick test_protocol_endpoints;
+          Alcotest.test_case "non-finite floats raise" `Quick test_render_non_finite;
+          Tq.to_alcotest prop_render_matches_tree;
         ] );
       ( "daemon",
         [
@@ -1709,6 +1885,7 @@ let () =
             test_serve_lagging_reader;
           Alcotest.test_case "descriptors beyond select's limit refused" `Quick
             test_serve_fd_limit;
+          Tq.to_alcotest prop_lines_match_per_byte;
         ] );
       ( "engine session",
         [
