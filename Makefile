@@ -40,15 +40,21 @@ bench-smoke: build
 # in a second epoch, so both its lookups hit the triage cache. The
 # second daemon, whose deploys all fail, also gets a tenant spelled as a
 # UTF-16 surrogate-pair escape, and must ack it as the raw 4-byte UTF-8
-# character. Uses the built binary directly so client and server never
-# race for the dune build lock.
+# character. Each daemon counts as ready once a --connect ping comes back
+# pong: the socket path exists from bind(), before listen(), so waiting
+# for the path alone lets the first client be refused. A ping moves no
+# asserted counter. Uses the built binary directly so client and server
+# never race for the dune build lock.
 SERVE_BIN = ./_build/default/bin/stratrec_serve.exe
 serve-smoke: build
 	@tmp=$$(mktemp -d); sock="$$tmp/serve.sock"; \
 	$(SERVE_BIN) --socket "$$sock" --epoch-requests 3 --domains 2 & pid=$$!; \
 	trap 'rm -rf "$$tmp"; kill $$pid $$pid2 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do test -S "$$sock" && break; sleep 0.1; done; \
-	test -S "$$sock" || { echo "serve-smoke: socket never appeared"; exit 1; }; \
+	ready=; for i in $$(seq 1 50); do \
+	  printf '{"op":"ping"}\n' | $(SERVE_BIN) --connect --socket "$$sock" 2>/dev/null \
+	    | grep -q '"status":"pong"' && { ready=1; break; }; \
+	  sleep 0.1; done; \
+	test -n "$$ready" || { echo "serve-smoke: daemon never answered a ping"; exit 1; }; \
 	printf '%s\n' \
 	  '{"op":"ping"}' \
 	  'GET health' \
@@ -93,8 +99,11 @@ serve-smoke: build
 	  || { echo "serve-smoke: a clean session counted transport faults"; cat "$$tmp/out"; exit 1; }; \
 	sock2="$$tmp/serve2.sock"; \
 	$(SERVE_BIN) --socket "$$sock2" --epoch-requests 8 --faults no-show=1 & pid2=$$!; \
-	for i in $$(seq 1 50); do test -S "$$sock2" && break; sleep 0.1; done; \
-	test -S "$$sock2" || { echo "serve-smoke: second socket never appeared"; exit 1; }; \
+	ready=; for i in $$(seq 1 50); do \
+	  printf '{"op":"ping"}\n' | $(SERVE_BIN) --connect --socket "$$sock2" 2>/dev/null \
+	    | grep -q '"status":"pong"' && { ready=1; break; }; \
+	  sleep 0.1; done; \
+	test -n "$$ready" || { echo "serve-smoke: second daemon never answered a ping"; exit 1; }; \
 	printf '%s\n' \
 	  '{"op":"submit","id":1,"params":"0.5,0.9,0.9","k":2}' \
 	  '{"op":"submit","id":2,"params":"0.6,0.8,0.8","k":2}' \

@@ -4,8 +4,7 @@
    (b) BatchStrat's best-single correction for pay-off (vs plain greedy),
    (c) Sum-case vs Max-case workforce aggregation,
    (d) R-tree construction method behind Baseline3 (STR bulk load vs
-       one-by-one insertion),
-   (e) the weighted multi-goal objective extension. *)
+       one-by-one insertion). *)
 
 module Rng = Stratrec_util.Rng
 module Tabular = Stratrec_util.Tabular
@@ -200,100 +199,10 @@ let rtree_construction () =
     (Bench_common.values (if !Bench_common.quick then [ 1000 ] else [ 1000; 5000; 20000 ]));
   Bench_common.print_table ~title:"(d) R-tree construction behind Baseline3" t
 
-let weighted_objective () =
-  let t =
-    Tabular.create ~columns:[ "payoff weight"; "satisfied"; "payoff"; "objective" ]
-  in
-  let rng = Rng.create 25_000 in
-  let strategies = Model.Workload.strategies rng ~n:100 ~kind:Model.Workload.Uniform in
-  let requests = Model.Workload.requests rng ~m:12 ~k:3 in
-  let matrix = Workforce.compute ~rule:`Paper_equality ~requests ~strategies () in
-  List.iter
-    (fun payoff_weight ->
-      let objective =
-        if payoff_weight = 0. then Stratrec.Objective.Throughput
-        else Stratrec.Objective.weighted ~throughput:1. ~payoff:payoff_weight
-      in
-      let o =
-        Stratrec.Batchstrat.run ~objective ~aggregation:Workforce.Max_case ~available:0.9 matrix
-      in
-      let payoff =
-        List.fold_left
-          (fun acc s ->
-            acc +. Model.Deployment.payoff matrix.Workforce.requests.(s.Stratrec.Batchstrat.request_index))
-          0. o.Stratrec.Batchstrat.satisfied
-      in
-      Tabular.add_row t
-        [
-          Printf.sprintf "%.1f" payoff_weight;
-          string_of_int (Stratrec.Batchstrat.satisfied_count o);
-          Printf.sprintf "%.3f" payoff;
-          Printf.sprintf "%.3f" o.Stratrec.Batchstrat.objective_value;
-        ])
-    (Bench_common.values [ 0.; 0.5; 1.; 2.; 5. ]);
-  Bench_common.print_table ~title:"(e) weighted multi-goal objective (extension)" t
-
-let online_vs_offline () =
-  (* The §7 open problem's baseline: greedy-online admission in arrival
-     order against the offline BatchStrat on the same instance, plus the
-     near-exact DP reference. *)
-  let t =
-    Tabular.create
-      ~columns:[ "m"; "offline (BatchStrat)"; "offline (DP)"; "online (stream)"; "online/offline" ]
-  in
-  let runs = Bench_common.runs (if !Bench_common.quick then 3 else 10) in
-  List.iter
-    (fun m ->
-      let offline_total = ref 0. and dp_total = ref 0. and online_total = ref 0. in
-      for i = 1 to runs do
-        let rng = Rng.create (26_000 + i) in
-        let strategies = Model.Workload.strategies rng ~n:60 ~kind:Model.Workload.Uniform in
-        let requests = Model.Workload.requests rng ~m ~k:3 in
-        let available = 2.0 in
-        let matrix = Workforce.compute ~rule:`Paper_equality ~requests ~strategies () in
-        let offline =
-          Stratrec.Batchstrat.run ~objective:Stratrec.Objective.Throughput
-            ~aggregation:Workforce.Max_case ~available matrix
-        in
-        let dp =
-          Stratrec.Batch_baselines.dynamic_programming ~objective:Stratrec.Objective.Throughput
-            ~aggregation:Workforce.Max_case ~available matrix
-        in
-        let session =
-          Stratrec.Stream_aggregator.create
-            ~config:
-              {
-                Stratrec.Aggregator.default_config with
-                Stratrec.Aggregator.inversion_rule = `Paper_equality;
-              }
-            ~strategies ~workforce:available ()
-        in
-        Array.iter (fun d -> ignore (Stratrec.Stream_aggregator.submit session d)) requests;
-        offline_total :=
-          !offline_total +. float_of_int (Stratrec.Batchstrat.satisfied_count offline);
-        dp_total := !dp_total +. float_of_int (Stratrec.Batchstrat.satisfied_count dp);
-        online_total :=
-          !online_total +. float_of_int (Stratrec.Stream_aggregator.admitted_count session)
-      done;
-      let avg v = v /. float_of_int runs in
-      Tabular.add_row t
-        [
-          string_of_int m;
-          Printf.sprintf "%.2f" (avg !offline_total);
-          Printf.sprintf "%.2f" (avg !dp_total);
-          Printf.sprintf "%.2f" (avg !online_total);
-          Printf.sprintf "%.3f" (avg !online_total /. Float.max 1e-9 (avg !offline_total));
-        ])
-    (Bench_common.values [ 5; 10; 20; 40 ]);
-  Bench_common.print_table
-    ~title:"(f) online greedy vs offline BatchStrat vs DP, identical arrivals (W=2.0, k=3)" t
-
 let run () =
   Bench_common.section "Ablations";
   adpar_pruning ();
   adpar_skyband ();
   best_single_correction ();
   aggregation_cases ();
-  rtree_construction ();
-  weighted_objective ();
-  online_vs_offline ()
+  rtree_construction ()

@@ -78,41 +78,6 @@ let baseline_g ~objective ~aggregation ~available matrix =
   in
   outcome_of_selection ~m (List.rev selection)
 
-let dynamic_programming ?(resolution = 1e-3) ~objective ~aggregation ~available matrix =
-  if resolution <= 0. then invalid_arg "Batch_baselines.dynamic_programming: resolution <= 0";
-  let m = Array.length matrix.Workforce.requests in
-  let candidates = Array.of_list (candidates_of_matrix ~objective ~aggregation matrix) in
-  let n = Array.length candidates in
-  let capacity = max 0 (int_of_float (Float.floor (available /. resolution +. 1e-9))) in
-  (* Rounding weights up keeps every DP-feasible selection feasible for the
-     real budget. *)
-  let weight_of c = int_of_float (Float.ceil (c.weight /. resolution -. 1e-9)) in
-  (* best.(w) = best value using a prefix of candidates within weight w;
-     choice.(i).(w) = whether candidate i is taken at state w. *)
-  let best = Array.make (capacity + 1) 0. in
-  let choice = Array.make_matrix n (capacity + 1) false in
-  for i = 0 to n - 1 do
-    let wi = weight_of candidates.(i) in
-    if wi <= capacity then
-      for w = capacity downto wi do
-        let with_item = best.(w - wi) +. candidates.(i).value in
-        if with_item > best.(w) then begin
-          best.(w) <- with_item;
-          choice.(i).(w) <- true
-        end
-      done
-  done;
-  (* Walk the choices back from the full capacity. *)
-  let selection = ref [] in
-  let w = ref capacity in
-  for i = n - 1 downto 0 do
-    if !w >= 0 && choice.(i).(!w) then begin
-      selection := candidates.(i) :: !selection;
-      w := !w - weight_of candidates.(i)
-    end
-  done;
-  outcome_of_selection ~m !selection
-
 let approximation_factor ~exact ~approx =
   let e = exact.Batchstrat.objective_value and a = approx.Batchstrat.objective_value in
   if e = 0. then 1. else a /. e

@@ -25,20 +25,5 @@ val baseline_g :
   Batchstrat.outcome
 (** Greedy by [f_i / w_i] only (§5.2.1's BaselineG). *)
 
-val dynamic_programming :
-  ?resolution:float ->
-  objective:Objective.t ->
-  aggregation:Stratrec_model.Workforce.aggregation ->
-  available:float ->
-  Stratrec_model.Workforce.matrix ->
-  Batchstrat.outcome
-(** Pseudo-polynomial 0/1-knapsack DP over workforce discretized to
-    [resolution] (default 1e-3). Each request's weight is rounded {e up},
-    so the returned selection always fits the true budget; the value is
-    therefore a lower bound on the optimum that converges to it as the
-    resolution shrinks — a scalable near-exact reference for batches too
-    large to enumerate. O(m * available/resolution) time and space.
-    @raise Invalid_argument if [resolution <= 0]. *)
-
 val approximation_factor : exact:Batchstrat.outcome -> approx:Batchstrat.outcome -> float
 (** [approx.objective_value / exact.objective_value]; 1.0 when both are 0. *)

@@ -88,7 +88,6 @@ type report = {
   counts : counts;
   deployed : deployed list;
   lineage : lineage;
-  decisions : Obs.Trace.decision list;
 }
 
 type error =
@@ -195,7 +194,6 @@ type session = {
          bound at the first epoch to [strategies], W, aggregation and
          rule, none of which a session can change *)
   clock : float ref;  (* simulated deploy hours, shared across epochs *)
-  mutable decisions_seen : int;
   mutable epochs : int;
   mutable closed : bool;
   (* Live trace switch (serve's brownout ladder flips it between
@@ -254,7 +252,6 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
           cache;
           memo = Aggregator.memo ?cache ();
           clock = ref 0.;
-          decisions_seen = 0;
           epochs = 0;
           closed = false;
           live_trace = true;
@@ -585,7 +582,6 @@ let submit ?deadline_hours session requests_in =
                     triage_seconds = Float.max 0. (triage_done -. stage_start);
                     deploy_seconds = Float.max 0. (deploy_done -. triage_done);
                   };
-                decisions = [];
               })
         in
         Option.iter
@@ -604,14 +600,7 @@ let submit ?deadline_hours session requests_in =
               ("no_alternative", Json.Number (float_of_int report.counts.no_alternative));
               ("deployed", Json.Number (float_of_int (List.length report.deployed)));
             ];
-        (* Decisions: only this epoch's tail — earlier epochs already
-           reported theirs. Bookkeeping always reads the session's real
-           trace: while the live switch is off the real buffer does not
-           grow, so the fresh-decision arithmetic stays consistent across
-           toggles. *)
-        let fresh = Obs.Trace.decisions_after session.trace session.decisions_seen in
-        session.decisions_seen <- session.decisions_seen + List.length fresh;
-        Ok { report with decisions = fresh }
+        Ok report
 
 let run ?(config = default_config) ?rng ~availability ~strategies ~requests () =
   match validate config ~strategies ~requests with

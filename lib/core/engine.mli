@@ -3,7 +3,7 @@
     Two entry points:
 
     - {!run} — the one-shot batch pipeline callers have always had: it
-      owns a single consolidated configuration (embedding the shared
+      owns a single consolidated configuration (embedding the
       {!Aggregator.config}), executes the full recommend → ADPaR-triage →
       deploy pipeline, reports failures as typed [result] errors instead
       of exceptions or process exits, and returns the run's per-request
@@ -64,8 +64,7 @@ type deploy_config = {
 
 type config = {
   aggregator : Aggregator.config;
-      (** the shared aggregator configuration — the same record
-          {!Aggregator.run} and {!Stream_aggregator.create} consume *)
+      (** the aggregator configuration {!Aggregator.run} consumes *)
   metrics : Stratrec_obs.Registry.t option;
       (** [None] (the default) gives every run/session a fresh private
           registry, read through {!session_metrics}; supply a registry to
@@ -73,8 +72,8 @@ type config = {
           runs *)
   trace : Stratrec_obs.Trace.t option;
       (** [None] (the default) gives every run/session a fresh private
-          trace, so [report.decisions] is always populated; supply a
-          trace to read a {!run}'s spans afterwards or to accumulate them
+          trace, read through {!session_trace}; supply a trace to read a
+          {!run}'s spans and decisions afterwards or to accumulate them
           across runs, or {!Stratrec_obs.Trace.noop} to disable tracing
           entirely *)
   deploy : deploy_config option;  (** [None]: recommend-only *)
@@ -204,11 +203,6 @@ type report = {
   counts : counts;
   deployed : deployed list;  (** empty without a {!deploy_config} *)
   lineage : lineage;  (** stage-duration breakdown of this epoch *)
-  decisions : Stratrec_obs.Trace.decision list;
-      (** one per request of {e this} epoch, in decision order (satisfied
-          first, then triaged) — empty only when [config.trace] is
-          {!Stratrec_obs.Trace.noop} or tracing is switched off
-          ({!set_observability}) *)
 }
 
 type error =
@@ -268,14 +262,15 @@ val submit :
 (** Run one epoch: triage the micro-batch through BatchStrat + ADPaR
     (sharded over [config.domains]) and, with a deploy stage configured,
     walk every satisfied request down the resilience ladder. Counters
-    accumulate in the session registry and spans in the session trace;
-    the report carries this epoch's outcomes and decisions and no copy
+    accumulate in the session registry, and spans and decisions in the
+    session trace; the report carries this epoch's outcomes and no copy
     of either, so an epoch's cost does not grow with the registry. Read
     the cumulative state with {!session_metrics} and {!session_trace}
     when it is wanted. A fixed request batch submitted as the first
     epoch of a fresh session yields a report bit-identical to {!run} on
     the same inputs, and leaves the session registry and trace with the
-    same counters and span tree as the run's — at any domain count.
+    same counters, span tree and decisions as the run's — at any domain
+    count.
 
     [deadline_hours] caps the deploy retry policy's per-request deadline
     budget for this epoch (the serve layer passes the tightest remaining
@@ -324,9 +319,9 @@ val set_observability : session -> trace:bool -> unit
 (** Flip the session's tracing between epochs — the serve brownout
     ladder's first rung. With [~trace:false] subsequent epochs run
     against {!Stratrec_obs.Trace.noop}: {!session_trace} neither grows
-    nor loses history, and reports carry no fresh decisions;
-    [~trace:true] restores the session trace. Off the determinism path:
-    counters ({!session_metrics}) and triage outcomes are unaffected. *)
+    nor loses history; [~trace:true] restores the session trace. Off the
+    determinism path: counters ({!session_metrics}) and triage outcomes
+    are unaffected. *)
 
 (** {1 One-shot} *)
 

@@ -1,27 +1,11 @@
-type t =
-  | Throughput
-  | Payoff
-  | Weighted of { throughput_weight : float; payoff_weight : float }
-
-let weighted ~throughput ~payoff =
-  if throughput < 0. || payoff < 0. then invalid_arg "Objective.weighted: negative weight";
-  if throughput = 0. && payoff = 0. then invalid_arg "Objective.weighted: all weights zero";
-  Weighted { throughput_weight = throughput; payoff_weight = payoff }
+type t = Throughput | Payoff
 
 let value t d =
-  match t with
-  | Throughput -> 1.
-  | Payoff -> Stratrec_model.Deployment.payoff d
-  | Weighted { throughput_weight; payoff_weight } ->
-      throughput_weight +. (payoff_weight *. Stratrec_model.Deployment.payoff d)
+  match t with Throughput -> 1. | Payoff -> Stratrec_model.Deployment.payoff d
 
-let exact_greedy = function Throughput -> true | Payoff | Weighted _ -> false
+let exact_greedy = function Throughput -> true | Payoff -> false
 
-let label = function
-  | Throughput -> "throughput"
-  | Payoff -> "payoff"
-  | Weighted { throughput_weight; payoff_weight } ->
-      Printf.sprintf "weighted(%.2f*throughput + %.2f*payoff)" throughput_weight payoff_weight
+let label = function Throughput -> "throughput" | Payoff -> "payoff"
 
 let pp ppf t = Format.pp_print_string ppf (label t)
 

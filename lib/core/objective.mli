@@ -3,22 +3,13 @@
     Throughput counts satisfied requests; Pay-off sums the cost each
     satisfied requester is willing to expend. Throughput is solvable
     exactly by the greedy algorithm; Pay-off maximization is NP-hard
-    (Theorem 1). [Weighted] combines the two — the paper's future-work
-    suggestion of "combining multiple goals inside the same optimization
-    function" (§7); the greedy 1/2-approximation argument only needs
-    non-negative values, so it carries over. *)
+    (Theorem 1). *)
 
-type t =
-  | Throughput
-  | Payoff
-  | Weighted of { throughput_weight : float; payoff_weight : float }
-
-val weighted : throughput:float -> payoff:float -> t
-(** @raise Invalid_argument if either weight is negative or both are 0. *)
+type t = Throughput | Payoff
 
 val value : t -> Stratrec_model.Deployment.t -> float
 (** Per-request objective contribution f_i: 1 for throughput, the
-    request's cost for pay-off, and the weighted sum for [Weighted]. *)
+    request's cost for pay-off. *)
 
 val exact_greedy : t -> bool
 (** Whether plain greedy is exact (true only for [Throughput], Theorem 2);
@@ -31,6 +22,5 @@ val to_string : t -> string
 (** Alias of {!label}. *)
 
 val of_string : string -> (t, string) result
-(** Case-insensitive ["throughput"] or ["payoff"]; weighted objectives
-    have no string spelling (construct them with {!weighted}). The CLI
-    and {!Engine} parse objectives through this. *)
+(** Case-insensitive ["throughput"] or ["payoff"]. The CLI and
+    {!Engine} parse objectives through this. *)

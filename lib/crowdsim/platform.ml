@@ -93,10 +93,3 @@ let recruit ?(metrics = Obs.Registry.noop) ?(faults = Fault.none) t rng ~kind ~w
        "platform.availability")
     availability;
   { hired; capacity; availability }
-
-let estimate_availability ?faults t rng ~kind ~window ~capacity ~samples =
-  if samples <= 0 then invalid_arg "Platform.estimate_availability: samples must be positive";
-  let observations =
-    Array.init samples (fun _ -> (recruit ?faults t rng ~kind ~window ~capacity).availability)
-  in
-  Stratrec_model.Availability.of_observations observations

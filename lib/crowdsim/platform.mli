@@ -46,18 +46,3 @@ val recruit :
     [metrics] (default {!Stratrec_obs.Registry.noop}) records
     [platform.recruitments_total], [platform.workers_hired_total] and the
     [platform.availability] histogram (decile buckets). *)
-
-val estimate_availability :
-  ?faults:Stratrec_resilience.Fault.t ->
-  t ->
-  Stratrec_util.Rng.t ->
-  kind:Task_spec.kind ->
-  window:Window.t ->
-  capacity:int ->
-  samples:int ->
-  Stratrec_model.Availability.t
-(** Repeats {!recruit} [samples] times and builds the empirical
-    availability pdf — the estimation pipeline StratRec's Aggregator
-    consumes. [faults] is threaded into every sampled recruitment, so a
-    fault plan collapses the estimated pdf the same way it collapses live
-    deployments. *)

@@ -10,13 +10,6 @@ let coord p = function
   | 2 -> p.z
   | i -> invalid_arg (Printf.sprintf "Point3.coord: axis %d" i)
 
-let with_coord p i v =
-  match i with
-  | 0 -> { p with x = v }
-  | 1 -> { p with y = v }
-  | 2 -> { p with z = v }
-  | _ -> invalid_arg (Printf.sprintf "Point3.with_coord: axis %d" i)
-
 let weakly_dominates a b = a.x <= b.x && a.y <= b.y && a.z <= b.z
 
 (* Float.equal keeps [equal] consistent with [compare] below (both are

@@ -14,8 +14,6 @@ val ones : t
 val coord : t -> int -> float
 (** [coord p i] for [i] in 0..2. @raise Invalid_argument otherwise. *)
 
-val with_coord : t -> int -> float -> t
-
 val weakly_dominates : t -> t -> bool
 (** Componentwise [a <= b]. *)
 

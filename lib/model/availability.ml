@@ -20,11 +20,6 @@ let expected t = Distribution.Discrete.expectation t.pdf
 let pdf t = t.pdf
 let sample t rng = Distribution.Discrete.sample t.pdf rng
 
-let of_observations observations =
-  if Array.length observations = 0 then invalid_arg "Availability.of_observations: empty";
-  let clamp v = Float.max 0. (Float.min 1. v) in
-  of_outcomes (Array.to_list observations |> List.map (fun v -> (clamp v, 1.)))
-
 let observed_ratio ~undertaken ~capacity =
   if capacity <= 0 then invalid_arg "Availability.observed_ratio: capacity must be positive";
   if undertaken < 0 then invalid_arg "Availability.observed_ratio: negative undertaken";

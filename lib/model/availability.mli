@@ -26,13 +26,6 @@ val pdf : t -> Stratrec_util.Distribution.Discrete.t
 
 val sample : t -> Stratrec_util.Rng.t -> float
 
-val of_observations : float array -> t
-(** Empirical distribution giving each observed proportion equal
-    probability — how the AMT experiments estimate availability from the
-    ratio of workers who undertook a HIT to its capacity (§5.1.1).
-    Observations are clamped to [\[0, 1\]].
-    @raise Invalid_argument on an empty array. *)
-
 val observed_ratio : undertaken:int -> capacity:int -> float
 (** [x' / x] of §5.1.1: actual workers over the HIT's maximum, clamped to
     [\[0, 1\]]. @raise Invalid_argument if [capacity <= 0] or

@@ -110,20 +110,7 @@ let decide t ~id ~label verdict =
       end
       else s.dropped <- s.dropped + 1
 
-let decisions_after t n =
-  match t with
-  | Noop -> []
-  | Active s ->
-      (* [decided] is newest first, so the fresh ones are its first
-         [decided_count - n] cells; taking them reverses them into
-         decision order. *)
-      let rec take fresh acc = function
-        | d :: older when fresh > 0 -> take (fresh - 1) (d :: acc) older
-        | _ -> acc
-      in
-      take (s.decided_count - n) [] s.decided
-
-let decisions t = decisions_after t 0
+let decisions = function Noop -> [] | Active s -> List.rev s.decided
 
 let current_span_id = function
   | Noop -> None

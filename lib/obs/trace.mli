@@ -84,13 +84,7 @@ val decide : t -> id:int -> label:string -> verdict -> unit
     spans; overflow counts into {!dropped}. *)
 
 val decisions : t -> decision list
-(** In decision order. *)
-
-val decisions_after : t -> int -> decision list
-(** [decisions_after t n] is every retained decision after the first
-    [n], in decision order — what was decided since a reader last saw
-    [n] of them. Costs O(decisions returned), not O(all retained), so a
-    full buffer answers [[]] at once. *)
+(** Every retained decision, in decision order. *)
 
 (** {1 Introspection} *)
 

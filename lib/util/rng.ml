@@ -82,16 +82,3 @@ let exponential t ~rate =
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let sample_without_replacement t n arr =
-  let len = Array.length arr in
-  if n < 0 || n > len then invalid_arg "Rng.sample_without_replacement";
-  let idx = Array.init len Fun.id in
-  (* Partial Fisher–Yates: the first n slots become the sample. *)
-  for i = 0 to n - 1 do
-    let j = i + int t (len - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.init n (fun i -> arr.(idx.(i)))

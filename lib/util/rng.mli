@@ -39,7 +39,3 @@ val exponential : t -> rate:float -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val sample_without_replacement : t -> int -> 'a array -> 'a array
-(** [sample_without_replacement t n arr] picks [n] distinct elements
-    uniformly. Requires [0 <= n <= Array.length arr]. *)

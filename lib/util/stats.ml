@@ -200,11 +200,3 @@ let paired_t_test xs ys =
   in
   let p = 2. *. (1. -. t_cdf ~df (Float.abs t)) in
   { t_statistic = t; degrees_of_freedom = df; p_value = p; significant_at_5pct = p < 0.05 }
-
-let confidence_interval ~level xs =
-  if Array.length xs < 2 then invalid_arg "Stats.confidence_interval: need >= 2 samples";
-  if level <= 0. || level >= 1. then invalid_arg "Stats.confidence_interval: level outside (0,1)";
-  let df = float_of_int (Array.length xs - 1) in
-  let t_crit = t_quantile ~df (1. -. ((1. -. level) /. 2.)) in
-  let m = mean xs and se = std_error xs in
-  (m -. (t_crit *. se), m +. (t_crit *. se))

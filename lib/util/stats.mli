@@ -65,7 +65,3 @@ val paired_t_test : float array -> float array -> t_test_result
 (** Paired t-test on per-index differences — the natural test for the
     §5.1.2 mirror deployments, where each task is run once per arm.
     Requires equal lengths of at least 2. *)
-
-val confidence_interval : level:float -> float array -> float * float
-(** Two-sided CI for the mean at [level] (e.g. 0.9), using the t
-    distribution. Requires at least 2 elements. *)

@@ -1,6 +1,7 @@
 (* Unit and property tests for ADPaR-Exact (Theorem 4): validated against
-   the exponential ADPaRB on random instances, plus structural invariants of
-   the returned alternative. *)
+   the exponential ADPaRB on small random instances and a plain Lemma 1/2
+   enumeration on catalogs of up to 300, plus structural invariants of the
+   returned alternative. *)
 
 module Model = Stratrec_model
 module Params = Model.Params
@@ -406,6 +407,47 @@ let prop_skyband_matches_full_sweep =
       if k > Adpar.skyband_cap then sweep_events m_sky = sweep_events m_full
       else sweep_events m_sky <= sweep_events m_full)
 
+(* Lemma 1/2 as a plain enumeration, independent of the sweep: the
+   optimal relaxation has x in {0} and the quality relaxations, y in {0}
+   and the cost relaxations, and z the k-th smallest latency relaxation
+   among the strategies within (x, y). The smallest x^2 + y^2 + z^2 over
+   that grid is the squared distance; [None] when no (x, y) admits k. *)
+let lemma_distance ~k (relax : Adpar.relaxation array) =
+  let candidates axis = List.sort_uniq Float.compare (0. :: List.map axis (Array.to_list relax)) in
+  let best = ref infinity in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let within =
+            Array.of_list
+              (List.filter_map
+                 (fun (r : Adpar.relaxation) ->
+                   if r.quality <= x && r.cost <= y then Some r.latency else None)
+                 (Array.to_list relax))
+          in
+          match Kselect_ref.kth_smallest ~cmp:Float.compare k within with
+          | None -> ()
+          | Some z -> best := Float.min !best ((x *. x) +. (y *. y) +. (z *. z)))
+        (candidates (fun (r : Adpar.relaxation) -> r.cost)))
+    (candidates (fun (r : Adpar.relaxation) -> r.quality));
+  if !best = infinity then None else Some (sqrt !best)
+
+let prop_matches_lemma_enumeration =
+  QCheck.Test.make ~count:60 ~name:"full and skyband sweeps give the Lemma 1/2 distance"
+    skyband_case
+    (fun (strategies, rq, k, prune) ->
+      let strategies =
+        Array.of_list (List.map (fun (id, triple) -> strategy id triple) strategies)
+      in
+      let d = request ~k rq in
+      let expected = lemma_distance ~k (Adpar.relaxations_of ~strategies d) in
+      let skyband = Adpar.skyband strategies in
+      let distance r = Option.map (fun r -> r.Adpar.distance) r in
+      List.for_all
+        (fun got -> Option.equal Float.equal (distance got) expected)
+        [ Adpar.exact ~prune ~strategies d; Adpar.exact ~prune ~skyband ~strategies d ])
+
 let test_skyband_of_another_catalog () =
   let strategies = catalog [ (0.9, 0.4, 0.1); (0.8, 0.5, 0.2) ] in
   let skyband = Adpar.skyband (Array.copy strategies) in
@@ -457,5 +499,6 @@ let () =
             prop_monotone_in_k;
             prop_flat_sweep_matches_reference;
             prop_skyband_matches_full_sweep;
+            prop_matches_lemma_enumeration;
           ] );
     ]

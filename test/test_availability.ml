@@ -29,15 +29,6 @@ let test_of_pdf_validation () =
     (Invalid_argument "Availability.of_pdf: proportion 1.5 outside [0,1]") (fun () ->
       ignore (A.of_pdf bad))
 
-let test_of_observations () =
-  let a = A.of_observations [| 0.5; 0.7; 0.9 |] in
-  Alcotest.(check (float 1e-9)) "empirical mean" 0.7 (A.expected a);
-  (* Observations are clamped into [0,1]. *)
-  let b = A.of_observations [| 1.5; -0.5 |] in
-  Alcotest.(check (float 1e-9)) "clamped mean" 0.5 (A.expected b);
-  Alcotest.check_raises "empty" (Invalid_argument "Availability.of_observations: empty")
-    (fun () -> ignore (A.of_observations [||]))
-
 let test_observed_ratio () =
   Alcotest.(check (float 1e-9)) "7 of 10" 0.7 (A.observed_ratio ~undertaken:7 ~capacity:10);
   Alcotest.(check (float 1e-9)) "overfull clamps" 1. (A.observed_ratio ~undertaken:12 ~capacity:10);
@@ -65,7 +56,6 @@ let () =
           Alcotest.test_case "example 1 availability" `Quick test_example_availability;
           Alcotest.test_case "certain" `Quick test_certain;
           Alcotest.test_case "pdf validation" `Quick test_of_pdf_validation;
-          Alcotest.test_case "of observations" `Quick test_of_observations;
           Alcotest.test_case "observed ratio" `Quick test_observed_ratio;
           Alcotest.test_case "sampling" `Quick test_sampling;
         ] );

@@ -195,64 +195,6 @@ let prop_baseline_g_never_beats_brute =
       in
       baseline.B.objective_value <= brute.B.objective_value +. 1e-9)
 
-(* Weights that are exact multiples of the DP resolution, so the DP is
-   exactly optimal and must match brute force. *)
-let gen_discrete_instance =
-  QCheck.(
-    pair
-      (list_of_size Gen.(1 -- 12) (pair (int_range 1 60) (float_range 0.1 1.)))
-      (int_range 20 120))
-
-let prop_dp_equals_brute_force_on_grid =
-  QCheck.Test.make ~count:200 ~name:"DP equals brute force on grid-aligned weights"
-    gen_discrete_instance
-    (fun (pairs, budget_ticks) ->
-      let resolution = 0.01 in
-      let weights = Array.of_list (List.map (fun (t, _) -> float_of_int t *. resolution) pairs) in
-      let costs = Array.of_list (List.map snd pairs) in
-      let available = float_of_int budget_ticks *. resolution in
-      let matrix = instance weights costs in
-      let dp =
-        BB.dynamic_programming ~resolution ~objective:Stratrec.Objective.Payoff
-          ~aggregation:W.Sum_case ~available matrix
-      in
-      let brute =
-        BB.brute_force ~objective:Stratrec.Objective.Payoff ~aggregation:W.Sum_case ~available
-          matrix
-      in
-      Float.abs (dp.B.objective_value -. brute.B.objective_value) < 1e-9
-      && dp.B.workforce_used <= available +. 1e-9)
-
-let prop_dp_feasible_and_at_least_greedy_half =
-  QCheck.Test.make ~count:200 ~name:"DP stays feasible and within the knapsack bounds"
-    gen_instance
-    (fun (pairs, available) ->
-      let weights = Array.of_list (List.map fst pairs) in
-      let costs = Array.of_list (List.map snd pairs) in
-      let matrix = instance weights costs in
-      let dp =
-        BB.dynamic_programming ~objective:Stratrec.Objective.Payoff ~aggregation:W.Sum_case
-          ~available matrix
-      in
-      let brute =
-        BB.brute_force ~objective:Stratrec.Objective.Payoff ~aggregation:W.Sum_case ~available
-          matrix
-      in
-      dp.B.workforce_used <= available +. 1e-9
-      && dp.B.objective_value <= brute.B.objective_value +. 1e-9
-      (* rounding up by at most one tick per item costs at most the items
-         whose weight straddles a tick; with the default 1e-3 resolution
-         and weights >= 0.05 the DP still dominates the 1/2 bound *)
-      && dp.B.objective_value >= (0.5 *. brute.B.objective_value) -. 1e-9)
-
-let test_dp_validation () =
-  let matrix = instance [| 0.5 |] [| 0.5 |] in
-  Alcotest.check_raises "resolution > 0"
-    (Invalid_argument "Batch_baselines.dynamic_programming: resolution <= 0") (fun () ->
-      ignore
-        (BB.dynamic_programming ~resolution:0. ~objective:Stratrec.Objective.Payoff
-           ~aggregation:W.Sum_case ~available:1. matrix))
-
 let test_approximation_factor_helper () =
   let exact = { B.satisfied = []; unsatisfied = []; objective_value = 2.; workforce_used = 0. } in
   let approx = { B.satisfied = []; unsatisfied = []; objective_value = 1.5; workforce_used = 0. } in
@@ -274,7 +216,6 @@ let () =
             test_unsatisfied_matches_reference;
           Alcotest.test_case "injected requirements" `Quick test_injected_requirements;
           Alcotest.test_case "approximation factor" `Quick test_approximation_factor_helper;
-          Alcotest.test_case "DP validation" `Quick test_dp_validation;
         ] );
       ( "properties",
         List.map Tq.to_alcotest
@@ -284,7 +225,5 @@ let () =
             prop_budget_respected;
             prop_partition;
             prop_baseline_g_never_beats_brute;
-            prop_dp_equals_brute_force_on_grid;
-            prop_dp_feasible_and_at_least_greedy_half;
           ] );
     ]

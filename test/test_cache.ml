@@ -143,11 +143,16 @@ let decision_fingerprint (d : Obs.Trace.decision) =
         Printf.sprintf "triaged %h/%h/%h d=%h" quality cost latency distance
     | Obs.Trace.Rejected { binding } -> "rejected " ^ binding)
 
-(* [snapshot] is the session's metrics, read right after the epoch. *)
-let report_fingerprint (report : Engine.report) snapshot =
+(* [snapshot] and [decisions] are the metrics and the trace's decisions
+   the epoch left, read right after it; the decisions are cumulative. *)
+let report_fingerprint (report : Engine.report) snapshot decisions =
   ( Format.asprintf "%a" Aggregator.pp_report report.Engine.aggregate,
-    List.map decision_fingerprint report.Engine.decisions,
+    List.map decision_fingerprint decisions,
     snapshot_fingerprint snapshot )
+
+let session_fingerprint session report =
+  report_fingerprint report (Engine.session_metrics session)
+    (Obs.Trace.decisions (Engine.session_trace session))
 
 (* The epoch batch doubles each generated request under a shifted id, so
    even the first epoch carries intra-epoch repeats and later epochs are
@@ -177,7 +182,7 @@ let observable ?cache ~domains ~epochs seed m w =
   let reports =
     List.init epochs (fun _ ->
         match Engine.submit session batch with
-        | Ok report -> report_fingerprint report (Engine.session_metrics session)
+        | Ok report -> session_fingerprint session report
         | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
   in
   let counters = snapshot_fingerprint (Engine.session_metrics session) in
@@ -352,7 +357,10 @@ let skyband_epochs ?cache ~domains () =
       let reports =
         List.init 2 (fun _ ->
             match Engine.submit session batch with
-            | Ok report -> (report, Engine.session_metrics session)
+            | Ok report ->
+                ( report,
+                  Engine.session_metrics session,
+                  Obs.Trace.decisions (Engine.session_trace session) )
             | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
       in
       let tree =
@@ -406,7 +414,10 @@ let test_fixed_clock () =
 let test_sessions_sweep_skyband () =
   let observed ?cache ~domains () =
     let reports, tree = skyband_epochs ?cache ~domains () in
-    (List.map (fun (report, snapshot) -> report_fingerprint report snapshot) reports, tree)
+    ( List.map
+        (fun (report, snapshot, decisions) -> report_fingerprint report snapshot decisions)
+        reports,
+      tree )
   in
   let uncached = observed ~domains:1 () in
   Alcotest.(check bool) "domains=4 = domains=1" true (observed ~domains:4 () = uncached);
@@ -417,18 +428,20 @@ let test_sessions_sweep_skyband () =
         true
         (observed ~cache:C.default_config ~domains () = uncached))
     [ 1; 4 ];
-  let first, first_metrics = List.hd (fst (skyband_epochs ~domains:1 ())) in
-  let run_metrics = Obs.Registry.create () in
+  let first, first_metrics, first_decisions = List.hd (fst (skyband_epochs ~domains:1 ())) in
+  let run_metrics = Obs.Registry.create () and run_trace = Obs.Trace.create () in
   (match
      Engine.run
-       ~config:(Engine.with_metrics Engine.default_config run_metrics)
+       ~config:(Engine.with_trace (Engine.with_metrics Engine.default_config run_metrics) run_trace)
        ~availability:(Model.Availability.certain 0.75) ~strategies:skyband_catalog
        ~requests:skyband_requests ()
    with
   | Ok run ->
       Alcotest.(check bool) "submit = run" true
-        (report_fingerprint run (Obs.Registry.snapshot run_metrics)
-        = report_fingerprint first first_metrics)
+        (report_fingerprint run
+           (Obs.Registry.snapshot run_metrics)
+           (Obs.Trace.decisions run_trace)
+        = report_fingerprint first first_metrics first_decisions)
   | Error e -> Alcotest.failf "run failed: %s" (Engine.error_message e));
   let catalog = first.Engine.aggregate.Aggregator.strategies in
   Alcotest.(check bool) "the skyband is a strict subset" true
@@ -470,7 +483,7 @@ let test_session_owns_catalog () =
         | Ok session ->
             let submit batch =
               match Engine.submit session batch with
-              | Ok report -> report_fingerprint report (Engine.session_metrics session)
+              | Ok report -> session_fingerprint session report
               | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
             in
             ignore (submit first);

@@ -307,11 +307,7 @@ let test_trace_decisions () =
       "d1 -> triaged {q=0.400; c=0.500; l=0.280} distance 0.3300";
       "d2 -> rejected (no alternative exists)";
     ]
-    (List.map (Format.asprintf "%a" Trace.pp_decision) (Trace.decisions t));
-  let labels ds = List.map (fun d -> d.Trace.label) ds in
-  Alcotest.(check (list string)) "after the first one" [ "d1"; "d2" ]
-    (labels (Trace.decisions_after t 1));
-  Alcotest.(check (list string)) "after all of them" [] (labels (Trace.decisions_after t 3))
+    (List.map (Format.asprintf "%a" Trace.pp_decision) (Trace.decisions t))
 
 let test_trace_chrome_json () =
   let t, now = fake_trace () in
@@ -531,13 +527,13 @@ let test_engine_trace_file () =
   let availability, strategies, requests = paper_inputs () in
   match run_observed ~availability ~strategies ~requests () with
   | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_message e)
-  | Ok (report, _, trace) ->
-      Alcotest.(check int) "report carries one decision per request" 3
-        (List.length report.Engine.decisions);
+  | Ok (_, _, trace) ->
+      Alcotest.(check int) "the trace holds one decision per request" 3
+        (List.length (Trace.decisions trace));
       Alcotest.(check (list string))
         "decision labels (greedy acceptance first, then triage in input order)"
         [ "d3"; "d1"; "d2" ]
-        (List.map (fun d -> d.Trace.label) report.Engine.decisions);
+        (List.map (fun d -> d.Trace.label) (Trace.decisions trace));
       let path = Filename.temp_file "stratrec_trace" ".json" in
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
       Out_channel.with_open_text path (fun oc ->

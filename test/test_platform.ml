@@ -63,21 +63,6 @@ let test_window_effect () =
   let early = mean Sim.Window.Early_week and late = mean Sim.Window.Late_week in
   Alcotest.(check bool) "early-week busier" true (early > late)
 
-let test_estimate_availability () =
-  let p = platform 9 in
-  let rng = Rng.create 10 in
-  let a =
-    Sim.Platform.estimate_availability p rng ~kind:Sim.Task_spec.Sentence_translation
-      ~window:Sim.Window.Weekend ~capacity:10 ~samples:20
-  in
-  let e = Stratrec_model.Availability.expected a in
-  Alcotest.(check bool) "expectation in range" true (e >= 0. && e <= 1.);
-  Alcotest.check_raises "bad samples"
-    (Invalid_argument "Platform.estimate_availability: samples must be positive") (fun () ->
-      ignore
-        (Sim.Platform.estimate_availability p rng ~kind:Sim.Task_spec.Sentence_translation
-           ~window:Sim.Window.Weekend ~capacity:10 ~samples:0))
-
 let () =
   Alcotest.run "platform"
     [
@@ -87,6 +72,5 @@ let () =
           Alcotest.test_case "qualified pool" `Quick test_qualified_pool_respects_filters;
           Alcotest.test_case "recruit bounds" `Quick test_recruit_bounds;
           Alcotest.test_case "window effect" `Slow test_window_effect;
-          Alcotest.test_case "estimate availability" `Quick test_estimate_availability;
         ] );
     ]

@@ -101,16 +101,6 @@ let test_bernoulli_frequency () =
   Alcotest.(check bool) "frequency near 0.3" true (Float.abs (freq -. 0.3) < 0.01);
   Alcotest.(check bool) "p<=0 never" true (not (Rng.bernoulli rng ~p:(-0.5)))
 
-let test_sample_without_replacement () =
-  let rng = Rng.create 12 in
-  let arr = Array.init 50 Fun.id in
-  let sample = Rng.sample_without_replacement rng 20 arr in
-  Alcotest.(check int) "size" 20 (Array.length sample);
-  let distinct = List.sort_uniq compare (Array.to_list sample) in
-  Alcotest.(check int) "distinct" 20 (List.length distinct);
-  Alcotest.check_raises "too many" (Invalid_argument "Rng.sample_without_replacement")
-    (fun () -> ignore (Rng.sample_without_replacement rng 51 arr))
-
 let test_choose () =
   let rng = Rng.create 14 in
   let arr = [| "a"; "b"; "c" |] in
@@ -135,7 +125,6 @@ let () =
           Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
           Alcotest.test_case "bernoulli frequency" `Slow test_bernoulli_frequency;
-          Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "choose" `Quick test_choose;
         ] );
     ]

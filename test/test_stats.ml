@@ -105,13 +105,6 @@ let test_paired () =
   Alcotest.check_raises "too short" (Invalid_argument "Stats.paired_t_test: need at least 2 pairs")
     (fun () -> ignore (Stats.paired_t_test [| 1. |] [| 1. |]))
 
-let test_confidence_interval () =
-  let xs = [| 4.9; 5.1; 5.0; 4.95; 5.05 |] in
-  let lo, hi = Stats.confidence_interval ~level:0.9 xs in
-  Alcotest.(check bool) "contains mean" true (lo < 5.0 && 5.0 < hi);
-  let lo99, hi99 = Stats.confidence_interval ~level:0.99 xs in
-  Alcotest.(check bool) "wider at higher level" true (lo99 < lo && hi99 > hi)
-
 let () =
   Alcotest.run "stats"
     [
@@ -133,6 +126,5 @@ let () =
         [
           Alcotest.test_case "welch t-test" `Quick test_welch;
           Alcotest.test_case "paired t-test" `Quick test_paired;
-          Alcotest.test_case "confidence interval" `Quick test_confidence_interval;
         ] );
     ]
