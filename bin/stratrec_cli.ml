@@ -31,10 +31,6 @@ let seed_arg =
   let doc = "Random seed (all runs are deterministic in the seed)." in
   Arg.(value & opt int 2020 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let strategies_arg =
-  let doc = "Number of synthetic strategies in the catalog." in
-  Arg.(value & opt (Stratrec_conv.count ~min:0) 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
-
 let k_arg =
   let doc = "Number of strategies to recommend per request." in
   Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "k" ] ~docv:"K" ~doc)
@@ -45,24 +41,12 @@ let dist_arg =
        & opt Stratrec_conv.dist_kind Model.Workload.Uniform
        & info [ "dist" ] ~docv:"DIST" ~doc)
 
-let objective_arg =
-  let doc = "Platform goal: throughput or payoff." in
-  Arg.(value
-       & opt Stratrec_conv.objective Stratrec.Objective.Throughput
-       & info [ "objective" ] ~docv:"GOAL" ~doc)
-
 let catalog_arg =
   let doc =
     "Load the strategy catalog from a JSON file (as written by $(b,catalog)) instead of \
      generating a synthetic one."
   in
   Arg.(value & opt (some file) None & info [ "catalog" ] ~docv:"FILE" ~doc)
-
-let engine_msg e = `Msg (Engine.error_message e)
-
-let catalog_or_generate ~rng ~n ~dist = function
-  | Some path -> Result.map_error engine_msg (Engine.load_catalog ~path)
-  | None -> Ok (Model.Workload.strategies rng ~n ~kind:dist)
 
 let metrics_arg =
   let doc =
@@ -210,36 +194,6 @@ let deploy_arg =
   in
   Arg.(value & flag & info [ "deploy" ] ~doc)
 
-let capacity_arg =
-  let doc = "Workers per deployed HIT." in
-  Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "capacity" ] ~docv:"C" ~doc)
-
-let population_arg =
-  let doc = "Simulated platform population for the deploy stage." in
-  Arg.(value & opt (Stratrec_conv.count ~min:1) 200 & info [ "population" ] ~docv:"P" ~doc)
-
-let window_arg =
-  let doc = "Deployment window: weekend, early-week or late-week." in
-  Arg.(value
-       & opt Stratrec_conv.window Sim.Window.Weekend
-       & info [ "window" ] ~docv:"WINDOW" ~doc)
-
-(* The platform is created here, after the workload — catalog and request
-   generation must consume the rng stream first so recommend-only output
-   is unchanged by the deploy flags. *)
-let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
-  if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then None
-  else
-    Some
-      {
-        Engine.platform = Sim.Platform.create rng ~population;
-        kind = Sim.Task_spec.Sentence_translation;
-        window;
-        capacity;
-        faults;
-        resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
-      }
-
 let print_deployed (report : Engine.report) =
   match report.Engine.deployed with
   | [] -> ()
@@ -286,9 +240,11 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
     cache =
   with_log log_dest @@ fun log ->
   let rng = Rng.create seed in
-  let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
+  let* strategies = Stratrec_conv.catalog_or_generate ~rng ~n ~dist catalog in
   let requests = Model.Workload.requests rng ~m ~k in
-  let deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
+  let deploy =
+    Stratrec_conv.deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window
+  in
   let availability = Model.Availability.certain w in
   let metrics = Obs.Registry.create () and trace = Obs.Trace.create () in
   let config =
@@ -302,7 +258,7 @@ let recommend seed n m k w dist objective catalog show_metrics metrics_format me
       }
   in
   let* report =
-    Result.map_error engine_msg
+    Result.map_error Stratrec_conv.engine_msg
       (Engine.run ~config ~rng ~availability ~strategies ~requests ())
   in
   Format.printf "%a@." Stratrec.Aggregator.pp_report report.Engine.aggregate;
@@ -327,17 +283,17 @@ let recommend_cmd =
   Cmd.v
     (Cmd.info "recommend" ~doc:"Batch deployment recommendation on a synthetic catalog")
     Term.(term_result
-            (const recommend $ seed_arg $ strategies_arg $ m_arg $ k_arg $ w_arg $ dist_arg
-             $ objective_arg $ catalog_arg $ metrics_arg $ metrics_format_arg
-             $ metrics_out_arg $ trace_arg $ log_arg $ profile_arg $ deploy_arg $ faults_arg
-             $ retries_arg $ population_arg $ capacity_arg $ window_arg $ domains_arg
-             $ cache_arg))
+            (const recommend $ seed_arg $ Stratrec_conv.strategies_arg $ m_arg $ k_arg $ w_arg
+             $ dist_arg $ Stratrec_conv.objective_arg $ catalog_arg $ metrics_arg
+             $ metrics_format_arg $ metrics_out_arg $ trace_arg $ log_arg $ profile_arg
+             $ deploy_arg $ faults_arg $ retries_arg $ Stratrec_conv.population_arg
+             $ Stratrec_conv.capacity_arg $ Stratrec_conv.window_arg $ domains_arg $ cache_arg))
 
 (* adpar *)
 
 let adpar seed n k dist catalog params trace_dest =
   let rng = Rng.create seed in
-  let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
+  let* strategies = Stratrec_conv.catalog_or_generate ~rng ~n ~dist catalog in
   let request = Deployment.make ~id:0 ~params ~k () in
   let trace = Obs.Trace.create () in
   (match Stratrec.Adpar.exact ~trace ~strategies request with
@@ -363,8 +319,8 @@ let adpar_cmd =
   Cmd.v
     (Cmd.info "adpar" ~doc:"Closest alternative deployment parameters for a hard request")
     Term.(term_result
-            (const adpar $ seed_arg $ strategies_arg $ k_arg $ dist_arg $ catalog_arg
-             $ request_arg $ trace_arg))
+            (const adpar $ seed_arg $ Stratrec_conv.strategies_arg $ k_arg $ dist_arg
+             $ catalog_arg $ request_arg $ trace_arg))
 
 (* catalog *)
 
@@ -394,7 +350,8 @@ let catalog_cmd =
   Cmd.v
     (Cmd.info "catalog" ~doc:"Generate a strategy catalog and save it as JSON")
     Term.(term_result
-            (const catalog $ seed_arg $ strategies_arg $ stages_arg $ dist_arg $ output_arg))
+            (const catalog $ seed_arg $ Stratrec_conv.strategies_arg $ stages_arg $ dist_arg
+             $ output_arg))
 
 (* simulate *)
 
@@ -471,13 +428,13 @@ let example show_metrics metrics_format metrics_out trace_dest log_dest profile 
   with_log log_dest @@ fun log ->
   let rng = Rng.create 2020 in
   let deploy =
-    deploy_config ~rng ~deploy ~faults ~retries ~population:200 ~capacity:5
+    Stratrec_conv.deploy_config ~rng ~deploy ~faults ~retries ~population:200 ~capacity:5
       ~window:Sim.Window.Weekend
   in
   let metrics = Obs.Registry.create () and trace = Obs.Trace.create () in
   let config = engine_config ~metrics ~trace ~log ~deploy ~domains ~profile ~cache in
   let* report =
-    Result.map_error engine_msg
+    Result.map_error Stratrec_conv.engine_msg
       (Engine.run ~config ~rng
          ~availability:(Model.Paper_example.availability ())
          ~strategies:(Model.Paper_example.strategies ())

@@ -19,7 +19,6 @@ open Cmdliner
 module Model = Stratrec_model
 module Engine = Stratrec.Engine
 module Serve = Stratrec_serve
-module Sim = Stratrec_crowdsim
 module Resilience = Stratrec_resilience
 module Rng = Stratrec_util.Rng
 
@@ -30,10 +29,6 @@ let ( let* ) = Result.bind
 let seed_arg =
   let doc = "Random seed (catalog generation and the deploy stage)." in
   Arg.(value & opt int 2020 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let strategies_arg =
-  let doc = "Number of synthetic strategies in the catalog." in
-  Arg.(value & opt (Stratrec_conv.count ~min:0) 200 & info [ "n"; "strategies" ] ~docv:"N" ~doc)
 
 let dist_arg =
   let doc = "Strategy parameter distribution: uniform or normal." in
@@ -48,12 +43,6 @@ let catalog_arg =
 let workforce_arg =
   let doc = "Available workforce in [0,1] (the availability estimate epochs run at)." in
   Arg.(value & opt Stratrec_conv.workforce 0.75 & info [ "w"; "workforce" ] ~docv:"W" ~doc)
-
-let objective_arg =
-  let doc = "Platform goal: throughput or payoff." in
-  Arg.(value
-       & opt Stratrec_conv.objective Stratrec.Objective.Throughput
-       & info [ "objective" ] ~docv:"GOAL" ~doc)
 
 let domains_arg =
   let doc = "Shard each epoch's triage across $(docv) domains (bit-identical output)." in
@@ -80,20 +69,6 @@ let faults_arg =
 let retries_arg =
   let doc = "Retries per satisfied request (implies $(b,--deploy))." in
   Arg.(value & opt (Stratrec_conv.count ~min:0) 0 & info [ "retries" ] ~docv:"N" ~doc)
-
-let population_arg =
-  let doc = "Simulated platform population for the deploy stage." in
-  Arg.(value & opt (Stratrec_conv.count ~min:1) 200 & info [ "population" ] ~docv:"P" ~doc)
-
-let capacity_arg =
-  let doc = "Workers per deployed HIT." in
-  Arg.(value & opt (Stratrec_conv.count ~min:1) 5 & info [ "capacity" ] ~docv:"C" ~doc)
-
-let window_arg =
-  let doc = "Deployment window: weekend, early-week or late-week." in
-  Arg.(value
-       & opt Stratrec_conv.window Sim.Window.Weekend
-       & info [ "window" ] ~docv:"WINDOW" ~doc)
 
 (* Admission/protocol flags. *)
 
@@ -132,9 +107,9 @@ let drain_timeout_arg =
 let brownout_saturation_arg =
   let doc =
     "Queue-saturation fraction that walks the brownout ladder up one rung (recovery at \
-     saturation/p99 back below the low-water marks). Rung 1 turns tracing off, \
-     rung 2 halves the epoch fill, rung 3 sheds low-priority and over-share submits with \
-     typed $(b,overloaded) responses."
+     saturation/p99 back below the low-water marks). Rung 1 only warns, rung 2 halves \
+     the epoch fill, rung 3 sheds low-priority and over-share submits with typed \
+     $(b,overloaded) responses."
   in
   Arg.(value & opt float 0.85 & info [ "brownout-saturation" ] ~docv:"FRACTION" ~doc)
 
@@ -213,25 +188,6 @@ let connect_arg =
   in
   Arg.(value & flag & info [ "connect" ] ~doc)
 
-let engine_msg e = `Msg (Engine.error_message e)
-
-let catalog_or_generate ~rng ~n ~dist = function
-  | Some path -> Result.map_error engine_msg (Engine.load_catalog ~path)
-  | None -> Ok (Model.Workload.strategies rng ~n ~kind:dist)
-
-let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
-  if (not deploy) && retries = 0 && Resilience.Fault.is_none faults then None
-  else
-    Some
-      {
-        Engine.platform = Sim.Platform.create rng ~population;
-        kind = Sim.Task_spec.Sentence_translation;
-        window;
-        capacity;
-        faults;
-        resilience = Resilience.Degrade.with_retries Resilience.Degrade.resilient retries;
-      }
-
 let load_slo_file = function
   | None -> Ok []
   | Some path -> (
@@ -266,8 +222,10 @@ let main seed n dist catalog w objective domains cache deploy faults retries pop
     Result.map_error (fun m -> `Msg m) (Serve.Server.client transport stdin stdout)
   else
     let rng = Rng.create seed in
-    let* strategies = catalog_or_generate ~rng ~n ~dist catalog in
-    let deploy = deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window in
+    let* strategies = Stratrec_conv.catalog_or_generate ~rng ~n ~dist catalog in
+    let deploy =
+      Stratrec_conv.deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window
+    in
     let* file_slos = load_slo_file slo_file in
     let engine =
       Engine.(
@@ -305,7 +263,7 @@ let main seed n dist catalog w objective domains cache deploy faults retries pop
       }
     in
     let* daemon =
-      Result.map_error engine_msg
+      Result.map_error Stratrec_conv.engine_msg
         (Serve.Daemon.create ~rng ~config
            ~availability:(Model.Availability.certain w)
            ~strategies ())
@@ -346,10 +304,10 @@ let cmd =
   Cmd.v
     (Cmd.info "stratrec-serve" ~doc ~man)
     Term.(term_result
-            (const main $ seed_arg $ strategies_arg $ dist_arg $ catalog_arg
-             $ workforce_arg $ objective_arg $ domains_arg $ cache_arg $ deploy_arg
-             $ faults_arg
-             $ retries_arg $ population_arg $ capacity_arg $ window_arg
+            (const main $ seed_arg $ Stratrec_conv.strategies_arg $ dist_arg $ catalog_arg
+             $ workforce_arg $ Stratrec_conv.objective_arg $ domains_arg $ cache_arg
+             $ deploy_arg $ faults_arg $ retries_arg $ Stratrec_conv.population_arg
+             $ Stratrec_conv.capacity_arg $ Stratrec_conv.window_arg
              $ queue_capacity_arg $ epoch_requests_arg $ max_line_arg $ quota_arg
              $ drain_timeout_arg $ brownout_saturation_arg $ brownout_p99_arg
              $ window_seconds_arg $ slo_arg $ slo_file_arg $ tenant_windows_arg

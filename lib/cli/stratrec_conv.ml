@@ -85,3 +85,47 @@ let cache =
       let to_string = Stratrec.Triage_cache.policy_to_string
       let of_string = Stratrec.Triage_cache.policy_of_string
     end)
+
+module Arg = Cmdliner.Arg
+
+let strategies_arg =
+  let doc = "Number of synthetic strategies in the catalog." in
+  Arg.value (Arg.opt (count ~min:0) 200 (Arg.info [ "n"; "strategies" ] ~docv:"N" ~doc))
+
+let objective_arg =
+  let doc = "Platform goal: throughput or payoff." in
+  Arg.value
+    (Arg.opt objective Stratrec.Objective.Throughput (Arg.info [ "objective" ] ~docv:"GOAL" ~doc))
+
+let population_arg =
+  let doc = "Simulated platform population for the deploy stage." in
+  Arg.value (Arg.opt (count ~min:1) 200 (Arg.info [ "population" ] ~docv:"P" ~doc))
+
+let capacity_arg =
+  let doc = "Workers per deployed HIT." in
+  Arg.value (Arg.opt (count ~min:1) 5 (Arg.info [ "capacity" ] ~docv:"C" ~doc))
+
+let window_arg =
+  let doc = "Deployment window: weekend, early-week or late-week." in
+  Arg.value
+    (Arg.opt window Stratrec_crowdsim.Window.Weekend (Arg.info [ "window" ] ~docv:"WINDOW" ~doc))
+
+let engine_msg e = `Msg (Stratrec.Engine.error_message e)
+
+let catalog_or_generate ~rng ~n ~dist = function
+  | Some path -> Result.map_error engine_msg (Stratrec.Engine.load_catalog ~path)
+  | None -> Ok (Stratrec_model.Workload.strategies rng ~n ~kind:dist)
+
+let deploy_config ~rng ~deploy ~faults ~retries ~population ~capacity ~window =
+  let module Degrade = Stratrec_resilience.Degrade in
+  if (not deploy) && retries = 0 && Stratrec_resilience.Fault.is_none faults then None
+  else
+    Some
+      {
+        Stratrec.Engine.platform = Stratrec_crowdsim.Platform.create rng ~population;
+        kind = Stratrec_crowdsim.Task_spec.Sentence_translation;
+        window;
+        capacity;
+        faults;
+        resilience = Degrade.with_retries Degrade.resilient retries;
+      }

@@ -1,4 +1,5 @@
-(** Cmdliner converters for every CLI-parseable StratRec type.
+(** Cmdliner converters for every CLI-parseable StratRec type, and the
+    flags both binaries share.
 
     Each type the CLI parses exposes the same codec pair —
     [to_string : t -> string] and
@@ -73,3 +74,49 @@ val cache : Stratrec.Triage_cache.config option Cmdliner.Arg.conv
 (** The triage-cache policy spelling: [off] (disabled), [on] (the
     default capacity) or a positive capacity like [1024]
     ({!Stratrec.Triage_cache.policy_of_string}). *)
+
+(** {1 Flags and helpers both binaries share}
+
+    Defined once, so [stratrec] and [stratrec-serve] spell, default and
+    document them alike. *)
+
+val strategies_arg : int Cmdliner.Term.t
+(** [-n]/[--strategies N]: the synthetic catalog's size (default 200). *)
+
+val objective_arg : Stratrec.Objective.t Cmdliner.Term.t
+(** [--objective GOAL] (default throughput). *)
+
+val population_arg : int Cmdliner.Term.t
+(** [--population P]: the deploy stage's platform population (default
+    200). *)
+
+val capacity_arg : int Cmdliner.Term.t
+(** [--capacity C]: workers per deployed HIT (default 5). *)
+
+val window_arg : Stratrec_crowdsim.Window.t Cmdliner.Term.t
+(** [--window WINDOW]: the deployment window (default weekend). *)
+
+val engine_msg : Stratrec.Engine.error -> [> `Msg of string ]
+(** An engine error as the message Cmdliner renders. *)
+
+val catalog_or_generate :
+  rng:Stratrec_util.Rng.t ->
+  n:int ->
+  dist:Stratrec_model.Workload.dist_kind ->
+  string option ->
+  (Stratrec_model.Strategy.t array, [> `Msg of string ]) result
+(** The catalog at the given path, or [n] strategies drawn from [rng]. *)
+
+val deploy_config :
+  rng:Stratrec_util.Rng.t ->
+  deploy:bool ->
+  faults:Stratrec_resilience.Fault.t ->
+  retries:int ->
+  population:int ->
+  capacity:int ->
+  window:Stratrec_crowdsim.Window.t ->
+  Stratrec.Engine.deploy_config option
+(** The deploy stage the flags ask for: none unless [deploy] is set, a
+    fault plan is given or [retries] is positive, since there is nothing
+    to fault or retry without one. The platform is drawn from [rng], so
+    call this after the workload has taken its draws. *)

@@ -216,11 +216,8 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
       requests
   in
   let batch =
-    (* The matrix only carries the requests: BatchStrat never reads its
-       cells when the requirements come precomputed. *)
-    Batchstrat.run ~metrics ~trace ~requirements ~objective:config.objective
-      ~aggregation:config.aggregation ~available:w
-      { Workforce.requests; strategies; cells = [||] }
+    Batchstrat.select ~metrics ~trace ~objective:config.objective ~available:w ~requests
+      requirements
   in
   let outcomes = Array.map (fun d -> (d, No_alternative)) requests in
   List.iter

@@ -128,7 +128,7 @@ val run :
     and per-request [aggregator.triage_seconds] spans, the
     [aggregator.availability] and [aggregator.workforce_used] gauges, and
     [adpar.fallback_total] (one per request forwarded to ADPaR); the same
-    registry is threaded into {!Batchstrat.run} and {!Adpar.record}.
+    registry is threaded into {!Batchstrat.select} and {!Adpar.record}.
 
     What the timings cover. Every one reads the [metrics] registry's
     clock, on whichever domain it runs.
@@ -145,7 +145,7 @@ val run :
       the outcome.
 
     [trace] (default {!Stratrec_obs.Trace.noop}) opens an
-    [aggregator.batch] span with the {!Batchstrat.run} span and one
+    [aggregator.batch] span with the {!Batchstrat.select} span and one
     [request] span per request as children (attributes: request index,
     label, outcome); unsatisfied [request] spans contain the
     {!Adpar.exact} span. Every request additionally records one

@@ -30,8 +30,11 @@ let greedy_fill candidates ~available =
 let total_value taken = List.fold_left (fun acc c -> acc +. c.value) 0. taken
 let total_weight taken = List.fold_left (fun acc c -> acc +. c.weight) 0. taken
 
-let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?requirements ~objective
-    ~aggregation ~available matrix =
+let select ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ~objective ~available
+    ~requests requirements =
+  let m = Array.length requests in
+  if Array.length requirements <> m then
+    invalid_arg "Batchstrat.select: requirements length mismatch";
   Obs.Trace.span trace "batchstrat.run"
     ~attrs:
       [
@@ -42,26 +45,10 @@ let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?requirements ~
   Obs.Registry.incr (Obs.Registry.counter metrics "batchstrat.runs_total");
   let span = Obs.Span.start metrics "batchstrat.greedy_seconds" in
   let greedy_passes = Obs.Registry.counter metrics "batchstrat.greedy_passes_total" in
-  let requests = matrix.Workforce.requests in
-  let m = Array.length requests in
   (* Requests without k feasible strategies never become candidates; they
      surface in [unsatisfied] below. *)
   let sorted =
     Obs.Trace.span trace "batchstrat.prune" @@ fun () ->
-    let requirements =
-      match requirements with
-      | Some provided ->
-          (* The aggregator hands every request's requirement in, computed
-             by the same scan as [Workforce.request_requirement] (or
-             replayed from its cache), so nothing here recomputes them. *)
-          if Array.length provided <> m then
-            invalid_arg "Batchstrat.run: requirements length mismatch";
-          provided
-      | None ->
-          Array.init m (fun i ->
-              Workforce.request_requirement matrix aggregation
-                ~k:requests.(i).Stratrec_model.Deployment.k i)
-    in
     let candidates = ref [] in
     for i = m - 1 downto 0 do
       match requirements.(i) with
@@ -142,5 +129,13 @@ let run ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) ?requirements ~
     objective_value = total_value chosen_set;
     workforce_used;
   }
+
+let run ?metrics ?trace ~objective ~aggregation ~available matrix =
+  let requests = matrix.Workforce.requests in
+  select ?metrics ?trace ~objective ~available ~requests
+    (Array.mapi
+       (fun i d ->
+         Workforce.request_requirement matrix aggregation ~k:d.Stratrec_model.Deployment.k i)
+       requests)
 
 let satisfied_count outcome = List.length outcome.satisfied

@@ -25,36 +25,25 @@ type outcome = {
   workforce_used : float;
 }
 
-val run :
+val select :
   ?metrics:Stratrec_obs.Registry.t ->
   ?trace:Stratrec_obs.Trace.t ->
-  ?requirements:Stratrec_model.Workforce.request_requirement option array ->
   objective:Objective.t ->
-  aggregation:Stratrec_model.Workforce.aggregation ->
   available:float ->
-  Stratrec_model.Workforce.matrix ->
+  requests:Stratrec_model.Deployment.t array ->
+  Stratrec_model.Workforce.request_requirement option array ->
   outcome
-(** Each request uses its own cardinality constraint [d.k]. O(m log m)
-    after the O(m |S| log k) aggregation. [available] is the expected
-    workforce W in [\[0, 1\]] (values above 1 are allowed and simply relax
-    the budget).
+(** The greedy over each request's aggregated requirement: one slot per
+    request, [None] for a request without [d.k] feasible strategies.
+    O(m log m). [available] is the expected workforce W in [\[0, 1\]]
+    (values above 1 are allowed and simply relax the budget). Raises
+    [Invalid_argument] when [requirements] and [requests] differ in
+    length.
 
-    [requirements] supplies the per-request row aggregations directly
-    (one slot per matrix request, [None] for rows without k feasible
-    strategies), and the prune phase then never reads the matrix cells.
-    The {!Aggregator} always passes
-    them: it computes each with
+    The {!Aggregator} computes each requirement with
     {!Stratrec_model.Workforce.streaming_requirement}, sharded over its
     domain pool or replayed from its triage cache, so no triage path
-    builds a matrix. The array must agree with what
-    {!Stratrec_model.Workforce.request_requirement} would return;
-    everything downstream (and every observable output) is then
-    identical (raises [Invalid_argument] on a length mismatch). Without
-    it the prune phase aggregates the matrix rows itself.
-
-    Everything here runs on the calling domain; there is no pool
-    argument. Parallelism belongs to whoever computes [requirements]:
-    the aggregator shards that over its pool.
+    builds a matrix. Everything here runs on the calling domain.
 
     [metrics] (default {!Stratrec_obs.Registry.noop}) records
     [batchstrat.runs_total], [batchstrat.candidates_total],
@@ -64,8 +53,22 @@ val run :
     [trace] (default {!Stratrec_obs.Trace.noop}) opens a
     [batchstrat.run] span (attributes: objective, available workforce,
     satisfied count, workforce consumed) with [batchstrat.prune]
-    (candidate aggregation and density sort; request/candidate counts)
+    (candidate collection and density sort; request/candidate counts)
     and [batchstrat.greedy] (greedy fill plus the Theorem 3 best-single
     correction) children. *)
+
+val run :
+  ?metrics:Stratrec_obs.Registry.t ->
+  ?trace:Stratrec_obs.Trace.t ->
+  objective:Objective.t ->
+  aggregation:Stratrec_model.Workforce.aggregation ->
+  available:float ->
+  Stratrec_model.Workforce.matrix ->
+  outcome
+(** {!select} over a workforce-requirement matrix: each row aggregated
+    with {!Stratrec_model.Workforce.request_requirement} (O(m |S| log k)),
+    each request at its own cardinality constraint [d.k]. The §5.2
+    experiments and their baselines work on matrices; the served path
+    calls {!select}. *)
 
 val satisfied_count : outcome -> int

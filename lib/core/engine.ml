@@ -18,7 +18,7 @@ type deploy_config = {
 type config = {
   aggregator : Aggregator.config;
   metrics : Obs.Registry.t option;
-  trace : Obs.Trace.t option;
+  trace : Obs.Trace.t;
   deploy : deploy_config option;
   domains : int;
   profile : bool;
@@ -30,7 +30,7 @@ let default_config =
   {
     aggregator = Aggregator.default_config;
     metrics = None;
-    trace = None;
+    trace = Obs.Trace.noop;
     deploy = None;
     domains = 1;
     profile = false;
@@ -42,7 +42,7 @@ let with_aggregator config aggregator = { config with aggregator }
 let with_objective config objective =
   { config with aggregator = { config.aggregator with Aggregator.objective } }
 let with_metrics config metrics = { config with metrics = Some metrics }
-let with_trace config trace = { config with trace = Some trace }
+let with_trace config trace = { config with trace }
 let with_deploy config deploy = { config with deploy }
 let with_domains config domains = { config with domains }
 let with_profile config profile = { config with profile }
@@ -170,10 +170,10 @@ let validate config ~strategies ~requests =
 
 (* ---- Session state ----
 
-   A session is the persistent half of the engine: the registry, trace
-   buffer, deploy rng, circuit breaker and simulated deploy clock live
-   here and survive across epochs, so a long-running server amortizes
-   them over millions of requests instead of rebuilding them per batch.
+   A session is the persistent half of the engine: the registry, deploy
+   rng, circuit breaker and simulated deploy clock live here and survive
+   across epochs, so a long-running server amortizes them over millions
+   of requests instead of rebuilding them per batch.
    [run] is a create/submit/close round trip, which is what keeps the
    one-shot path bit-identical to a single-epoch session by
    construction. *)
@@ -183,7 +183,6 @@ type session = {
   availability : Model.Availability.t;
   strategies : Strategy.t array;
   metrics : Obs.Registry.t;
-  trace : Obs.Trace.t;
   mutable rng : Stratrec_util.Rng.t option;
       (* resolved lazily (seed 2020) the first time the deploy stage
          needs it — exactly when the one-shot path created it *)
@@ -196,10 +195,6 @@ type session = {
   clock : float ref;  (* simulated deploy hours, shared across epochs *)
   mutable epochs : int;
   mutable closed : bool;
-  (* Live trace switch (serve's brownout ladder flips it between
-     epochs): when off, epochs run against Trace.noop — the session
-     trace neither grows nor loses its history. *)
-  mutable live_trace : bool;
 }
 
 (* Spawn the shared pool up front, so a domain count the runtime cannot
@@ -224,9 +219,6 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
       let metrics =
         match config.metrics with Some m -> m | None -> Obs.Registry.create ()
       in
-      let trace =
-        match config.trace with Some t -> t | None -> Obs.Trace.create ()
-      in
       let breaker =
         Option.bind config.deploy (fun deploy ->
             Option.map
@@ -246,7 +238,6 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
              identity, so no caller may be able to mutate it. *)
           strategies = Array.copy strategies;
           metrics;
-          trace;
           rng;
           breaker;
           cache;
@@ -254,10 +245,7 @@ let create ?(config = default_config) ?rng ~availability ~strategies () =
           clock = ref 0.;
           epochs = 0;
           closed = false;
-          live_trace = true;
         }
-
-let set_observability session ~trace = session.live_trace <- trace
 
 let epochs session = session.epochs
 let closed session = session.closed
@@ -265,7 +253,6 @@ let cache_stats session = Option.map Triage_cache.stats session.cache
 let cache_hit_ratio session = Option.map Triage_cache.hit_ratio session.cache
 let breaker_state session = Option.map Res.Breaker.state session.breaker
 let session_metrics session = Obs.Registry.snapshot session.metrics
-let session_trace session = session.trace
 
 (* Deliberately silent: [run] closes the session it opened, and the
    one-shot log output must stay byte-identical to the pre-session
@@ -300,7 +287,7 @@ let cheapest_first strategies =
 
 let deploy_satisfied session ~policy ~rng deploy (aggregate : Aggregator.report) satisfied =
   let metrics = session.metrics in
-  let trace = if session.live_trace then session.trace else Obs.Trace.noop in
+  let trace = session.config.trace in
   let log = session.config.log in
   let count name = Obs.Registry.incr (Obs.Registry.counter metrics name) in
   (* Register the resilience counters up front so every faulted run's
@@ -475,7 +462,7 @@ let submit ?deadline_hours session requests_in =
     | Error _ as e -> e
     | Ok () ->
         let metrics = session.metrics in
-        let trace = if session.live_trace then session.trace else Obs.Trace.noop in
+        let trace = config.trace in
         let log = config.log in
         (* Profiling stays off the determinism path: Profile.time adds only
            histograms, the pool export only gauges — counters, spans and

@@ -13,8 +13,8 @@
 
     - The {e session} API ({!create} / {!submit} / {!close}) — the same
       pipeline as a long-lived service: a session owns the metrics
-      registry, trace buffer, deploy rng, circuit breaker and simulated
-      deploy clock, and {!submit} runs one {e epoch} (a micro-batch of
+      registry, deploy rng, circuit breaker and simulated deploy clock,
+      and {!submit} runs one {e epoch} (a micro-batch of
       {!Request}s) against that persistent state. This is what the
       [stratrec-serve] daemon is built on: registries accumulate across
       epochs (one live [/metrics] surface), the circuit breaker carries
@@ -24,11 +24,12 @@
       to the one-shot path by construction.
 
     A {!report} holds one epoch's result and nothing of the session's
-    state. Session metrics and the trace have one way out each:
-    {!session_metrics} and {!session_trace} on a session, or the registry
-    and trace the caller passed in. The daemon reads {!session_metrics}
-    when it is scraped, and once per epoch only with its flight
-    recorder armed.
+    state. Session metrics have one way out: {!session_metrics} on a
+    session, or the registry the caller passed in. A session records
+    spans and decisions only into a trace its caller passes with
+    {!with_trace}; without one it traces nothing. The daemon reads
+    {!session_metrics} when it is scraped, and once per epoch only with
+    its flight recorder armed.
 
     The middle-layer framing of the paper (§2: StratRec sits between
     requesters and platforms) maps directly: requesters hand the engine a
@@ -70,12 +71,11 @@ type config = {
           registry, read through {!session_metrics}; supply a registry to
           read a {!run}'s metrics afterwards, or to accumulate across
           runs *)
-  trace : Stratrec_obs.Trace.t option;
-      (** [None] (the default) gives every run/session a fresh private
-          trace, read through {!session_trace}; supply a trace to read a
-          {!run}'s spans and decisions afterwards or to accumulate them
-          across runs, or {!Stratrec_obs.Trace.noop} to disable tracing
-          entirely *)
+  trace : Stratrec_obs.Trace.t;
+      (** where runs and sessions record their spans and decisions;
+          {!Stratrec_obs.Trace.noop} (the default) records nothing.
+          Supply a trace to read a {!run}'s spans and decisions
+          afterwards, or to accumulate them across epochs *)
   deploy : deploy_config option;  (** [None]: recommend-only *)
   domains : int;
       (** domains for the sharded triage path (see {!Aggregator.run});
@@ -99,7 +99,7 @@ type config = {
           engine emits an [info] record when a run starts (request /
           strategy / domain counts) and finishes (outcome tallies), and a
           [warn] per deploy-stage rejection, each correlated to the
-          enclosing trace span *)
+          enclosing span of [trace] (no span id without one) *)
   cache : Triage_cache.config option;
       (** [Some config] gives the session a {!Triage_cache} (bound to
           the session registry for its [cache.*] counters), held by its
@@ -115,8 +115,8 @@ type config = {
 }
 
 val default_config : config
-(** Aggregator defaults, private per-run metrics, no deployment, one
-    domain. *)
+(** Aggregator defaults, private per-run metrics, no trace, no
+    deployment, one domain. *)
 
 (** {2 Config builders}
 
@@ -194,9 +194,10 @@ type lineage = {
   deploy_seconds : float;  (** resilience-ladder deploy stage; 0. without one *)
 }
 
-(** One epoch's result, and only that: the session's metrics and trace
-    are read through {!session_metrics} and {!session_trace}, or from
-    the registry and trace the caller passed in. *)
+(** One epoch's result, and only that: the session's metrics are read
+    through {!session_metrics} or from the registry the caller passed
+    in, and its spans and decisions from the trace the caller passed
+    in. *)
 type report = {
   epoch : int;  (** 1-based epoch index within the session; 1 for {!run} *)
   aggregate : Aggregator.report;  (** full per-request outcomes *)
@@ -223,8 +224,8 @@ val load_catalog : path:string -> (Stratrec_model.Strategy.t array, error) resul
 
 type session
 (** A live engine: catalog, availability estimate, metrics registry,
-    trace buffer, deploy rng, circuit breaker and simulated deploy clock,
-    persistent across {!submit} epochs. Not thread-safe — one session per
+    deploy rng, circuit breaker and simulated deploy clock, persistent
+    across {!submit} epochs. Not thread-safe — one session per
     serving loop (the daemon's accept loop is single-threaded; triage
     parallelism lives inside the epoch via [config.domains]). *)
 
@@ -237,10 +238,10 @@ val create :
   (session, error) result
 (** Validates the configuration and catalog up front ([`Empty_catalog],
     [`Invalid_config]) and allocates the persistent state: the registry
-    and trace (fresh private ones unless the config supplies them; read
-    them with {!session_metrics} and {!session_trace}), the
-    circuit breaker (when the deploy policy carries one — its failure
-    history then spans epochs), and the simulated deploy clock at 0.
+    (a fresh private one unless the config supplies it; read it with
+    {!session_metrics}), the circuit breaker (when the deploy policy
+    carries one — its failure history then spans epochs), and the
+    simulated deploy clock at 0.
     The session keeps its own copy of [strategies]: mutating the
     caller's array afterwards changes nothing the session computes. It
     holds an {!Aggregator.memo} (with the triage cache, when
@@ -262,15 +263,15 @@ val submit :
 (** Run one epoch: triage the micro-batch through BatchStrat + ADPaR
     (sharded over [config.domains]) and, with a deploy stage configured,
     walk every satisfied request down the resilience ladder. Counters
-    accumulate in the session registry, and spans and decisions in the
-    session trace; the report carries this epoch's outcomes and no copy
-    of either, so an epoch's cost does not grow with the registry. Read
-    the cumulative state with {!session_metrics} and {!session_trace}
-    when it is wanted. A fixed request batch submitted as the first
-    epoch of a fresh session yields a report bit-identical to {!run} on
-    the same inputs, and leaves the session registry and trace with the
-    same counters, span tree and decisions as the run's — at any domain
-    count.
+    accumulate in the session registry, and spans and decisions in
+    [config.trace] (nowhere by default); the report carries this epoch's
+    outcomes and no copy of either, so an epoch's cost does not grow
+    with the registry. Read the cumulative counters with
+    {!session_metrics} when they are wanted. A fixed request batch
+    submitted as the first epoch of a fresh session yields a report
+    bit-identical to {!run} on the same inputs, and leaves the session
+    registry and the caller's trace with the same counters, span tree
+    and decisions as the run's — at any domain count.
 
     [deadline_hours] caps the deploy retry policy's per-request deadline
     budget for this epoch (the serve layer passes the tightest remaining
@@ -297,11 +298,6 @@ val session_metrics : session -> Stratrec_obs.Snapshot.t
     [GET metrics] surface renders this via
     {!Stratrec_obs.Snapshot.to_openmetrics}. *)
 
-val session_trace : session -> Stratrec_obs.Trace.t
-(** The session's trace buffer: every epoch's spans and decisions so
-    far. Render with {!Stratrec_obs.Trace.to_chrome_json} or
-    {!Stratrec_obs.Trace.pp}. *)
-
 val breaker_state : session -> Stratrec_resilience.Breaker.state option
 (** The deploy circuit breaker's live state — [None] when the session
     has no breaker (no deploy stage, or a policy without one). The serve
@@ -314,14 +310,6 @@ val cache_stats : session -> Triage_cache.stats option
 val cache_hit_ratio : session -> float option
 (** [hits / probes] of the session cache; [None] without one. The serve
     health surface reports this. *)
-
-val set_observability : session -> trace:bool -> unit
-(** Flip the session's tracing between epochs — the serve brownout
-    ladder's first rung. With [~trace:false] subsequent epochs run
-    against {!Stratrec_obs.Trace.noop}: {!session_trace} neither grows
-    nor loses history; [~trace:true] restores the session trace. Off the
-    determinism path: counters ({!session_metrics}) and triage outcomes
-    are unaffected. *)
 
 (** {1 One-shot} *)
 
@@ -346,9 +334,10 @@ val run :
     [engine.run_seconds] span in the run's registry.
 
     The session [run] opens is closed before it returns, so its
-    registry and trace are out of reach unless the caller owns them:
-    pass fresh ones with {!with_metrics} and {!with_trace}, then
-    snapshot and render them after [run]. They hold exactly what the
+    registry is out of reach unless the caller owns it, and it traces
+    only into a trace the caller passes: pass fresh ones with
+    {!with_metrics} and {!with_trace}, then snapshot and render them
+    after [run]. They hold exactly what the
     run recorded, everything listed below included.
 
     The deploy stage additionally records the resilience counters

@@ -7,8 +7,8 @@
     pure hysteresis state machine over two pressure signals — admission
     queue saturation (depth / capacity) and a recent-window p99 latency
     — and knows nothing about what each rung disables; the daemon maps
-    rung numbers to effects (shed observability, shrink epochs, shed
-    tenants) and walks back down as pressure clears.
+    rung numbers to effects (warn, shrink epochs, shed tenants) and
+    walks back down as pressure clears.
 
     Each {!evaluate} moves at most one rung, and the recovery
     thresholds sit strictly below the escalation ones, so a boundary

@@ -62,6 +62,7 @@ type t = {
       (** set by the [drain] verb: the queue has been flushed and the
           daemon refuses new work while staying scrapeable *)
   exposition : Buffer.t;  (** where each [GET metrics] text is written *)
+  registry : Obs.Registry.t;  (** the session registry every instrument lives in *)
   mutable io_error_count : int;
   io_error_kinds : (string, Obs.Registry.counter) Hashtbl.t;
   (* serve.* instruments, all in the session registry *)
@@ -182,6 +183,7 @@ let create ?(clock = Obs.Registry.wall_clock) ?rng ~config ~availability ~strate
             brownout = Result.get_ok (Brownout.create config.brownout);
             draining = false;
             exposition = Buffer.create 4096;
+            registry;
             io_error_count = 0;
             io_error_kinds = Hashtbl.create 8;
             submits = counter "serve.submits_total";
@@ -243,9 +245,6 @@ let brownout_rung t = Brownout.rung t.brownout
 let draining t = t.draining
 let io_error_count t = t.io_error_count
 
-let registry t =
-  match t.config.engine.Engine.metrics with Some r -> r | None -> assert false
-
 (* Transport fault accounting: one shared total plus a per-kind labeled
    series minted on first use, so the scrape names every distinct
    failure mode the transport has absorbed (accept, epipe, econnreset,
@@ -260,7 +259,7 @@ let note_io_error t ~kind =
     | Some c -> c
     | None ->
         let c =
-          Obs.Registry.counter ~labels:[ ("kind", kind) ] (registry t)
+          Obs.Registry.counter ~labels:[ ("kind", kind) ] t.registry
             "serve.io_errors_total"
         in
         Hashtbl.add t.io_error_kinds kind c;
@@ -283,7 +282,7 @@ let tenant_slot t tenant =
           let window () =
             Obs.Window.create
               ~clock:(fun () -> now t)
-              ~metrics:(registry t) ~window_seconds:t.config.window_seconds ()
+              ~metrics:t.registry ~window_seconds:t.config.window_seconds ()
           in
           let o =
             { slot; tw_requests = window (); tw_queue = window (); tw_e2e = window () }
@@ -307,18 +306,15 @@ let note_tenant_shed t ~tenant =
 
 (* Brownout rung effects (DESIGN.md §5i), keyed to absolute rung
    numbers; the ladder stops at rung 3.
-   Rung 1 sheds observability cost (tracing off); rung 2
-   halves the epoch fill so epochs close sooner and drain faster; rung
-   3 sheds load itself — low-priority and over-share submits are
-   refused with typed [overloaded] responses. At rung 0 nothing below
-   runs, preserving the bit-identity contract. *)
+   Rung 1 sheds nothing: it is the first warning, seen in the rung
+   gauge, the health reasons and the logs. Rung 2 halves the epoch fill
+   so epochs close sooner and drain faster; rung 3 sheds load itself —
+   low-priority and over-share submits are refused with typed
+   [overloaded] responses. At rung 0 nothing below runs, preserving the
+   bit-identity contract. *)
 let effective_epoch_fill t =
   if brownout_rung t >= 2 then Stdlib.max 1 (t.config.epoch_requests / 2)
   else t.config.epoch_requests
-
-let apply_rung_effects t =
-  let r = brownout_rung t in
-  Engine.set_observability t.session ~trace:(r < 1)
 
 let shed_reason t ~tenant =
   if brownout_rung t < 3 then None
@@ -357,7 +353,6 @@ let evaluate_brownout t =
       let p99 = if latency_signal then p99 else e2e_p99 t in
       Obs.Registry.incr t.brownout_escalations;
       Obs.Registry.set t.brownout_rung_gauge (float_of_int to_);
-      apply_rung_effects t;
       Obs.Log.warn log "brownout escalated"
         ~fields:
           [
@@ -370,7 +365,6 @@ let evaluate_brownout t =
   | Brownout.Recovered { from_; to_ } ->
       Obs.Registry.incr t.brownout_recoveries;
       Obs.Registry.set t.brownout_rung_gauge (float_of_int to_);
-      apply_rung_effects t;
       Obs.Log.info log "brownout recovered"
         ~fields:[ ("from", rung_of from_); ("to", rung_of to_) ]
 
@@ -379,7 +373,7 @@ let evaluate_brownout t =
    recent-window state. SLO evaluation here also emits alert-transition
    log records through the engine's run log. *)
 let refresh_observability t =
-  let r = registry t in
+  let r = t.registry in
   (* serve.requests is an arrival stream, not a latency sample — only
      its count and rate are meaningful, so the family exports
      rate-only (globally and per tenant). *)

@@ -2,8 +2,9 @@
     triage → response streaming (DESIGN.md §5g), independent of any
     transport.
 
-    The daemon owns one {!Stratrec.Engine} session (registry, trace,
-    breaker and deploy clock persist across epochs), one bounded
+    The daemon owns one {!Stratrec.Engine} session (registry, breaker
+    and deploy clock persist across epochs; it records spans and
+    decisions only into a trace the engine config passes), one bounded
     {!Admission} queue in front of it, and a [serve.*] metrics surface
     in the session registry. {!handle_line} is the entire protocol: the
     socket server and the [--stdio] driver both feed it raw lines and
@@ -52,9 +53,10 @@ type config = {
   brownout : Stratrec_resilience.Brownout.config;
       (** adaptive load-shedding ladder thresholds (DESIGN.md §5i):
           queue saturation and sliding-window e2e p99 walk the rung up,
-          hysteresis walks it back. Rung 1 turns tracing off,
-          rung 2 halves the epoch fill, rung 3 sheds low-priority and
-          over-share submits with typed [overloaded] responses *)
+          hysteresis walks it back. Rung 1 only warns (gauge, health
+          reason, log), rung 2 halves the epoch fill, rung 3 sheds
+          low-priority and over-share submits with typed [overloaded]
+          responses *)
   drain_timeout_seconds : float;
       (** wall budget for [drain] and [shutdown]: epochs run until the
           queue empties or this elapses, stragglers are force-closed

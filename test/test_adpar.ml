@@ -316,11 +316,20 @@ let prop_flat_sweep_matches_reference =
    repeated strategies and ids shuffled away from array positions, and
    k up to two past the cap. Some requests sit a few ulps from one
    strategy's parameters on each axis, so relaxations of a few ulps make
-   x^2 + y^2 + z^2 round to the same value for different z. *)
+   x^2 + y^2 + z^2 round to the same value for different z.
+
+   One case in four is the rounding tie [Adpar.first_optimum] replays:
+   k + 1 strategies share quality and cost, so they share x and y
+   (y = 0, or a shared y > 0), and their latencies rl + eps_i, each eps_i
+   in [1e-12, 5e-10], shrink along catalog order. The first is dominated
+   by the k after it and leaves the skyband, yet with x >= 0.1 every
+   eps_i^2 vanishes in x^2 + y^2, so the full sweep reaches the optimum
+   at it, with its larger z. A few lower-quality strategies sit before
+   and after the family. *)
 let skyband_case =
   let open QCheck.Gen in
   let grid = map (fun i -> float_of_int i *. 0.2) (int_range 0 5) in
-  let gen =
+  let general =
     let* on_grid = bool in
     let coord = if on_grid then grid else float_range 0. 1. in
     let* n = oneof [ int_range 0 12; int_range 0 300 ] in
@@ -361,6 +370,27 @@ let skyband_case =
     let* prune = bool in
     return (List.combine ids triples, rq, k, prune)
   in
+  let tie =
+    let* k = int_range 1 Adpar.skyband_cap in
+    let* rq = float_range 0.6 1. in
+    let* rc = float_range 0. 0.6 in
+    let* rl = float_range 0. 0.6 in
+    let* gap = float_range 0.1 0.5 in
+    let quality = rq -. gap in
+    let* cost = oneof [ float_range 0. rc; map (( +. ) rc) (float_range 0.01 0.3) ] in
+    let* eps = list_repeat (k + 1) (float_range 1e-12 5e-10) in
+    let family =
+      List.map (fun e -> (quality, cost, rl +. e)) (List.sort (Fun.flip Float.compare) eps)
+    in
+    let lower = triple (float_range 0. (quality -. 0.05)) (float_range 0. 1.) (float_range 0. 1.) in
+    let* before = list_size (int_bound 3) lower in
+    let* after = list_size (int_bound 3) lower in
+    let triples = before @ family @ after in
+    let* ids = shuffle_l (List.init (List.length triples) Fun.id) in
+    let* prune = bool in
+    return (List.combine ids triples, (rq, rc, rl), k, prune)
+  in
+  let gen = frequency [ (3, general); (1, tie) ] in
   let print (strategies, (q, c, l), k, prune) =
     Printf.sprintf "n=%d k=%d prune=%b request=(%h,%h,%h) catalog=[%s]"
       (List.length strategies) k prune q c l

@@ -109,9 +109,9 @@ let test_unsatisfied_matches_reference () =
         reference o.B.unsatisfied)
     [ (1, 0.01); (7, 0.3); (64, 1.2); (64, 0.0) ]
 
-(* Injected requirement rows (the triage cache's miss-fill path) must
-   reproduce the self-computed run exactly, and a length mismatch is a
-   caller bug surfaced as Invalid_argument. *)
+(* [select] over requirement rows computed elsewhere (the aggregator's
+   scan or its triage cache) must reproduce the matrix run exactly, and
+   a length mismatch is a caller bug surfaced as Invalid_argument. *)
 let test_injected_requirements () =
   let weights = [| 0.2; 0.3; 0.6 |] and costs = [| 0.5; 0.5; 0.5 |] in
   let matrix = instance weights costs in
@@ -119,21 +119,19 @@ let test_injected_requirements () =
     Array.init (Array.length weights) (fun i ->
         W.request_requirement matrix W.Sum_case ~k:1 i)
   in
+  let requests = matrix.W.requests in
   let baseline =
     B.run ~objective:Stratrec.Objective.Throughput ~aggregation:W.Sum_case ~available:0.5 matrix
   in
   let injected =
-    B.run ~requirements:precomputed ~objective:Stratrec.Objective.Throughput
-      ~aggregation:W.Sum_case ~available:0.5 matrix
+    B.select ~objective:Stratrec.Objective.Throughput ~available:0.5 ~requests precomputed
   in
   Alcotest.(check bool) "identical output" true (baseline = injected);
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Batchstrat.run: requirements length mismatch") (fun () ->
+    (Invalid_argument "Batchstrat.select: requirements length mismatch") (fun () ->
       ignore
-        (B.run
-           ~requirements:(Array.sub precomputed 0 2)
-           ~objective:Stratrec.Objective.Throughput ~aggregation:W.Sum_case ~available:0.5
-           matrix))
+        (B.select ~objective:Stratrec.Objective.Throughput ~available:0.5 ~requests
+           (Array.sub precomputed 0 2)))
 
 (* Random-instance generators for the optimality properties. *)
 let gen_instance =

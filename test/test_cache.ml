@@ -150,9 +150,8 @@ let report_fingerprint (report : Engine.report) snapshot decisions =
     List.map decision_fingerprint decisions,
     snapshot_fingerprint snapshot )
 
-let session_fingerprint session report =
-  report_fingerprint report (Engine.session_metrics session)
-    (Obs.Trace.decisions (Engine.session_trace session))
+let session_fingerprint session trace report =
+  report_fingerprint report (Engine.session_metrics session) (Obs.Trace.decisions trace)
 
 (* The epoch batch doubles each generated request under a shifted id, so
    even the first epoch carries intra-epoch repeats and later epochs are
@@ -170,7 +169,12 @@ let observable ?cache ~domains ~epochs seed m w =
   let rng = Rng.create seed in
   let strategies = Model.Workload.strategies rng ~n:24 ~kind:Model.Workload.Uniform in
   let requests = Model.Workload.requests rng ~m ~k:3 in
-  let config = Engine.with_cache (Engine.with_domains Engine.default_config domains) cache in
+  let trace = Obs.Trace.create () in
+  let config =
+    Engine.with_cache
+      (Engine.with_domains (Engine.with_trace Engine.default_config trace) domains)
+      cache
+  in
   let session =
     match
       Engine.create ~config ~availability:(Model.Availability.certain w) ~strategies ()
@@ -182,7 +186,7 @@ let observable ?cache ~domains ~epochs seed m w =
   let reports =
     List.init epochs (fun _ ->
         match Engine.submit session batch with
-        | Ok report -> session_fingerprint session report
+        | Ok report -> session_fingerprint session trace report
         | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
   in
   let counters = snapshot_fingerprint (Engine.session_metrics session) in
@@ -194,7 +198,7 @@ let observable ?cache ~domains ~epochs seed m w =
           n.Obs.Trace.name,
           n.Obs.Trace.depth,
           n.Obs.Trace.attrs ))
-      (Obs.Trace.nodes (Engine.session_trace session))
+      (Obs.Trace.nodes trace)
   in
   let stats = Engine.cache_stats session in
   Engine.close session;
@@ -346,7 +350,12 @@ let skyband_requests =
       Deployment.make ~id ~params ~k ())
 
 let skyband_epochs ?cache ~domains () =
-  let config = Engine.with_cache (Engine.with_domains Engine.default_config domains) cache in
+  let trace = Obs.Trace.create () in
+  let config =
+    Engine.with_cache
+      (Engine.with_domains (Engine.with_trace Engine.default_config trace) domains)
+      cache
+  in
   match
     Engine.create ~config ~availability:(Model.Availability.certain 0.75)
       ~strategies:skyband_catalog ()
@@ -358,15 +367,13 @@ let skyband_epochs ?cache ~domains () =
         List.init 2 (fun _ ->
             match Engine.submit session batch with
             | Ok report ->
-                ( report,
-                  Engine.session_metrics session,
-                  Obs.Trace.decisions (Engine.session_trace session) )
+                (report, Engine.session_metrics session, Obs.Trace.decisions trace)
             | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e))
       in
       let tree =
         List.map
           (fun n -> (n.Obs.Trace.id, n.Obs.Trace.parent, n.Obs.Trace.name, n.Obs.Trace.attrs))
-          (Obs.Trace.nodes (Engine.session_trace session))
+          (Obs.Trace.nodes trace)
       in
       Engine.close session;
       (reports, tree)
@@ -474,8 +481,9 @@ let test_session_owns_catalog () =
   let second = batch_of (Model.Workload.requests rng ~m:6 ~k:2) in
   List.iter
     (fun cache ->
-      let config = Engine.with_cache Engine.default_config cache in
       let epochs ?(between = ignore) strategies =
+        let trace = Obs.Trace.create () in
+        let config = Engine.with_cache (Engine.with_trace Engine.default_config trace) cache in
         match
           Engine.create ~config ~availability:(Model.Availability.certain 0.8) ~strategies ()
         with
@@ -483,7 +491,7 @@ let test_session_owns_catalog () =
         | Ok session ->
             let submit batch =
               match Engine.submit session batch with
-              | Ok report -> session_fingerprint session report
+              | Ok report -> session_fingerprint session trace report
               | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
             in
             ignore (submit first);

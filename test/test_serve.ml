@@ -1596,6 +1596,37 @@ let test_epoch_cost_flat_in_registry () =
     true
     (Float.abs (full -. empty) <= 256.)
 
+(* A session records spans and decisions only into a trace its caller
+   passes. After warm-up epochs, a submit on a session created without
+   [with_trace] allocates exactly the minor words of the same submit on
+   a session given [Trace.noop]. Both registries read a fixed clock, so
+   no timing reaches what is measured. *)
+let test_no_trace_unless_passed () =
+  let availability, strategies, requests = paper_inputs () in
+  let batch = List.map Request.of_deployment (Array.to_list requests) in
+  let submit_words config =
+    let metrics = Obs.Registry.create ~clock:(Fun.const 0.) () in
+    match Engine.create ~config:(Engine.with_metrics config metrics) ~availability ~strategies () with
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+    | Ok session ->
+        let submit () =
+          match Engine.submit session batch with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+        in
+        for _ = 1 to 3 do
+          submit ()
+        done;
+        let words = Gc.minor_words () in
+        submit ();
+        let words = Gc.minor_words () -. words in
+        Engine.close session;
+        words
+  in
+  let noop = submit_words (Engine.with_trace Engine.default_config Obs.Trace.noop) in
+  Alcotest.(check (float 0.)) "minor words of a submit, against Trace.noop's" noop
+    (submit_words Engine.default_config)
+
 let test_submit_deadline_validation () =
   let availability, strategies, requests = paper_inputs () in
   let session =
@@ -1898,6 +1929,8 @@ let () =
           Alcotest.test_case "decisions at trace capacity" `Quick test_decisions_at_capacity;
           Alcotest.test_case "epoch cost flat in registry size" `Quick
             test_epoch_cost_flat_in_registry;
+          Alcotest.test_case "no trace unless the caller passes one" `Quick
+            test_no_trace_unless_passed;
           Alcotest.test_case "deadline budget validation" `Quick
             test_submit_deadline_validation;
         ] );
