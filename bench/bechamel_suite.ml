@@ -179,6 +179,27 @@ let openmetrics_scrape_test =
   Test.make_with_resource ~name:"serve:openmetrics-scrape" Test.uniq ~allocate:warm_snapshot
     ~free:ignore (Staged.stage Stratrec_obs.Snapshot.to_openmetrics)
 
+(* What a served request records, per call: a counter and a span looked
+   up by name, and a sliding-window observation. The registry and the
+   window read a fixed clock, so the rows time the lookup and the
+   update, not a clock read, as test_obs's allocation pins count them. *)
+module Obs = Stratrec_obs
+
+let obs_registry = Obs.Registry.create ~clock:(Fun.const 1.) ()
+
+let counter_by_name_test =
+  Test.make ~name:"obs:counter-by-name"
+    (Staged.stage (fun () -> Obs.Registry.incr (Obs.Registry.counter obs_registry "bench.calls_total")))
+
+let span_by_name_test =
+  Test.make ~name:"obs:span-by-name"
+    (Staged.stage (fun () ->
+         ignore (Obs.Span.finish (Obs.Span.start obs_registry "bench.stage_seconds"))))
+
+let window_observe_test =
+  let window = Obs.Window.create ~clock:(Fun.const 5.) ~window_seconds:60. () in
+  Test.make ~name:"obs:window-observe" (Staged.stage (fun () -> Obs.Window.observe window 1e-4))
+
 let tests =
   Test.make_grouped ~name:"stratrec"
     [
@@ -195,6 +216,9 @@ let tests =
       parse_submit_test;
       render_completed_test;
       openmetrics_scrape_test;
+      counter_by_name_test;
+      span_by_name_test;
+      window_observe_test;
     ]
 
 let run () =

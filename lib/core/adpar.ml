@@ -382,19 +382,22 @@ let answer ?(clock = Fun.const 0.) ?(prune = true) ?skyband ?k ~strategies reque
     search_seconds = clock () -. started;
   }
 
+let count metrics name by =
+  if by > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) by
+
 let record ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) a =
-  let count name by = if by > 0 then Obs.Registry.incr_by (Obs.Registry.counter metrics name) by in
-  count "adpar.calls_total" 1;
-  Obs.Trace.span trace "adpar.exact"
-    ~attrs:[ ("k", Obs.Trace.Int a.k); ("strategies", Obs.Trace.Int a.catalog_size) ]
-    (fun () ->
-      match a.result with
-      | Some r -> Obs.Trace.add_attr trace "distance" (Obs.Trace.Float r.distance)
-      | None -> Obs.Trace.add_attr trace "no_alternative" (Obs.Trace.Bool true));
+  count metrics "adpar.calls_total" 1;
+  if Obs.Trace.enabled trace then
+    Obs.Trace.span trace "adpar.exact"
+      ~attrs:[ ("k", Obs.Trace.Int a.k); ("strategies", Obs.Trace.Int a.catalog_size) ]
+      (fun () ->
+        match a.result with
+        | Some r -> Obs.Trace.add_attr trace "distance" (Obs.Trace.Float r.distance)
+        | None -> Obs.Trace.add_attr trace "no_alternative" (Obs.Trace.Bool true));
   Obs.Span.observe metrics "adpar.search_seconds" a.search_seconds;
-  count "adpar.sweep_events_total" a.sweep_events;
-  count "adpar.prune_cutoffs_total" a.prune_cutoffs;
-  if Option.is_none a.result then count "adpar.no_alternative_total" 1
+  count metrics "adpar.sweep_events_total" a.sweep_events;
+  count metrics "adpar.prune_cutoffs_total" a.prune_cutoffs;
+  if Option.is_none a.result then count metrics "adpar.no_alternative_total" 1
 
 let exact ?(metrics = Obs.Registry.noop) ?trace ?prune ?skyband ?k ~strategies request =
   let a =

@@ -34,50 +34,64 @@ type report = {
   workforce_used : float;
 }
 
+let count metrics name = Obs.Registry.incr (Obs.Registry.counter metrics name)
+
 (* Triage of one unsatisfied request: [adpar] supplies ADPaR's result
    and records the call (a live [Adpar.exact], or [Adpar.record] of an
    answer computed earlier), and everything around it is recorded here,
-   the same way on every path. *)
-let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
+   the same way on every path. Without a trace, no span, attribute or
+   decision is built. *)
+let triage_request ~adpar ~metrics ~trace ~requests ~outcomes i =
   let d = requests.(i) in
-  Obs.Trace.span trace "request"
-    ~attrs:
-      [
-        ("request", Obs.Trace.Int i);
-        ("label", Obs.Trace.String d.Deployment.label);
-      ]
-  @@ fun () ->
-  let count name = Obs.Registry.incr (Obs.Registry.counter metrics name) in
-  count "adpar.fallback_total";
+  let traced = Obs.Trace.enabled trace in
+  count metrics "adpar.fallback_total";
   let triage = Obs.Span.start metrics "aggregator.triage_seconds" in
-  let decide verdict = Obs.Trace.decide trace ~id:i ~label:d.Deployment.label verdict in
   (match (adpar d : Adpar.result option) with
   | Some result when result.Adpar.distance < 1e-12 ->
       (* The parameters already admit k strategies: the request only
          lost out on the workforce budget. *)
-      count "aggregator.workforce_limited_total";
-      Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "workforce_limited");
-      decide (Obs.Trace.Rejected { binding = "workforce budget exhausted" });
+      count metrics "aggregator.workforce_limited_total";
+      if traced then begin
+        Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "workforce_limited");
+        Obs.Trace.decide trace ~id:i ~label:d.Deployment.label
+          (Obs.Trace.Rejected { binding = "workforce budget exhausted" })
+      end;
       outcomes.(i) <- (d, Workforce_limited)
   | Some result ->
-      count "aggregator.alternative_total";
-      Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "alternative");
-      let p = result.Adpar.alternative in
-      decide
-        (Obs.Trace.Triaged
-           {
-             quality = p.Stratrec_model.Params.quality;
-             cost = p.Stratrec_model.Params.cost;
-             latency = p.Stratrec_model.Params.latency;
-             distance = result.Adpar.distance;
-           });
+      count metrics "aggregator.alternative_total";
+      if traced then begin
+        Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "alternative");
+        let p = result.Adpar.alternative in
+        Obs.Trace.decide trace ~id:i ~label:d.Deployment.label
+          (Obs.Trace.Triaged
+             {
+               quality = p.Stratrec_model.Params.quality;
+               cost = p.Stratrec_model.Params.cost;
+               latency = p.Stratrec_model.Params.latency;
+               distance = result.Adpar.distance;
+             })
+      end;
       outcomes.(i) <- (d, Alternative result)
   | None ->
-      count "aggregator.no_alternative_total";
-      Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "no_alternative");
-      decide (Obs.Trace.Rejected { binding = "no alternative exists" });
+      count metrics "aggregator.no_alternative_total";
+      if traced then begin
+        Obs.Trace.add_attr trace "outcome" (Obs.Trace.String "no_alternative");
+        Obs.Trace.decide trace ~id:i ~label:d.Deployment.label
+          (Obs.Trace.Rejected { binding = "no alternative exists" })
+      end;
       outcomes.(i) <- (d, No_alternative));
   ignore (Obs.Span.finish triage)
+
+let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
+  if Obs.Trace.enabled trace then
+    Obs.Trace.span trace "request"
+      ~attrs:
+        [
+          ("request", Obs.Trace.Int i);
+          ("label", Obs.Trace.String requests.(i).Deployment.label);
+        ]
+      (fun () -> triage_request ~adpar ~metrics ~trace ~requests ~outcomes i)
+  else triage_request ~adpar ~metrics ~trace ~requests ~outcomes i
 
 (* [f] of every request of [ds], in order, sharded when a pool is up.
    With a cache, each request is looked up first (under the
@@ -220,25 +234,31 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
       requirements
   in
   let outcomes = Array.map (fun d -> (d, No_alternative)) requests in
-  List.iter
-    (fun { Batchstrat.request_index; strategy_indices; workforce } ->
-      let d = requests.(request_index) in
-      Obs.Trace.span trace "request"
-        ~attrs:
-          [
-            ("request", Obs.Trace.Int request_index);
-            ("label", Obs.Trace.String d.Deployment.label);
-            ("outcome", Obs.Trace.String "satisfied");
-          ]
-      @@ fun () ->
-      let recommended = List.map (fun j -> strategies.(j)) strategy_indices in
+  let traced = Obs.Trace.enabled trace in
+  let satisfy { Batchstrat.request_index; strategy_indices; workforce } =
+    let d = requests.(request_index) in
+    let recommended = List.map (fun j -> strategies.(j)) strategy_indices in
+    if traced then
       Obs.Trace.decide trace ~id:request_index ~label:d.Deployment.label
         (Obs.Trace.Satisfied
            {
              workforce;
              strategies = List.map (fun s -> s.Strategy.label) recommended;
            });
-      outcomes.(request_index) <- (d, Satisfied { strategies = recommended; workforce }))
+    outcomes.(request_index) <- (d, Satisfied { strategies = recommended; workforce })
+  in
+  List.iter
+    (fun (s : Batchstrat.satisfied) ->
+      if traced then
+        Obs.Trace.span trace "request"
+          ~attrs:
+            [
+              ("request", Obs.Trace.Int s.request_index);
+              ("label", Obs.Trace.String requests.(s.request_index).Deployment.label);
+              ("outcome", Obs.Trace.String "satisfied");
+            ]
+          (fun () -> satisfy s)
+      else satisfy s)
     batch.Batchstrat.satisfied;
   Obs.Registry.incr_by
     (Obs.Registry.counter metrics "aggregator.satisfied_total")

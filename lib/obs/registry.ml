@@ -1,59 +1,92 @@
+(* A record whose fields are all floats is stored flat, so writing a
+   field boxes nothing: the float moments of a histogram and a gauge's
+   level live in such records. *)
+type moments = { mutable sum : float; mutable min_v : float; mutable max_v : float }
+type level = { mutable level : float }
+
 type hstate = {
   bounds : float array;  (* ascending, finite; the +inf bucket is counts.(n) *)
   counts : int array;  (* length = Array.length bounds + 1 *)
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  moments : moments;
 }
-
-type instrument = C of int ref | G of float ref | H of hstate
 
 (* Series key: family name plus canonical labels. Structural hashing is
    what Hashtbl does by default, and both fields are plain strings. *)
 type series = { s_name : string; s_labels : Labels.t }
 
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  enabled : bool;
   clock : unit -> float;
-  table : (series, instrument) Hashtbl.t;
-  (* One instrument kind per family, across every label combination —
-     the exposition emits a single # TYPE per family, so a counter
-     series and a gauge series under one name would lie to scrapers. *)
-  kinds : (string, string) Hashtbl.t;
+  live : live option;
+      (* None on a disabled registry, which keeps no table: {!noop} is
+         process-global, and nothing reachable from every domain may be
+         written. *)
+}
+
+and live = {
+  families : family Names.t;
+  counters : (series, int ref) Hashtbl.t;
+  gauges : (series, level) Hashtbl.t;
+  histograms : (series, hstate) Hashtbl.t;
 }
 
 (* Counter and gauge handles resolve their cell on the first update and
    keep it, so later updates skip the table. Resolution waits for an
    update because a handle alone must not add a series to snapshots. No
    series is ever removed or replaced, so a kept cell never goes stale. *)
-type counter = {
+and counter = {
   creg : t;
   cname : string;
   clabels : Labels.t;
   mutable ccell : int ref option;
 }
 
-type gauge = {
+and gauge = {
   greg : t;
   gname : string;
   glabels : Labels.t;
-  mutable gcell : float ref option;
+  mutable gcell : level option;
 }
+
+(* One entry per family name, recorded at its first lookup with any
+   labels. Every label combination of one name carries the family's
+   instrument kind — the exposition emits a single # TYPE per family,
+   so a counter series and a gauge series under one name would lie to
+   scrapers. The entry keeps the handle of the unlabeled series, so an
+   unlabeled lookup after the first is one hash probe. *)
+and family = Counters of counter | Gauges of gauge | Histograms of plain_histogram
+
+(* The unlabeled histogram, [None] until it is registered. *)
+and plain_histogram = { mutable plain : histogram }
 
 (* Histogram registration is eager, so the handle holds its state from
    creation; [None] on a disabled registry. *)
-type histogram = hstate option
+and histogram = hstate option
 
 let create ?(clock = Sys.time) () =
-  { enabled = true; clock; table = Hashtbl.create 32; kinds = Hashtbl.create 32 }
+  {
+    clock;
+    live =
+      Some
+        {
+          families = Names.create 32;
+          counters = Hashtbl.create 32;
+          gauges = Hashtbl.create 16;
+          histograms = Hashtbl.create 16;
+        };
+  }
 
-let disabled ?(clock = fun () -> 0.) () =
-  { enabled = false; clock; table = Hashtbl.create 1; kinds = Hashtbl.create 1 }
-
+let disabled ?(clock = fun () -> 0.) () = { clock; live = None }
 let noop = disabled ()
-let enabled t = t.enabled
-let now t = if t.enabled then t.clock () else 0.
+let enabled t = Option.is_some t.live
+let now t = if enabled t then t.clock () else 0.
 
 (* Monotone wall clock: gettimeofday guarded by a high-water mark, so an
    NTP step backwards can stall it but never make a span negative. The
@@ -78,27 +111,95 @@ let kind_error name got =
   invalid_arg
     (Printf.sprintf "Stratrec_obs.Registry: %s already registered as a %s" name got)
 
-let instrument_kind = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+let family_kind = function
+  | Counters _ -> "counter"
+  | Gauges _ -> "gauge"
+  | Histograms _ -> "histogram"
 
-(* Family-level kind check: every label combination of one name must
-   carry the same instrument kind. Recorded on first sight (including on
-   handle creation, so conflicts surface at registration, not first
-   use). *)
-let check_family t name kind =
-  match Hashtbl.find_opt t.kinds name with
-  | None -> Hashtbl.replace t.kinds name kind
-  | Some k when String.equal k kind -> ()
-  | Some k -> kind_error name k
+(* The family of [name] is recorded at its first lookup, with labels or
+   without, so a kind conflict surfaces at registration, not at first
+   use. A lookup of another kind raises. *)
+let plain_counter t live name =
+  match Names.find live.families name with
+  | Counters c -> c
+  | (Gauges _ | Histograms _) as f -> kind_error name (family_kind f)
+  | exception Not_found ->
+      let c = { creg = t; cname = name; clabels = Labels.empty; ccell = None } in
+      Names.add live.families name (Counters c);
+      c
+
+let plain_gauge t live name =
+  match Names.find live.families name with
+  | Gauges g -> g
+  | (Counters _ | Histograms _) as f -> kind_error name (family_kind f)
+  | exception Not_found ->
+      let g = { greg = t; gname = name; glabels = Labels.empty; gcell = None } in
+      Names.add live.families name (Gauges g);
+      g
+
+let histogram_family live name =
+  match Names.find live.families name with
+  | Histograms h -> h
+  | (Counters _ | Gauges _) as f -> kind_error name (family_kind f)
+  | exception Not_found ->
+      let h = { plain = None } in
+      Names.add live.families name (Histograms h);
+      h
 
 let counter ?(labels = []) t name =
-  let labels = Labels.normalize labels in
-  check_family t name "counter";
-  { creg = t; cname = name; clabels = labels; ccell = None }
+  match (t.live, labels) with
+  | Some live, [] -> plain_counter t live name
+  | Some live, _ ->
+      let labels = Labels.normalize labels in
+      ignore (plain_counter t live name);
+      { creg = t; cname = name; clabels = labels; ccell = None }
+  | None, _ -> { creg = t; cname = name; clabels = Labels.normalize labels; ccell = None }
 
 let gauge ?(labels = []) t name =
-  let labels = Labels.normalize labels in
-  check_family t name "gauge";
-  { greg = t; gname = name; glabels = labels; gcell = None }
+  match (t.live, labels) with
+  | Some live, [] -> plain_gauge t live name
+  | Some live, _ ->
+      let labels = Labels.normalize labels in
+      ignore (plain_gauge t live name);
+      { greg = t; gname = name; glabels = labels; gcell = None }
+  | None, _ -> { greg = t; gname = name; glabels = Labels.normalize labels; gcell = None }
+
+(* The cell of [series] in [table], added as [fresh ()] when absent. *)
+let series_cell table series ~fresh =
+  match Hashtbl.find_opt table series with
+  | Some cell -> cell
+  | None ->
+      let cell = fresh () in
+      Hashtbl.add table series cell;
+      cell
+
+let counter_cell c =
+  match (c.ccell, c.creg.live) with
+  | (Some _ as cell), _ | (None as cell), None -> cell
+  | None, Some live ->
+      let series = { s_name = c.cname; s_labels = c.clabels } in
+      c.ccell <- Some (series_cell live.counters series ~fresh:(fun () -> ref 0));
+      c.ccell
+
+let gauge_cell g =
+  match (g.gcell, g.greg.live) with
+  | (Some _ as cell), _ | (None as cell), None -> cell
+  | None, Some live ->
+      let series = { s_name = g.gname; s_labels = g.glabels } in
+      g.gcell <- Some (series_cell live.gauges series ~fresh:(fun () -> { level = 0. }));
+      g.gcell
+
+let incr_by c by =
+  if by < 0 then invalid_arg "Stratrec_obs.Registry.incr_by: negative increment";
+  (* A zero increment still materializes the counter (at 0) so it shows
+     up in snapshots. *)
+  match counter_cell c with Some r -> r := !r + by | None -> ()
+
+let incr c = incr_by c 1
+let set g value = match gauge_cell g with Some cell -> cell.level <- value | None -> ()
+
+let add g delta =
+  match gauge_cell g with Some cell -> cell.level <- cell.level +. delta | None -> ()
 
 let validate_buckets buckets =
   if Array.length buckets = 0 then
@@ -111,119 +212,64 @@ let validate_buckets buckets =
         invalid_arg "Stratrec_obs.Registry.histogram: bucket bounds must ascend")
     buckets
 
-let counter_state t name labels =
-  check_family t name "counter";
-  let key = { s_name = name; s_labels = labels } in
-  match Hashtbl.find_opt t.table key with
-  | Some (C r) -> r
-  | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.table key (C r);
-      r
-
-let gauge_state t name labels =
-  check_family t name "gauge";
-  let key = { s_name = name; s_labels = labels } in
-  match Hashtbl.find_opt t.table key with
-  | Some (G r) -> r
-  | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
-  | None ->
-      let r = ref 0. in
-      Hashtbl.replace t.table key (G r);
-      r
-
-let histogram_state t name labels buckets =
-  check_family t name "histogram";
-  let key = { s_name = name; s_labels = labels } in
-  match Hashtbl.find_opt t.table key with
-  | Some (H h) -> h
-  | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
-  | None ->
-      let h =
-        {
-          bounds = Array.copy buckets;
-          counts = Array.make (Array.length buckets + 1) 0;
-          count = 0;
-          sum = 0.;
-          min_v = 0.;
-          max_v = 0.;
-        }
-      in
-      Hashtbl.replace t.table key (H h);
-      h
+(* Elementwise, by a loop: a closure here would cost every lookup. *)
+let same_layout (bounds : float array) (buckets : float array) =
+  let n = Array.length bounds in
+  n = Array.length buckets
+  &&
+  let i = ref 0 in
+  while !i < n && bounds.(!i) = buckets.(!i) do
+    i := !i + 1
+  done;
+  !i = n
 
 let bucket_layout_conflicts = "obs.bucket_layout_conflicts_total"
 
-let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
+(* Every lookup but the hit below: validation, label normalisation, the
+   kind check and the layout check, in that order. *)
+let register_histogram buckets labels t name =
   validate_buckets buckets;
   let labels = Labels.normalize labels in
-  if not t.enabled then None
-  else begin
-    check_family t name "histogram";
-    match Hashtbl.find_opt t.table { s_name = name; s_labels = labels } with
-    | None ->
-        (* Materialize eagerly so a later registration under the same
-           series can be checked against this layout. *)
-        Some (histogram_state t name labels buckets)
-    | Some (H h) ->
-        if
-          Array.length h.bounds <> Array.length buckets
-          || not (Array.for_all2 Float.equal h.bounds buckets)
-        then begin
-          (* Keep the original layout, but don't stay silent about it:
-             count the conflict in the self-metric. *)
-          let r = counter_state t bucket_layout_conflicts [] in
-          r := !r + 1
-        end;
-        Some h
-    | Some other -> kind_error (Labels.encode_series name labels) (instrument_kind other)
-  end
+  match t.live with
+  | None -> None
+  | Some live -> (
+      let family = histogram_family live name in
+      let state =
+        series_cell live.histograms { s_name = name; s_labels = labels } ~fresh:(fun () ->
+            {
+              bounds = Array.copy buckets;
+              counts = Array.make (Array.length buckets + 1) 0;
+              count = 0;
+              moments = { sum = 0.; min_v = 0.; max_v = 0. };
+            })
+      in
+      (* A series registered earlier keeps its original layout, but a
+         conflicting one is counted in the self-metric, not ignored. *)
+      if not (same_layout state.bounds buckets) then incr (counter t bucket_layout_conflicts);
+      match (labels, family.plain) with
+      | [], (Some _ as kept) -> kept
+      | [], None ->
+          family.plain <- Some state;
+          family.plain
+      | _ :: _, _ -> Some state)
 
-let counter_cell c =
-  match c.ccell with
-  | Some r -> r
-  | None ->
-      let r = counter_state c.creg c.cname c.clabels in
-      c.ccell <- Some r;
-      r
+let histogram ?(buckets = duration_buckets) ?(labels = []) t name =
+  match (t.live, labels) with
+  | Some live, [] -> (
+      match Names.find live.families name with
+      | Histograms { plain = Some state as kept } when same_layout state.bounds buckets -> kept
+      | _ -> register_histogram buckets labels t name
+      | exception Not_found -> register_histogram buckets labels t name)
+  | _ -> register_histogram buckets labels t name
 
-let gauge_cell g =
-  match g.gcell with
-  | Some r -> r
-  | None ->
-      let r = gauge_state g.greg g.gname g.glabels in
-      g.gcell <- Some r;
-      r
-
-let incr_by c by =
-  if by < 0 then invalid_arg "Stratrec_obs.Registry.incr_by: negative increment";
-  if c.creg.enabled then begin
-    (* A zero increment still materializes the counter (at 0) so it shows
-       up in snapshots. *)
-    let r = counter_cell c in
-    r := !r + by
-  end
-
-let incr c = incr_by c 1
-let set g value = if g.greg.enabled then gauge_cell g := value
-
-let add g delta =
-  if g.greg.enabled then begin
-    let r = gauge_cell g in
-    r := !r +. delta
-  end
-
-let bucket_index bounds value =
-  (* First bound >= value; the +inf bucket is Array.length bounds. *)
-  let n = Array.length bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if value <= bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+(* First bound >= value; the +inf bucket is Array.length bounds. *)
+let bucket_index (bounds : float array) (value : float) =
+  let lo = ref 0 and hi = ref (Array.length bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if value <= bounds.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let observe h value =
   match h with
@@ -231,40 +277,43 @@ let observe h value =
   | Some s ->
       let i = bucket_index s.bounds value in
       s.counts.(i) <- s.counts.(i) + 1;
+      let m = s.moments in
       if s.count = 0 then begin
-        s.min_v <- value;
-        s.max_v <- value
+        m.min_v <- value;
+        m.max_v <- value
       end
       else begin
-        if value < s.min_v then s.min_v <- value;
-        if value > s.max_v then s.max_v <- value
+        if value < m.min_v then m.min_v <- value;
+        if value > m.max_v then m.max_v <- value
       end;
       s.count <- s.count + 1;
-      s.sum <- s.sum +. value
+      m.sum <- m.sum +. value
 
 let snapshot t =
-  Hashtbl.fold
-    (fun { s_name; s_labels } instrument acc ->
-      let value =
-        match instrument with
-        | C r -> Snapshot.Counter !r
-        | G r -> Snapshot.Gauge !r
-        | H h ->
-            let buckets =
-              List.init
-                (Array.length h.counts)
-                (fun i ->
-                  let bound =
-                    if i < Array.length h.bounds then h.bounds.(i) else infinity
-                  in
-                  (bound, h.counts.(i)))
-            in
-            Snapshot.Histogram
-              { buckets; count = h.count; sum = h.sum; min = h.min_v; max = h.max_v }
+  match t.live with
+  | None -> []
+  | Some live ->
+      let entry { s_name; s_labels } value acc =
+        { Snapshot.name = s_name; labels = s_labels; value } :: acc
       in
-      { Snapshot.name = s_name; labels = s_labels; value } :: acc)
-    t.table []
-  |> List.sort (fun a b ->
-         Snapshot.compare_series
-           (a.Snapshot.name, a.Snapshot.labels)
-           (b.Snapshot.name, b.Snapshot.labels))
+      let histogram h =
+        Snapshot.Histogram
+          {
+            buckets =
+              List.init (Array.length h.counts) (fun i ->
+                  let bound = if i < Array.length h.bounds then h.bounds.(i) else infinity in
+                  (bound, h.counts.(i)));
+            count = h.count;
+            sum = h.moments.sum;
+            min = h.moments.min_v;
+            max = h.moments.max_v;
+          }
+      in
+      []
+      |> Hashtbl.fold (fun s r acc -> entry s (Snapshot.Counter !r) acc) live.counters
+      |> Hashtbl.fold (fun s g acc -> entry s (Snapshot.Gauge g.level) acc) live.gauges
+      |> Hashtbl.fold (fun s h acc -> entry s (histogram h) acc) live.histograms
+      |> List.sort (fun a b ->
+             Snapshot.compare_series
+               (a.Snapshot.name, a.Snapshot.labels)
+               (b.Snapshot.name, b.Snapshot.labels))

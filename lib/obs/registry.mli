@@ -6,9 +6,9 @@
 
     Naming scheme: [<subsystem>.<metric>[_total]] with dot-separated
     subsystem prefixes ([aggregator.], [batchstrat.], [adpar.],
-    [stream.], [platform.], [campaign.], [engine.],
-    [resilience.], [faults.]) and a [_total] suffix on monotone
-    counters — see DESIGN.md §Observability.
+    [platform.], [campaign.], [engine.], [resilience.], [faults.]) and
+    a [_total] suffix on monotone counters — see DESIGN.md
+    §Observability.
 
     Instruments are looked up by series — [(name, labels)], with
     [?labels] defaulting to the unlabeled series. Every label
@@ -27,8 +27,19 @@
     a branch and a write, with no table lookup; creating a handle alone
     adds no series. A histogram handle holds its series from
     registration. No series is ever removed, so a kept cell stays the
-    one {!snapshot} reads — hot loops should create a handle once and
-    reuse it. *)
+    one {!snapshot} reads.
+
+    A by-name lookup resolves once per registry: the registry keeps the
+    handle of each family's unlabeled series, so {!counter}, {!gauge}
+    or {!histogram} of an unlabeled name after the first call returns
+    that handle from one hash probe, allocating nothing, and callers
+    need not keep handles themselves. A kind clash raises and a
+    conflicting bucket layout is counted on every lookup, kept handle
+    or not. A labeled lookup normalises its labels and returns a fresh
+    handle each time. Updates through a registered instrument
+    ({!incr}, {!incr_by}, {!set}, {!add}, {!observe}) allocate nothing
+    beyond the float they are handed. The disabled registry keeps no
+    table, so it checks no kind. *)
 
 type t
 
@@ -62,7 +73,9 @@ val wall_clock : unit -> float
 val noop : t
 (** The disabled registry: instrument operations do nothing, snapshots
     are empty. The default for every [?metrics] argument, so
-    un-instrumented callers pay one branch per operation. *)
+    un-instrumented callers pay one branch per operation. It is
+    process-global and keeps no mutable state, so any domain may use
+    it. *)
 
 val disabled : ?clock:(unit -> float) -> unit -> t
 (** A fresh disabled registry carrying an (otherwise unused) clock — for
@@ -111,6 +124,11 @@ val set : gauge -> float -> unit
 val add : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
+
+val bucket_index : float array -> float -> int
+(** [bucket_index bounds v] is the index of the first bound [>= v] in
+    the ascending [bounds], or [Array.length bounds] (the [+inf]
+    bucket): the bucket {!observe} counts [v] in. *)
 
 (** {1 Snapshot} *)
 

@@ -4,14 +4,15 @@
    keyed by the absolute interval index so an idle window needs no
    timer. *)
 
+(* All floats, so stored flat: an observation boxes nothing. *)
+type moments = { mutable sum : float; mutable min_v : float; mutable max_v : float }
+
 type slot = {
   mutable epoch : int;
       (* absolute interval index this slot's contents belong to; -1 for
          never-used *)
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  moments : moments;
   counts : int array; (* per-bucket, Array.length bounds + 1 for +inf *)
 }
 
@@ -29,14 +30,19 @@ type t = {
 }
 
 let fresh_slot n_buckets =
-  { epoch = -1; count = 0; sum = 0.; min_v = 0.; max_v = 0.; counts = Array.make n_buckets 0 }
+  {
+    epoch = -1;
+    count = 0;
+    moments = { sum = 0.; min_v = 0.; max_v = 0. };
+    counts = Array.make n_buckets 0;
+  }
 
 let reset_slot s =
   s.epoch <- -1;
   s.count <- 0;
-  s.sum <- 0.;
-  s.min_v <- 0.;
-  s.max_v <- 0.;
+  s.moments.sum <- 0.;
+  s.moments.min_v <- 0.;
+  s.moments.max_v <- 0.;
   Array.fill s.counts 0 (Array.length s.counts) 0
 
 let validate_bounds bounds =
@@ -76,16 +82,6 @@ let interval t =
   let now = t.clock () in
   if now <= 0. then 0 else int_of_float (now /. t.slot_seconds)
 
-let bucket_index bounds value =
-  let n = Array.length bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if value <= bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
-
 let observe t value =
   let now = t.clock () in
   let idx =
@@ -108,18 +104,19 @@ let observe t value =
     t.clock_regressions <- t.clock_regressions + 1;
     Registry.incr (Registry.counter t.metrics "obs.window.clock_regressions_total")
   end;
-  let i = bucket_index t.bounds value in
+  let i = Registry.bucket_index t.bounds value in
   s.counts.(i) <- s.counts.(i) + 1;
+  let m = s.moments in
   if s.count = 0 then begin
-    s.min_v <- value;
-    s.max_v <- value
+    m.min_v <- value;
+    m.max_v <- value
   end
   else begin
-    if value < s.min_v then s.min_v <- value;
-    if value > s.max_v then s.max_v <- value
+    if value < m.min_v then m.min_v <- value;
+    if value > m.max_v then m.max_v <- value
   end;
   s.count <- s.count + 1;
-  s.sum <- s.sum +. value
+  m.sum <- m.sum +. value
 
 let mark t = observe t 0.
 
@@ -133,7 +130,7 @@ let fold_live t ~init ~f =
     t.slots
 
 let count t = fold_live t ~init:0 ~f:(fun acc s -> acc + s.count)
-let sum t = fold_live t ~init:0. ~f:(fun acc s -> acc +. s.sum)
+let sum t = fold_live t ~init:0. ~f:(fun acc s -> acc +. s.moments.sum)
 
 (* Rate denominator: the span the window has actually been alive,
    clamped into [slot_seconds, window_seconds]. Dividing by the full
@@ -157,14 +154,14 @@ let mean t =
 let min_value t =
   fold_live t ~init:nan ~f:(fun acc s ->
       if s.count = 0 then acc
-      else if Float.is_nan acc || s.min_v < acc then s.min_v
+      else if Float.is_nan acc || s.moments.min_v < acc then s.moments.min_v
       else acc)
   |> fun v -> if Float.is_nan v then 0. else v
 
 let max_value t =
   fold_live t ~init:nan ~f:(fun acc s ->
       if s.count = 0 then acc
-      else if Float.is_nan acc || s.max_v > acc then s.max_v
+      else if Float.is_nan acc || s.moments.max_v > acc then s.moments.max_v
       else acc)
   |> fun v -> if Float.is_nan v then 0. else v
 
@@ -174,7 +171,7 @@ let to_histogram t =
   let count, sum =
     fold_live t ~init:(0, 0.) ~f:(fun (c, s) slot ->
         Array.iteri (fun i k -> totals.(i) <- totals.(i) + k) slot.counts;
-        (c + slot.count, s +. slot.sum))
+        (c + slot.count, s +. slot.moments.sum))
   in
   let buckets =
     List.init n_counts (fun i ->

@@ -126,8 +126,11 @@ let close_conn conn =
    is blitted into [scratch], the server's one write buffer, grown to
    the largest queue flushed so far: a flush allocates nothing. A copy
    of each queue larger than 2 KiB would go straight to the major heap,
-   and the major GC slices collecting it lengthen the latency tail. *)
-let flush_queue ~io ~scratch ~on_error conn =
+   and the major GC slices collecting it lengthen the latency tail. For
+   the same reason a fully flushed queue keeps its storage for the next
+   turn, unless it held more than [max_line] bytes: a lagging reader's
+   burst, which is handed back. *)
+let flush_queue ~io ~scratch ~max_line ~on_error conn =
   let len = Buffer.length conn.out in
   if conn.open_ && len > 0 then begin
     if Bytes.length !scratch < len then scratch := Bytes.create (max len (2 * Bytes.length !scratch));
@@ -146,7 +149,8 @@ let flush_queue ~io ~scratch ~on_error conn =
     in
     match go 0 with
     | None -> close_conn conn
-    | Some sent when sent = len -> Buffer.reset conn.out
+    | Some sent when sent = len ->
+        if len > max_line then Buffer.reset conn.out else Buffer.clear conn.out
     | Some sent ->
         Buffer.clear conn.out;
         Buffer.add_subbytes conn.out data sent (len - sent)
@@ -197,7 +201,7 @@ let serve ~daemon ?(io = Io.default) transport =
       let max_line = Daemon.max_line daemon in
       let bound = queued_lines_bound * max_line in
       let note kind = Daemon.note_io_error daemon ~kind in
-      let flush = flush_queue ~io ~scratch:(ref (Bytes.create 4096)) ~on_error:note in
+      let flush = flush_queue ~io ~scratch:(ref (Bytes.create 4096)) ~max_line ~on_error:note in
       let conns = Hashtbl.create 16 and next_id = ref 1 and running = ref true in
       let chunk = Bytes.create 4096 in
       (* A queue past the bound gets one flush, and a peer still over it

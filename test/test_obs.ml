@@ -139,6 +139,208 @@ let test_disabled_span_skips_clock_and_sink () =
   Alcotest.(check int) "the clock is never read" 0 !clock_calls;
   Alcotest.(check int) "nothing is recorded" 0 (List.length (Registry.snapshot reg))
 
+(* The registry against the lookups it replaced (test/registry_ref.ml):
+   random sequences of lookups (repeated and fresh names, with and
+   without labels, default, fraction, conflicting and invalid bucket
+   layouts, kind clashes) and updates, through fresh handles and kept
+   ones, raise the same [Invalid_argument] messages and leave the same
+   snapshot. Both registries are live: a disabled one keeps no table, so
+   it checks no kind. *)
+
+type registry_handle =
+  | Counter_pair of Registry.counter * Registry_ref.counter
+  | Gauge_pair of Registry.gauge * Registry_ref.gauge
+  | Histogram_pair of Registry.histogram * Registry_ref.histogram
+
+type instrument_kind = Counter_kind | Gauge_kind | Histogram_kind
+
+type registry_op =
+  | Lookup of {
+      kind : instrument_kind;
+      name : string;
+      labels : (string * string) list;
+      layout : int;
+      update : (int * float) option;
+    }
+  | Update of { slot : int; by : int; value : float }
+
+let layouts =
+  [|
+    ("default", None);
+    ("duration", Some Registry.duration_buckets);
+    ("fraction", Some Registry.fraction_buckets);
+    ("conflicting", Some [| 1.; 2.; 4. |]);
+    ("unsorted", Some [| 2.; 1. |]);
+    ("empty", Some [||]);
+    ("non-finite", Some [| 0.5; infinity |]);
+  |]
+
+let show_registry_op = function
+  | Lookup { kind; name; labels; layout; update } ->
+      Printf.sprintf "%s %S [%s] %s%s"
+        (match kind with
+        | Counter_kind -> "counter"
+        | Gauge_kind -> "gauge"
+        | Histogram_kind -> "histogram")
+        name
+        (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+        (fst layouts.(layout))
+        (match update with
+        | None -> ""
+        | Some (by, value) -> Printf.sprintf " then %d/%g" by value)
+  | Update { slot; by; value } -> Printf.sprintf "kept #%d %d/%g" slot by value
+
+let registry_op_gen =
+  let open QCheck.Gen in
+  let name =
+    frequency
+      [
+        (4, oneofl [ "a_total"; "b"; "c_seconds"; "obs.bucket_layout_conflicts_total" ]);
+        (1, map (Printf.sprintf "fresh_%d") (int_bound 1_000_000));
+      ]
+  in
+  let labels =
+    frequency
+      [
+        (5, return []);
+        ( 3,
+          oneofl
+            [ [ ("k", "v1") ]; [ ("k", "v2") ]; [ ("b", "x"); ("a", "y") ]; [ ("a", "y"); ("b", "x") ] ]
+        );
+        (1, oneofl [ [ ("le", "1") ]; [ ("1bad", "x") ]; [ ("k", "1"); ("k", "2") ] ]);
+      ]
+  in
+  let layout =
+    frequency [ (5, return 0); (1, return 1); (2, return 2); (2, return 3); (1, int_range 4 6) ]
+  in
+  let by_value = pair (int_range (-1) 5) (float_range (-2.) 20.) in
+  frequency
+    [
+      ( 3,
+        map
+          (fun (kind, name, labels, layout, update) ->
+            Lookup { kind; name; labels; layout; update })
+          (tup5 (oneofl [ Counter_kind; Gauge_kind; Histogram_kind ]) name labels layout
+             (opt by_value)) );
+      (1, map2 (fun slot (by, value) -> Update { slot; by; value }) nat by_value);
+    ]
+
+(* Each step's outcome on both registries, as ([mine], [reference]):
+   [""], or the [Invalid_argument] message. *)
+let replay_registry_ops ops =
+  let reg = Registry.create ~clock:(Fun.const 0.) () in
+  let reference = Registry_ref.create ~clock:(Fun.const 0.) () in
+  let kept = ref [||] in
+  let message = function Ok _ -> "" | Error m -> m in
+  let catch f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  let both mine theirs = (message (catch mine), message (catch theirs)) in
+  let update (by, value) = function
+    | Counter_pair (c, r) ->
+        both (fun () -> Registry.incr_by c by) (fun () -> Registry_ref.incr_by r by)
+    | Gauge_pair (g, r) when by mod 2 = 0 ->
+        both (fun () -> Registry.set g value) (fun () -> Registry_ref.set r value)
+    | Gauge_pair (g, r) -> both (fun () -> Registry.add g value) (fun () -> Registry_ref.add r value)
+    | Histogram_pair (h, r) ->
+        both (fun () -> Registry.observe h value) (fun () -> Registry_ref.observe r value)
+  in
+  let lookup kind ~labels ~buckets name =
+    let pair mine theirs make =
+      match (catch mine, catch theirs) with
+      | Ok a, Ok b -> Ok (make a b)
+      | mine, theirs -> Error (message mine, message theirs)
+    in
+    match kind with
+    | Counter_kind ->
+        pair
+          (fun () -> Registry.counter ~labels reg name)
+          (fun () -> Registry_ref.counter ~labels reference name)
+          (fun c r -> Counter_pair (c, r))
+    | Gauge_kind ->
+        pair
+          (fun () -> Registry.gauge ~labels reg name)
+          (fun () -> Registry_ref.gauge ~labels reference name)
+          (fun g r -> Gauge_pair (g, r))
+    | Histogram_kind ->
+        pair
+          (fun () -> Registry.histogram ?buckets ~labels reg name)
+          (fun () -> Registry_ref.histogram ?buckets ~labels reference name)
+          (fun h r -> Histogram_pair (h, r))
+  in
+  let outcomes =
+    List.concat_map
+      (function
+        | Update { slot; by; value } ->
+            let n = Array.length !kept in
+            if n = 0 then [] else [ update (by, value) !kept.(slot mod n) ]
+        | Lookup { kind; name; labels; layout; update = then_update } -> (
+            match lookup kind ~labels ~buckets:(snd layouts.(layout)) name with
+            | Error outcome -> [ outcome ]
+            | Ok handle ->
+                kept := Array.append !kept [| handle |];
+                ("", "") :: Option.to_list (Option.map (fun u -> update u handle) then_update)))
+      ops
+  in
+  (outcomes, Registry.snapshot reg, Registry_ref.snapshot reference)
+
+let registry_matches_reference_prop =
+  QCheck.Test.make ~count:500 ~name:"registry lookups match the reference registry"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_registry_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) registry_op_gen))
+    (fun ops ->
+      let outcomes, mine, theirs = replay_registry_ops ops in
+      List.for_all (fun (a, b) -> String.equal a b) outcomes && mine = theirs)
+
+(* Recording without garbage. After its first lookup, an instrument
+   looked up by name, or kept, records with no allocation: 1,000 calls
+   allocate 0 minor words. The registry and window read a fixed clock,
+   and the value is a float boxed once beforehand, so no call has a
+   float of its own to box. *)
+
+let minor_words_of_calls f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let boxed_value = Sys.opaque_identity (float_of_string "0.25")
+
+let test_updates_allocate_nothing () =
+  let reg = Registry.create ~clock:(Fun.const 1.) () in
+  let kept = Registry.histogram reg "kept_seconds" in
+  let window = Obs.Window.create ~clock:(Fun.const 5.) ~window_seconds:10. () in
+  let calls =
+    [
+      ("incr by name", fun () -> Registry.incr (Registry.counter reg "calls_total"));
+      ("set by name", fun () -> Registry.set (Registry.gauge reg "level") boxed_value);
+      ("Span.observe by name", fun () -> Span.observe reg "stage_seconds" boxed_value);
+      ("observe on a kept histogram", fun () -> Registry.observe kept boxed_value);
+      ("Window.observe", fun () -> Obs.Window.observe window boxed_value);
+      ("Window.mark", fun () -> Obs.Window.mark window);
+    ]
+  in
+  Alcotest.(check (list (pair string (float 0.))))
+    "minor words of 1,000 calls"
+    (List.map (fun (what, _) -> (what, 0.)) calls)
+    (List.map (fun (what, f) -> (what, minor_words_of_calls f)) calls);
+  Alcotest.(check int) "every call counted" 1001
+    (Snapshot.counter_value (Registry.snapshot reg) "calls_total")
+
+(* A span by name allocates its record (three fields and a header) and
+   the one box its elapsed seconds travel in, to the histogram and back
+   to the caller. *)
+let test_span_allocates_its_value () =
+  let reg = Registry.create ~clock:(Fun.const 1.) () in
+  let words =
+    minor_words_of_calls (fun () -> ignore (Span.finish (Span.start reg "stage_seconds")))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over 1,000 spans" words)
+    true
+    (words <= 1000. *. 6.)
+
 (* Spans against an injected clock *)
 
 let test_span_fake_clock () =
@@ -1363,6 +1565,9 @@ let () =
           Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "noop registry" `Quick test_noop_registry;
+          Tq.to_alcotest registry_matches_reference_prop;
+          Alcotest.test_case "kept updates allocate nothing" `Quick test_updates_allocate_nothing;
+          Alcotest.test_case "a span allocates its value only" `Quick test_span_allocates_its_value;
         ] );
       ( "spans",
         [

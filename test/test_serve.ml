@@ -1596,6 +1596,60 @@ let test_epoch_cost_flat_in_registry () =
     true
     (Float.abs (full -. empty) <= 256.)
 
+(* A live registry costs a served request about what Registry.noop
+   does: each instrument is resolved once per registry, and its updates
+   allocate nothing. A cached session over a 200-strategy catalog
+   replays 40 demanding shapes, as perfbench's zipf-hot stream does;
+   after warm-up epochs have cached every shape, the same 50 epochs
+   allocate at most 96 minor words per request more on a live registry
+   (reading the wall clock) than on Registry.noop. *)
+let test_live_registry_costs_noop () =
+  let rng = Stratrec_util.Rng.create 7 in
+  let strategies =
+    Model.Workload.strategies (Stratrec_util.Rng.create 2020) ~n:200
+      ~kind:Model.Workload.Uniform
+  in
+  let availability = Model.Availability.certain 0.75 in
+  let shapes =
+    Array.init 40 (fun _ ->
+        let quality = Stratrec_util.Rng.uniform rng ~lo:0.5 ~hi:1. in
+        let cost = Stratrec_util.Rng.uniform rng ~lo:0. ~hi:0.6 in
+        Model.Params.make ~quality ~cost ~latency:(Stratrec_util.Rng.uniform rng ~lo:0. ~hi:0.6))
+  in
+  let epoch e shape =
+    List.init 8 (fun j -> Request.make ~id:((8 * e) + j + 1) ~params:shapes.(shape j) ~k:2 ())
+  in
+  let warm = Array.init 5 (fun e -> epoch e (fun j -> (8 * e) + j)) in
+  let measured = Array.init 50 (fun e -> epoch (e + 5) (fun _ -> Stratrec_util.Rng.int rng 40)) in
+  let words_per_request metrics =
+    let config =
+      Engine.with_cache
+        (Engine.with_metrics Engine.default_config metrics)
+        (Some Stratrec.Triage_cache.default_config)
+    in
+    match Engine.create ~config ~availability ~strategies () with
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+    | Ok session ->
+        let submit batch =
+          match Engine.submit session batch with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+        in
+        Array.iter submit warm;
+        Array.iter submit measured;
+        let words = Gc.minor_words () in
+        Array.iter submit measured;
+        let words = Gc.minor_words () -. words in
+        Engine.close session;
+        words /. 400.
+  in
+  let live = words_per_request (Obs.Registry.create ~clock:Obs.Registry.wall_clock ()) in
+  let noop = words_per_request Obs.Registry.noop in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per request on a live registry against %.1f on noop" live noop)
+    true
+    (live -. noop <= 96.)
+
 (* A session records spans and decisions only into a trace its caller
    passes. After warm-up epochs, a submit on a session created without
    [with_trace] allocates exactly the minor words of the same submit on
@@ -1929,6 +1983,8 @@ let () =
           Alcotest.test_case "decisions at trace capacity" `Quick test_decisions_at_capacity;
           Alcotest.test_case "epoch cost flat in registry size" `Quick
             test_epoch_cost_flat_in_registry;
+          Alcotest.test_case "a live registry costs what noop does" `Quick
+            test_live_registry_costs_noop;
           Alcotest.test_case "no trace unless the caller passes one" `Quick
             test_no_trace_unless_passed;
           Alcotest.test_case "deadline budget validation" `Quick
