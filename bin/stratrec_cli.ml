@@ -154,8 +154,8 @@ let cache_arg =
   let doc =
     "Triage cache policy: $(b,off) (the default — one-shot runs rarely repeat shapes), \
      $(b,on) (the default capacity) or a positive LRU capacity. Cache hits replay \
-     memoized BatchStrat rows and ADPaR results; the output is bit-identical to an \
-     uncached run (only cache.* metrics are added)."
+     memoized ADPaR answers; the output is bit-identical to an uncached run (only \
+     cache.* metrics are added)."
   in
   Arg.(value & opt Stratrec_conv.cache None & info [ "cache" ] ~docv:"POLICY" ~doc)
 

@@ -50,9 +50,9 @@ let domains_arg =
 
 let cache_arg =
   let doc =
-    "Triage-cache policy: $(b,off), $(b,on) (default capacity) or a positive \
-     capacity. The daemon defaults to $(b,on) — repeated request shapes skip \
-     triage with bit-identical output."
+    "Triage-cache policy: $(b,off), $(b,on) (default capacity, 2048 ADPaR answers) \
+     or a positive capacity. The daemon defaults to $(b,on) — a repeated request \
+     shape that BatchStrat leaves unsatisfied skips ADPaR, with bit-identical output."
   in
   Arg.(value
        & opt Stratrec_conv.cache (Some Stratrec.Triage_cache.default_config)

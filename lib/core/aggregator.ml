@@ -36,17 +36,16 @@ type report = {
 
 let count metrics name = Obs.Registry.incr (Obs.Registry.counter metrics name)
 
-(* Triage of one unsatisfied request: [adpar] supplies ADPaR's result
-   and records the call (a live [Adpar.exact], or [Adpar.record] of an
-   answer computed earlier), and everything around it is recorded here,
-   the same way on every path. Without a trace, no span, attribute or
-   decision is built. *)
-let triage_request ~adpar ~metrics ~trace ~requests ~outcomes i =
+(* Triage of one unsatisfied request from its ADPaR [answer]: the call
+   is recorded through [Adpar.record], and everything around it here.
+   Without a trace, no span, attribute or decision is built. *)
+let triage_request ~metrics ~trace ~requests ~outcomes i answer =
   let d = requests.(i) in
   let traced = Obs.Trace.enabled trace in
   count metrics "adpar.fallback_total";
   let triage = Obs.Span.start metrics "aggregator.triage_seconds" in
-  (match (adpar d : Adpar.result option) with
+  Adpar.record ~metrics ~trace answer;
+  (match answer.Adpar.result with
   | Some result when result.Adpar.distance < 1e-12 ->
       (* The parameters already admit k strategies: the request only
          lost out on the workforce budget. *)
@@ -82,7 +81,7 @@ let triage_request ~adpar ~metrics ~trace ~requests ~outcomes i =
       outcomes.(i) <- (d, No_alternative));
   ignore (Obs.Span.finish triage)
 
-let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
+let triage_with ~metrics ~trace ~requests ~outcomes i answer =
   if Obs.Trace.enabled trace then
     Obs.Trace.span trace "request"
       ~attrs:
@@ -90,37 +89,37 @@ let triage_with ~adpar ~metrics ~trace ~requests ~outcomes i =
           ("request", Obs.Trace.Int i);
           ("label", Obs.Trace.String requests.(i).Deployment.label);
         ]
-      (fun () -> triage_request ~adpar ~metrics ~trace ~requests ~outcomes i)
-  else triage_request ~adpar ~metrics ~trace ~requests ~outcomes i
+      (fun () -> triage_request ~metrics ~trace ~requests ~outcomes i answer)
+  else triage_request ~metrics ~trace ~requests ~outcomes i answer
 
-(* [f] of every request of [ds], in order, sharded when a pool is up.
-   With a cache, each request is looked up first (under the
-   [find]/[store] pair of one entry kind) and stored back on a miss; the
-   cache is touched only from the calling domain, in request order. With
-   a pool, every request is probed first and the misses are computed
-   sharded; without one, each request is probed, computed and stored in
-   turn, so a repeat later in [ds] already hits. *)
-let memoized ?pool ?cache ~find ~store ~f ds =
+(* [f] of every element of [xs], in order, sharded when a pool is up. *)
+let map ?pool ~f xs =
+  match pool with
+  | Some pool when Array.length xs > 1 -> Stratrec_par.Shard.map pool ~f xs
+  | Some _ | None -> Array.map f xs
+
+(* [f] of every request of [ds], in order, through [cache] when there is
+   one: each request is looked up first and stored back on a miss, and
+   the cache is touched only from the calling domain, in request order.
+   With a pool, every request is probed first and the misses are
+   computed sharded; without one, each request is probed, computed and
+   stored in turn, so a repeat later in [ds] already hits. *)
+let memoized ?pool ?cache ~f ds =
   let n = Array.length ds in
   match (cache, pool) with
-  | None, Some pool when n > 1 -> Stratrec_par.Shard.map pool ~f ds
-  | None, (Some _ | None) -> Array.map f ds
-  | Some c, Some pool when n > 1 ->
+  | None, _ -> map ?pool ~f ds
+  | Some c, Some _ when n > 1 ->
       let found =
-        Array.map (fun d -> find c ~params:d.Deployment.params ~k:d.Deployment.k) ds
+        Array.map (fun d -> Triage_cache.find c ~params:d.Deployment.params ~k:d.Deployment.k) ds
       in
       let misses =
         Array.of_list (List.filter (fun i -> Option.is_none found.(i)) (List.init n Fun.id))
       in
-      let compute i = f ds.(i) in
-      let computed =
-        if Array.length misses > 1 then Stratrec_par.Shard.map pool ~f:compute misses
-        else Array.map compute misses
-      in
+      let computed = map ?pool ~f:(fun i -> f ds.(i)) misses in
       Array.iteri
         (fun j i ->
           let d = ds.(i) in
-          store c ~params:d.Deployment.params ~k:d.Deployment.k computed.(j);
+          Triage_cache.store c ~params:d.Deployment.params ~k:d.Deployment.k computed.(j);
           found.(i) <- Some computed.(j))
         misses;
       Array.map Option.get found
@@ -128,23 +127,20 @@ let memoized ?pool ?cache ~find ~store ~f ds =
       Array.map
         (fun d ->
           let params = d.Deployment.params and k = d.Deployment.k in
-          match find c ~params ~k with
+          match Triage_cache.find c ~params ~k with
           | Some v -> v
           | None ->
               let v = f d in
-              store c ~params ~k v;
+              Triage_cache.store c ~params ~k v;
               v)
         ds
 
 (* What one run matches against: the catalog [given] re-estimated at
    [at] (or as given when [at] is None), and the ADPaR skyband of the
-   result, built at the first ADPaR call that needs it. A memo binds
-   [aggregation] and [rule] beside them, for its cache's sake. *)
+   result, built at the first ADPaR call that needs it. *)
 type prepared = {
   given : Strategy.t array;
   at : float option;
-  aggregation : Workforce.aggregation;
-  rule : [ `Direction_aware | `Paper_equality ];
   catalog : Strategy.t array;
   mutable skyband : Adpar.skyband option;
 }
@@ -153,25 +149,18 @@ type memo = { cache : Triage_cache.t option; mutable bound : prepared option }
 
 let memo ?cache () = { cache; bound = None }
 
-(* A memo binds to its first run's inputs for good, so neither its
-   catalog nor its cache's entries can go stale. The catalog is compared
-   by identity, not contents: comparing contents would cost what
-   re-estimating does. *)
-let prepare memo (config : config) ~at strategies =
+(* A memo binds to its first run's catalog and W for good, so neither
+   its catalog nor its cache's entries can go stale. The catalog is
+   compared by identity, not contents: comparing contents would cost
+   what re-estimating does. *)
+let prepare memo ~at strategies =
   let fresh () =
     let catalog =
       match at with
       | Some w -> Array.map (fun s -> Strategy.instantiate s ~availability:w) strategies
       | None -> strategies
     in
-    {
-      given = strategies;
-      at;
-      aggregation = config.aggregation;
-      rule = config.inversion_rule;
-      catalog;
-      skyband = None;
-    }
+    { given = strategies; at; catalog; skyband = None }
   in
   match memo with
   | None -> fresh ()
@@ -180,16 +169,8 @@ let prepare memo (config : config) ~at strategies =
       m.bound <- Some p;
       p
   | Some { bound = Some p; _ } ->
-      if
-        p.given == strategies
-        && Option.equal Float.equal p.at at
-        && p.aggregation = config.aggregation
-        && p.rule = config.inversion_rule
-      then p
-      else
-        invalid_arg
-          "Aggregator.run: the memo is bound to another catalog, W, aggregation or \
-           inversion rule"
+      if p.given == strategies && Option.equal Float.equal p.at at then p
+      else invalid_arg "Aggregator.run: the memo is bound to another catalog or W"
 
 let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     ?(trace = Obs.Trace.noop) ?(domains = 1) ?memo ~availability ~strategies ~requests () =
@@ -212,18 +193,15 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
   (* With a memo, a session re-estimates its catalog once, not every
      epoch, and keeps one skyband for it. *)
   let prepared =
-    prepare memo config ~at:(if config.reestimate_parameters then Some w else None) strategies
+    prepare memo ~at:(if config.reestimate_parameters then Some w else None) strategies
   in
   let strategies = prepared.catalog in
-  let cache = Option.bind memo (fun m -> m.cache) in
   (* Every request's BatchStrat requirement, by the one catalog scan of
-     [Workforce.streaming_requirement]: requests are independent, so the
-     misses are computed sharded when a pool is up, and no path builds a
-     matrix. A hit is exactly what the scan produces, so BatchStrat's
-     candidates (and everything downstream) are unchanged. *)
+     [Workforce.streaming_requirement]: requests are independent, so
+     they are computed sharded when a pool is up, and no path builds a
+     matrix. *)
   let requirements =
-    memoized ?pool ?cache ~find:Triage_cache.find_requirement
-      ~store:Triage_cache.store_requirement
+    map ?pool
       ~f:(fun d ->
         Workforce.streaming_requirement ~rule:config.inversion_rule config.aggregation
           ~k:d.Deployment.k ~strategies d)
@@ -271,32 +249,21 @@ let run ?(config = default_config) ?(metrics = Obs.Registry.noop)
     if Option.is_some memo && Option.is_none prepared.skyband then
       prepared.skyband <- Some (Adpar.skyband strategies);
     let skyband = prepared.skyband in
-    let triage adpar i = triage_with ~adpar ~metrics ~trace ~requests ~outcomes i in
-    match (cache, pool) with
-    | None, None ->
-        Array.iter
-          (triage (fun d -> Adpar.exact ~metrics ~trace ?skyband ~strategies d))
-          unsatisfied
-    | Some _, _ | None, Some _ ->
-        (* Answers first (cached, or computed sharded, on the session
-           registry's clock), then every one recorded in request order
-           on this domain: the counters, span tree, span ids and
-           decisions of the live loop above. *)
-        let clock () = Obs.Registry.now metrics in
-        let answers =
-          memoized ?pool ?cache ~find:Triage_cache.find_triage
-            ~store:Triage_cache.store_triage
-            ~f:(fun d -> Adpar.answer ~clock ?skyband ~strategies d)
-            (Array.map (Array.get requests) unsatisfied)
-        in
-        Array.iteri
-          (fun slot answer ->
-            triage
-              (fun _ ->
-                Adpar.record ~metrics ~trace answer;
-                answer.Adpar.result)
-              unsatisfied.(slot))
-          answers
+    (* Answers first (cached, or computed sharded, on the session
+       registry's clock), then every one recorded in request order on
+       this domain, so the counters, span tree, span ids and decisions
+       are the same on every path. *)
+    let clock () = Obs.Registry.now metrics in
+    let answers =
+      memoized ?pool
+        ?cache:(Option.bind memo (fun m -> m.cache))
+        ~f:(fun d -> Adpar.answer ~clock ?skyband ~strategies d)
+        (Array.map (Array.get requests) unsatisfied)
+    in
+    Array.iteri
+      (fun slot answer ->
+        triage_with ~metrics ~trace ~requests ~outcomes unsatisfied.(slot) answer)
+      answers
   end;
   Obs.Registry.set
     (Obs.Registry.gauge metrics "aggregator.workforce_used")

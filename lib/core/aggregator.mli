@@ -59,14 +59,14 @@ type memo
 
 val memo : ?cache:Triage_cache.t -> unit -> memo
 (** An unbound memo. Its first run binds it, for good, to that run's
-    [strategies] array (by identity, not contents), the W it
-    re-estimates at (none when its config does not re-estimate), and its
-    config's aggregation and inversion rule; every later run through it
-    must pass the same four (the objective is free: no memoized value
-    depends on it). So a memo never re-estimates, and [cache], whose
-    entries depend only on those four and the request, never holds a
-    stale entry. Give a cache to one memo only, and do not mutate the
-    array while a memo is bound to it. *)
+    [strategies] array (by identity, not contents) and the W it
+    re-estimates at (none when its config does not re-estimate); every
+    later run through it must pass the same two. The rest of the config
+    is free: no memoized value depends on the objective, the
+    aggregation or the inversion rule. So a memo never re-estimates, and
+    [cache], whose ADPaR answers depend only on those two and the
+    request, never holds a stale entry. Give a cache to one memo only,
+    and do not mutate the array while a memo is bound to it. *)
 
 val run :
   ?config:config ->
@@ -81,13 +81,15 @@ val run :
   report
 (** One batch run.
 
+    Every unsatisfied request is triaged by one path: its ADPaR answer
+    ({!Adpar.answer}) is computed first, and then the calling domain
+    records every answer through {!Adpar.record}, in request order,
+    with the request's outcome.
+
     [domains] (default 1) computes the embarrassingly parallel parts —
-    the per-request workforce requirements and the ADPaR answers
-    ({!Adpar.answer}) of unsatisfied requests — sharded over a
-    {!Stratrec_par.Pool.shared} pool of that many domains. Shards
-    record nothing: the calling domain records every answer through
-    {!Adpar.record}, in request order, inside the per-request triage
-    code the sequential loop runs, so the report, every counter, the
+    the per-request workforce requirements and the ADPaR answers —
+    sharded over a {!Stratrec_par.Pool.shared} pool of that many
+    domains. Shards record nothing, so the report, every counter, the
     span tree (ids included) and the decision order are bit-identical
     to [~domains:1]. Only span/decision timing values differ — they are
     clock readings either way. The greedy fill itself and the satisfied
@@ -99,26 +101,25 @@ val run :
     the memo's first run. Beside it the memo keeps the catalog's
     {!Adpar.skyband}, built on the calling domain at the first run that
     computes an ADPaR triage, before any shard starts; every ADPaR
-    search of the run, live, cached or sharded, then sweeps only the
-    skyband. The report, every decision and span are those of a run
+    search of the run, cached or not, sharded or not, then sweeps only
+    the skyband. The report, every decision and span are those of a run
     without a memo, and so is every counter except
     [adpar.sweep_events_total] and [adpar.prune_cutoffs_total], which
     count the smaller sweep. Without a memo each run re-estimates the
     catalog and ADPaR sweeps all of it.
     @raise Invalid_argument when [memo] is bound to another catalog
-    array, W, aggregation or inversion rule (see {!memo}).
+    array or W (see {!memo}).
 
-    A memo's cache memoizes the two pure per-request computations
-    across runs ({!Triage_cache}): the BatchStrat requirements and the
-    ADPaR triage of unsatisfied requests. The run probes and stores
-    only from the calling domain, and computes misses sharded when
-    [domains > 1]. A triage entry is an {!Adpar.answer}, recorded like
-    any other answer, so the report, counters, span tree and decisions
-    are bit-identical to an uncached run at any domain count — only the
-    [cache.*] counters and gauges (absent without a cache) differ.
-    Without a pool each request is probed, computed and stored in turn,
-    so a repeat later in the batch already hits; with one, every
-    request is probed first.
+    A memo's cache memoizes the ADPaR answers of unsatisfied requests
+    across runs ({!Triage_cache}); a request BatchStrat satisfies never
+    probes it. The run probes and stores only from the calling domain,
+    and computes misses sharded when [domains > 1]. An entry is an
+    {!Adpar.answer}, recorded like any other answer, so the report,
+    counters, span tree and decisions are bit-identical to an uncached
+    run at any domain count — only the [cache.*] counters and gauges
+    (absent without a cache) differ. Without a pool each request is
+    probed, computed and stored in turn, so a repeat later in the batch
+    already hits; with one, every request is probed first.
 
     [metrics] (default {!Stratrec_obs.Registry.noop})
     records [aggregator.batches_total], [aggregator.requests_total], the
@@ -132,26 +133,21 @@ val run :
 
     What the timings cover. Every one reads the [metrics] registry's
     clock, on whichever domain it runs.
-    - [aggregator.batch_seconds]: the whole run, on every path.
-    - Uncached at one domain, each unsatisfied request runs
-      {!Adpar.exact} live: [adpar.search_seconds] is that search, and
-      [aggregator.triage_seconds] is the search plus recording it and
-      the request's outcome.
-    - With a cache, or at several domains, the answers are computed
-      before any is recorded. [adpar.search_seconds] is still the
-      search that produced the answer: on a cache hit, the stored
-      search of the miss that computed it, recorded again. And
-      [aggregator.triage_seconds] covers only recording the answer and
-      the outcome.
+    - [aggregator.batch_seconds]: the whole run.
+    - [adpar.search_seconds]: the search that produced the answer; on a
+      cache hit, the stored search of the miss that computed it,
+      recorded again.
+    - [aggregator.triage_seconds]: recording the answer and the
+      request's outcome, not the search.
 
     [trace] (default {!Stratrec_obs.Trace.noop}) opens an
     [aggregator.batch] span with the {!Batchstrat.select} span and one
     [request] span per request as children (attributes: request index,
     label, outcome); unsatisfied [request] spans contain the
-    {!Adpar.exact} span. Every request additionally records one
-    {!Stratrec_obs.Trace.decision}: [Satisfied] with the workforce and
-    strategy labels, [Triaged] with ADPaR's alternative triple and L2
-    distance, or [Rejected] with the binding constraint. *)
+    [adpar.exact] span of {!Adpar.record}. Every request additionally
+    records one {!Stratrec_obs.Trace.decision}: [Satisfied] with the
+    workforce and strategy labels, [Triaged] with ADPaR's alternative
+    triple and L2 distance, or [Rejected] with the binding constraint. *)
 
 val retriage :
   ?metrics:Stratrec_obs.Registry.t ->

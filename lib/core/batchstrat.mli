@@ -42,8 +42,8 @@ val select :
 
     The {!Aggregator} computes each requirement with
     {!Stratrec_model.Workforce.streaming_requirement}, sharded over its
-    domain pool or replayed from its triage cache, so no triage path
-    builds a matrix. Everything here runs on the calling domain.
+    domain pool, so no triage path builds a matrix. Everything here
+    runs on the calling domain.
 
     [metrics] (default {!Stratrec_obs.Registry.noop}) records
     [batchstrat.runs_total], [batchstrat.candidates_total],

@@ -190,8 +190,8 @@ type session = {
   cache : Triage_cache.t option;  (* the memo's, kept for its stats *)
   memo : Aggregator.memo;
       (* the re-estimated catalog, its ADPaR skyband and the cache,
-         bound at the first epoch to [strategies], W, aggregation and
-         rule, none of which a session can change *)
+         bound at the first epoch to [strategies] and W, neither of
+         which a session can change *)
   clock : float ref;  (* simulated deploy hours, shared across epochs *)
   mutable epochs : int;
   mutable closed : bool;

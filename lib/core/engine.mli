@@ -103,15 +103,14 @@ type config = {
   cache : Triage_cache.config option;
       (** [Some config] gives the session a {!Triage_cache} (bound to
           the session registry for its [cache.*] counters), held by its
-          {!Aggregator.memo}: BatchStrat requirements and ADPaR triage
-          results are memoized across epochs on quantized (params, k)
-          keys. The memo binds them to the session's catalog, W,
-          aggregation and inversion rule, which a session never
-          changes, so no entry goes stale and none is ever flushed.
-          Reports stay bit-identical to an uncached run at any domain
-          count — the [cache.*] counters and gauges are the only
-          additions. Default [None] (no cache). Capacity must be >= 1
-          ([`Invalid_config]) *)
+          {!Aggregator.memo}: the ADPaR answers of requests BatchStrat
+          leaves unsatisfied are memoized across epochs on quantized
+          (params, k) keys. The memo binds them to the session's
+          catalog and W, which a session never changes, so no entry
+          goes stale and none is ever flushed. Reports stay
+          bit-identical to an uncached run at any domain count — the
+          [cache.*] counters and gauges are the only additions. Default
+          [None] (no cache). Capacity must be >= 1 ([`Invalid_config]) *)
 }
 
 val default_config : config
@@ -246,14 +245,13 @@ val create :
     caller's array afterwards changes nothing the session computes. It
     holds an {!Aggregator.memo} (with the triage cache, when
     [config.cache] asks for one), which the first epoch binds to that
-    copy, by identity, at the session's W, aggregation and inversion
-    rule: the catalog is re-estimated once per session instead of every
-    epoch, and the first epoch that runs ADPaR builds the catalog's
-    {!Adpar.skyband}, which every later ADPaR triage sweeps. Reports,
-    decisions and spans are unchanged by it; [adpar.sweep_events_total]
-    and [adpar.prune_cutoffs_total] count the skyband sweep, whose
-    events never exceed what a stateless {!Adpar.exact} over the same
-    catalog would record.
+    copy, by identity, at the session's W: the catalog is re-estimated
+    once per session instead of every epoch, and the first epoch that
+    runs ADPaR builds the catalog's {!Adpar.skyband}, which every later
+    ADPaR triage sweeps. Reports, decisions and spans are unchanged by
+    it; [adpar.sweep_events_total] and [adpar.prune_cutoffs_total]
+    count the skyband sweep, whose events never exceed what a stateless
+    {!Adpar.exact} over the same catalog would record.
     [rng] drives the deploy stage only; when absent, a seed-2020
     generator is created lazily at the first deploying epoch, exactly as
     {!run} always did. *)

@@ -1,10 +1,9 @@
 module Params = Stratrec_model.Params
-module Workforce = Stratrec_model.Workforce
 module Obs = Stratrec_obs
 
 type config = { capacity : int }
 
-let default_config = { capacity = 4096 }
+let default_config = { capacity = 2048 }
 
 let policy_of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -24,21 +23,16 @@ let policy_to_string = function
   | None -> "off"
   | Some { capacity } -> string_of_int capacity
 
-type value =
-  | Requirement of Workforce.request_requirement option
-  | Triage of Adpar.answer
-
 (* The table key quantizes the parameter triple; [exact]/[exact_k] below
    carry the unquantized original, so a quantization collision surfaces
    as a miss instead of a wrong answer. *)
-type kind = K_requirement | K_triage
-type key = { kind : kind; q : int; c : int; l : int; kk : int }
+type key = { q : int; c : int; l : int; kk : int }
 
 type entry = {
   key : key;
   exact : Params.t;
   exact_k : int;
-  value : value;
+  answer : Adpar.answer;
   (* doubly-linked LRU list, most-recent at [head] *)
   mutable prev : entry option;
   mutable next : entry option;
@@ -87,9 +81,8 @@ let create ?(config = default_config) ~metrics () =
 let quantum = 1e-6
 let quantize v = int_of_float (Float.round (v /. quantum))
 
-let key_of kind (p : Params.t) k =
+let key_of (p : Params.t) k =
   {
-    kind;
     q = quantize p.Params.quality;
     c = quantize p.Params.cost;
     l = quantize p.Params.latency;
@@ -119,14 +112,14 @@ let touch t e =
 
 (* --- find / store --- *)
 
-let find t kind ~params ~k =
-  let key = key_of kind params k in
+let find t ~params ~k =
+  let key = key_of params k in
   match Hashtbl.find_opt t.table key with
   | Some e when Params.equal e.exact params && e.exact_k = k ->
       t.hits <- t.hits + 1;
       Obs.Registry.incr t.c_hits;
       touch t e;
-      Some e.value
+      Some e.answer
   | Some _ | None ->
       (* a quantized collision with different exact params counts (and
          behaves) as a miss; the subsequent store replaces the entry *)
@@ -144,8 +137,8 @@ let evict_lru t =
       t.evictions <- t.evictions + 1;
       Obs.Registry.incr t.c_evictions
 
-let store t kind ~params ~k value =
-  let key = key_of kind params k in
+let store t ~params ~k answer =
+  let key = key_of params k in
   (match Hashtbl.find_opt t.table key with
   | Some old ->
       unlink t old;
@@ -153,25 +146,10 @@ let store t kind ~params ~k value =
       t.size <- t.size - 1
   | None -> ());
   if t.size >= t.capacity then evict_lru t;
-  let e = { key; exact = params; exact_k = k; value; prev = None; next = None } in
+  let e = { key; exact = params; exact_k = k; answer; prev = None; next = None } in
   Hashtbl.replace t.table key e;
   push_front t e;
   t.size <- t.size + 1
-
-let find_requirement t ~params ~k =
-  match find t K_requirement ~params ~k with
-  | Some (Requirement r) -> Some r
-  | Some (Triage _) -> None (* kinds share nothing; keys keep them apart *)
-  | None -> None
-
-let store_requirement t ~params ~k req = store t K_requirement ~params ~k (Requirement req)
-
-let find_triage t ~params ~k =
-  match find t K_triage ~params ~k with
-  | Some (Triage answer) -> Some answer
-  | Some (Requirement _) | None -> None
-
-let store_triage t ~params ~k answer = store t K_triage ~params ~k (Triage answer)
 
 (* --- stats --- *)
 

@@ -1,17 +1,19 @@
-(** Triage cache: cross-request memoization for one session.
+(** Triage cache: cross-request memoization of ADPaR for one session.
 
     Heavy traffic repeats a small space of (threshold, availability)
-    shapes: both the BatchStrat per-request workforce requirement
-    ({!Stratrec_model.Workforce.streaming_requirement}) and the ADPaR
-    alternative ({!Adpar.exact}) are pure functions of (models, W,
-    request params, k), so they can be memoized exactly. This module is
-    a bounded LRU over both, keyed on the quantized request parameters
-    plus k. Everything else they depend on is fixed for the cache's
-    whole life: {!Aggregator.run} reaches a cache only through the
-    {!Aggregator.memo} that holds it, and a memo binds, at its first
-    run, to one catalog, W, aggregation and inversion rule, refusing
-    runs with any other. So no entry can go stale, and nothing is ever
-    flushed; LRU eviction is the only way out.
+    shapes, and the ADPaR alternative ({!Adpar.answer}) of a request
+    BatchStrat leaves unsatisfied is a pure function of (models, W,
+    request params, k), so it can be memoized exactly. This module is a
+    bounded LRU over those answers, keyed on the quantized request
+    parameters plus k. The BatchStrat requirement is not cached: it is
+    one catalog scan ({!Stratrec_model.Workforce.streaming_requirement}),
+    and a stream that never repeats would pay a probe, a store and an
+    eviction to save it. Everything else an answer depends on is fixed
+    for the cache's whole life: {!Aggregator.run} reaches a cache only
+    through the {!Aggregator.memo} that holds it, and a memo binds, at
+    its first run, to one catalog and W, refusing runs with any other.
+    So no entry can go stale, and nothing is ever flushed; LRU eviction
+    is the only way out.
 
     {b Bit-identity.} A hit must be observationally indistinguishable
     from recomputation — the same discipline the [--domains] work
@@ -22,12 +24,12 @@
       {!Stratrec_model.Params.t} and [k] it was computed for, compared
       with {!Stratrec_model.Params.equal} on lookup. A quantization
       collision is therefore a {e miss}, never a wrong answer.
-    - {e Answers as values:} both kinds of entry are plain values. A
-      triage entry is the {!Adpar.answer} of the miss that computed it:
-      the result plus everything the call records (sweep counts, the
-      search's duration). {!Aggregator.run} records every answer, hit or
-      miss, through {!Adpar.record} in request order, so counters, span
-      tree and span ids come out as an uncached run's.
+    - {e Answers as values:} an entry is the {!Adpar.answer} of the miss
+      that computed it: the result plus everything the call records
+      (sweep counts, the search's duration). {!Aggregator.run} records
+      every answer, hit or miss, through {!Adpar.record} in request
+      order, so counters, span tree and span ids come out as an
+      uncached run's.
 
     The cache itself is {e not} thread-safe: under the domain pool the
     aggregator probes and stores sequentially and only the miss
@@ -40,7 +42,7 @@
 type config = { capacity : int  (** maximum resident entries, >= 1 *) }
 
 val default_config : config
-(** 4096 entries. *)
+(** 2048 entries: one ADPaR answer each. *)
 
 val policy_of_string : string -> (config option, string) result
 (** CLI spelling: ["off"]/["0"] is [None] (cache disabled), ["on"] the
@@ -60,29 +62,14 @@ val quantum : float
     correctness never depends on it (see the exact-match guard); it only
     bounds how many distinct keys near-identical requests can occupy. *)
 
-val find_requirement :
-  t ->
-  params:Stratrec_model.Params.t ->
-  k:int ->
-  Stratrec_model.Workforce.request_requirement option option
-(** [None] is a miss; [Some req] a hit ([req] itself is [None] when the
-    cached computation found fewer than [k] feasible strategies).
-    Touches LRU order and counts [cache.hits_total]/[cache.misses_total]. *)
+val find : t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer option
+(** [None] is a miss, [Some answer] a hit. Touches LRU order and counts
+    [cache.hits_total]/[cache.misses_total]. *)
 
-val store_requirement :
-  t ->
-  params:Stratrec_model.Params.t ->
-  k:int ->
-  Stratrec_model.Workforce.request_requirement option ->
-  unit
-
-val find_triage :
-  t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer option
-
-val store_triage :
-  t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer -> unit
+val store : t -> params:Stratrec_model.Params.t -> k:int -> Adpar.answer -> unit
 (** Inserting at capacity evicts the least-recently-used entry and
-    counts [cache.evictions_total]. *)
+    counts [cache.evictions_total]; storing an existing key replaces its
+    entry. *)
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 

@@ -146,6 +146,12 @@ let histogram_family live name =
       Names.add live.families name (Histograms h);
       h
 
+(* What every lookup on a disabled registry returns. A handle of a
+   registry without a table never resolves a cell, so these are never
+   written, and sharing them across domains is safe. *)
+let idle_counter = { creg = noop; cname = ""; clabels = Labels.empty; ccell = None }
+let idle_gauge = { greg = noop; gname = ""; glabels = Labels.empty; gcell = None }
+
 let counter ?(labels = []) t name =
   match (t.live, labels) with
   | Some live, [] -> plain_counter t live name
@@ -153,7 +159,9 @@ let counter ?(labels = []) t name =
       let labels = Labels.normalize labels in
       ignore (plain_counter t live name);
       { creg = t; cname = name; clabels = labels; ccell = None }
-  | None, _ -> { creg = t; cname = name; clabels = Labels.normalize labels; ccell = None }
+  | None, _ ->
+      ignore (Labels.normalize labels);
+      idle_counter
 
 let gauge ?(labels = []) t name =
   match (t.live, labels) with
@@ -162,7 +170,9 @@ let gauge ?(labels = []) t name =
       let labels = Labels.normalize labels in
       ignore (plain_gauge t live name);
       { greg = t; gname = name; glabels = labels; gcell = None }
-  | None, _ -> { greg = t; gname = name; glabels = Labels.normalize labels; gcell = None }
+  | None, _ ->
+      ignore (Labels.normalize labels);
+      idle_gauge
 
 (* The cell of [series] in [table], added as [fresh ()] when absent. *)
 let series_cell table series ~fresh =

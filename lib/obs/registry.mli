@@ -39,7 +39,9 @@
     handle each time. Updates through a registered instrument
     ({!incr}, {!incr_by}, {!set}, {!add}, {!observe}) allocate nothing
     beyond the float they are handed. The disabled registry keeps no
-    table, so it checks no kind. *)
+    table, so it checks no kind: every counter or gauge lookup on it
+    returns one shared idle handle, allocating nothing (a labeled one
+    still validates its labels). *)
 
 type t
 

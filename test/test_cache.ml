@@ -49,7 +49,17 @@ let cache ?(capacity = 4) () =
   (C.create ~config:{ C.capacity } ~metrics (), metrics)
 
 let p q = Params.make ~quality:q ~cost:0.2 ~latency:0.3
-let req w = Some { W.workforce = w; chosen = [ 0 ] }
+
+(* A stored ADPaR answer, told apart from others by its sweep count. *)
+let answer events =
+  {
+    Stratrec.Adpar.result = None;
+    k = 2;
+    catalog_size = 12;
+    sweep_events = events;
+    prune_cutoffs = 0;
+    search_seconds = 0.;
+  }
 
 let counter metrics name =
   Snapshot.counter_value (Obs.Registry.snapshot metrics) name
@@ -59,26 +69,22 @@ let test_hit_miss_and_counters () =
   (* registered at 0 before the first probe *)
   Alcotest.(check int) "hits start 0" 0 (counter metrics "cache.hits_total");
   Alcotest.(check int) "misses start 0" 0 (counter metrics "cache.misses_total");
-  Alcotest.(check bool) "cold miss" true (C.find_requirement t ~params:(p 0.5) ~k:2 = None);
-  C.store_requirement t ~params:(p 0.5) ~k:2 (req 0.4);
-  Alcotest.(check bool) "hit" true
-    (C.find_requirement t ~params:(p 0.5) ~k:2 = Some (req 0.4));
+  Alcotest.(check bool) "cold miss" true (C.find t ~params:(p 0.5) ~k:2 = None);
+  C.store t ~params:(p 0.5) ~k:2 (answer 4);
+  Alcotest.(check bool) "hit" true (C.find t ~params:(p 0.5) ~k:2 = Some (answer 4));
   (* k participates in the key *)
-  Alcotest.(check bool) "other k misses" true (C.find_requirement t ~params:(p 0.5) ~k:3 = None);
-  (* requirement and triage entries never alias *)
-  Alcotest.(check bool) "triage side misses" true
-    (C.find_triage t ~params:(p 0.5) ~k:2 = None);
+  Alcotest.(check bool) "other k misses" true (C.find t ~params:(p 0.5) ~k:3 = None);
   let s = C.stats t in
   Alcotest.(check int) "hits" 1 s.C.hits;
-  Alcotest.(check int) "misses" 3 s.C.misses;
+  Alcotest.(check int) "misses" 2 s.C.misses;
   Alcotest.(check int) "size" 1 s.C.size;
   Alcotest.(check int) "hits counter" 1 (counter metrics "cache.hits_total");
-  Alcotest.(check int) "misses counter" 3 (counter metrics "cache.misses_total");
-  Alcotest.(check (float 1e-9)) "hit ratio" 0.25 (C.hit_ratio t)
+  Alcotest.(check int) "misses counter" 2 (counter metrics "cache.misses_total");
+  Alcotest.(check (float 1e-9)) "hit ratio" (1. /. 3.) (C.hit_ratio t)
 
 let test_quantization_guard () =
   let t, _ = cache () in
-  C.store_requirement t ~params:(p 0.5) ~k:2 (req 0.4);
+  C.store t ~params:(p 0.5) ~k:2 (answer 4);
   (* a sub-quantum perturbation lands in the same bucket, but the
      exact-match guard turns the collision into a miss, never a wrong
      answer *)
@@ -86,30 +92,26 @@ let test_quantization_guard () =
   Alcotest.(check bool) "same bucket" true
     (Float.round (0.5 /. C.quantum)
     = Float.round ((0.5 +. (C.quantum /. 4.)) /. C.quantum));
-  Alcotest.(check bool) "collision is a miss" true
-    (C.find_requirement t ~params:nearby ~k:2 = None);
+  Alcotest.(check bool) "collision is a miss" true (C.find t ~params:nearby ~k:2 = None);
   Alcotest.(check bool) "exact params still hit" true
-    (C.find_requirement t ~params:(p 0.5) ~k:2 = Some (req 0.4))
+    (C.find t ~params:(p 0.5) ~k:2 = Some (answer 4))
 
 let test_lru_eviction () =
   let t, metrics = cache ~capacity:2 () in
-  C.store_requirement t ~params:(p 0.1) ~k:1 (req 0.1);
-  C.store_requirement t ~params:(p 0.2) ~k:1 (req 0.2);
+  C.store t ~params:(p 0.1) ~k:1 (answer 1);
+  C.store t ~params:(p 0.2) ~k:1 (answer 2);
   (* touch 0.1 so 0.2 becomes the LRU victim *)
-  Alcotest.(check bool) "touch" true (C.find_requirement t ~params:(p 0.1) ~k:1 <> None);
-  C.store_requirement t ~params:(p 0.3) ~k:1 (req 0.3);
+  Alcotest.(check bool) "touch" true (C.find t ~params:(p 0.1) ~k:1 <> None);
+  C.store t ~params:(p 0.3) ~k:1 (answer 3);
   Alcotest.(check int) "evicted one" 1 (counter metrics "cache.evictions_total");
-  Alcotest.(check bool) "victim was the LRU entry" true
-    (C.find_requirement t ~params:(p 0.2) ~k:1 = None);
+  Alcotest.(check bool) "victim was the LRU entry" true (C.find t ~params:(p 0.2) ~k:1 = None);
   Alcotest.(check bool) "touched entry survives" true
-    (C.find_requirement t ~params:(p 0.1) ~k:1 = Some (req 0.1));
-  Alcotest.(check bool) "newest survives" true
-    (C.find_requirement t ~params:(p 0.3) ~k:1 = Some (req 0.3));
+    (C.find t ~params:(p 0.1) ~k:1 = Some (answer 1));
+  Alcotest.(check bool) "newest survives" true (C.find t ~params:(p 0.3) ~k:1 = Some (answer 3));
   (* re-storing an existing key replaces in place, no eviction *)
-  C.store_requirement t ~params:(p 0.3) ~k:1 (req 0.9);
+  C.store t ~params:(p 0.3) ~k:1 (answer 9);
   Alcotest.(check int) "replace does not evict" 1 (counter metrics "cache.evictions_total");
-  Alcotest.(check bool) "replaced value" true
-    (C.find_requirement t ~params:(p 0.3) ~k:1 = Some (req 0.9))
+  Alcotest.(check bool) "replaced value" true (C.find t ~params:(p 0.3) ~k:1 = Some (answer 9))
 
 (* --- cached Engine.submit = uncached Engine.submit (bit-identity) --- *)
 
@@ -201,19 +203,25 @@ let observable ?cache ~domains ~epochs seed m w =
       (Obs.Trace.nodes trace)
   in
   let stats = Engine.cache_stats session in
+  let triaged =
+    Snapshot.counter_value (Engine.session_metrics session) "adpar.fallback_total"
+  in
   Engine.close session;
-  ((reports, counters, tree), stats)
+  ((reports, counters, tree), stats, triaged)
 
 let check_identity ?cache ?(require_hits = true) ~domains ~epochs (seed, (m, w)) =
-  let baseline, _ = observable ~domains:1 ~epochs seed m w in
-  let cached, stats = observable ?cache ~domains ~epochs seed m w in
+  let baseline, _, triaged = observable ~domains:1 ~epochs seed m w in
+  let cached, stats, _ = observable ?cache ~domains ~epochs seed m w in
   let exercised =
     match stats with
     | Some s ->
-        (* under eviction pressure a shape can be evicted before its
-           repeat arrives, so zero hits is legitimate there — the
-           machinery is still exercised through stores and evictions *)
-        m = 0 || (not require_hits) || s.C.hits > 0
+        (* Only a request forwarded to ADPaR probes the cache, so hits
+           are due once the baseline triaged one: every epoch repeats
+           the batch. Under eviction pressure a shape can be evicted
+           before its repeat arrives, so zero hits is legitimate there —
+           the machinery is still exercised through stores and
+           evictions. *)
+        triaged = 0 || (not require_hits) || s.C.hits > 0
     | None -> Alcotest.fail "expected a cached session"
   in
   baseline = cached && exercised
@@ -238,10 +246,48 @@ let prop_eviction_pressure =
 (* A deterministic spot check that the cache demonstrably works: replay
    epochs hit, and only the distinct shapes miss. *)
 let test_session_stats () =
-  let _, stats = observable ~cache:C.default_config ~domains:1 ~epochs:3 7 6 0.7 in
+  let _, stats, _ = observable ~cache:C.default_config ~domains:1 ~epochs:3 7 6 0.7 in
   let s = Option.get stats in
   Alcotest.(check bool) "hits accumulated" true (s.C.hits > 0);
-  Alcotest.(check bool) "misses bounded by distinct shapes" true (s.C.misses <= 2 * 6)
+  Alcotest.(check bool) "misses bounded by distinct shapes" true (s.C.misses <= 6)
+
+(* A request BatchStrat satisfies never reaches ADPaR, so it never
+   touches the cache: a session whose every request is satisfied (a
+   batch-fit-shaped stream of lenient thresholds) leaves it empty. *)
+let test_satisfied_skip_cache () =
+  let strategies =
+    Model.Workload.strategies (Rng.create 2020) ~n:200 ~kind:Model.Workload.Uniform
+  in
+  let rng = Rng.create 3 in
+  let lenient id =
+    Request.of_deployment
+      (Deployment.make ~id
+         ~params:
+           (Params.make
+              ~quality:(Rng.uniform rng ~lo:0. ~hi:0.2)
+              ~cost:(Rng.uniform rng ~lo:0.9 ~hi:1.)
+              ~latency:(Rng.uniform rng ~lo:0.9 ~hi:1.))
+         ~k:2 ())
+  in
+  let session =
+    match
+      Engine.create
+        ~config:(Engine.with_cache Engine.default_config (Some C.default_config))
+        ~availability:(Model.Availability.certain 0.75) ~strategies ()
+    with
+    | Ok session -> session
+    | Error e -> Alcotest.failf "create failed: %s" (Engine.error_message e)
+  in
+  for epoch = 0 to 2 do
+    match Engine.submit session (List.init 8 (fun i -> lenient ((8 * epoch) + i))) with
+    | Ok { Engine.counts; _ } ->
+        Alcotest.(check int) "every request satisfied" 8 counts.Engine.satisfied
+    | Error e -> Alcotest.failf "submit failed: %s" (Engine.error_message e)
+  done;
+  let s = Option.get (Engine.cache_stats session) in
+  Engine.close session;
+  Alcotest.(check (list int)) "hits, misses, size" [ 0; 0; 0 ]
+    [ s.C.hits; s.C.misses; s.C.size ]
 
 (* --- the re-estimated catalog --- *)
 
@@ -299,9 +345,11 @@ let test_catalog_memo () =
     [ None; Some C.default_config ]
 
 (* A memo binds at its first run to that run's catalog array (by
-   identity), W, aggregation and inversion rule. A run through it with
-   anything else is refused rather than re-estimated, and leaves the
-   binding as it was. *)
+   identity) and W. A run through it with another is refused rather
+   than re-estimated, and leaves the binding as it was. No ADPaR answer
+   depends on the aggregation or the inversion rule, so a bound memo
+   holding a warm cache serves a run at another one exactly as a fresh
+   memo does. *)
 let test_memo_binding () =
   let strategies, other, _ = memo_inputs in
   let memo = Aggregator.memo () in
@@ -315,18 +363,28 @@ let test_memo_binding () =
       ("another catalog", fun () -> run_through memo other);
       ("an equal copy of the catalog", fun () -> run_through memo (Array.copy strategies));
       ("another W", fun () -> run_through memo ~w:0.6 strategies);
-      ( "another aggregation",
-        fun () ->
-          run_through memo
-            ~config:{ Aggregator.default_config with aggregation = W.Sum_case }
-            strategies );
-      ( "another inversion rule",
-        fun () ->
-          run_through memo
-            ~config:{ Aggregator.default_config with inversion_rule = `Paper_equality }
-            strategies );
     ];
-  Alcotest.(check bool) "the binding stands" true (run_through memo strategies == first)
+  Alcotest.(check bool) "the binding stands" true (run_through memo strategies == first);
+  let _, _, requests = memo_inputs in
+  let outcomes memo config =
+    (Aggregator.run ~config ~memo ~availability:(Model.Availability.certain 0.7) ~strategies
+       ~requests ())
+      .Aggregator.outcomes
+  in
+  let cache = C.create ~metrics:(Obs.Registry.create ()) () in
+  let bound = Aggregator.memo ~cache () in
+  ignore (outcomes bound Aggregator.default_config);
+  let hits = (C.stats cache).C.hits in
+  List.iter
+    (fun (what, config) ->
+      Alcotest.(check bool) what true
+        (outcomes bound config = outcomes (Aggregator.memo ()) config))
+    [
+      ("another aggregation", { Aggregator.default_config with aggregation = W.Sum_case });
+      ( "another inversion rule",
+        { Aggregator.default_config with inversion_rule = `Paper_equality } );
+    ];
+  Alcotest.(check bool) "the warm cache answered them" true ((C.stats cache).C.hits > hits)
 
 (* A session sweeps its catalog's k-skyband in every ADPaR triage. On an
    n = 200 catalog whose skyband is a strict subset, everything a session
@@ -378,10 +436,9 @@ let skyband_epochs ?cache ~domains () =
       Engine.close session;
       (reports, tree)
 
-(* ADPaR timings read the session registry's clock on every path,
-   including those that compute answers before recording them: a cache
-   miss, a cache hit and a sharded computation. With that clock fixed,
-   every recorded duration is 0. *)
+(* ADPaR timings read the session registry's clock on every path: a
+   cache miss, a cache hit, an uncached answer and a sharded one. With
+   that clock fixed, every recorded duration is 0. *)
 let test_fixed_clock () =
   let snapshot ?cache ~domains () =
     let metrics = Obs.Registry.create ~clock:(Fun.const 0.) () in
@@ -416,7 +473,11 @@ let test_fixed_clock () =
           Alcotest.(check (float 0.)) (run ^ ": " ^ name) 0.
             (Snapshot.histogram_sum snapshot name))
         [ "adpar.search_seconds"; "aggregator.triage_seconds" ])
-    [ ("cached", Some C.default_config, 1); ("uncached at 4 domains", None, 4) ]
+    [
+      ("cached", Some C.default_config, 1);
+      ("uncached", None, 1);
+      ("uncached at 4 domains", None, 4);
+    ]
 
 let test_sessions_sweep_skyband () =
   let observed ?cache ~domains () =
@@ -523,6 +584,8 @@ let () =
           Alcotest.test_case "quantization guard" `Quick test_quantization_guard;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "session stats" `Quick test_session_stats;
+          Alcotest.test_case "satisfied requests skip the cache" `Quick
+            test_satisfied_skip_cache;
         ] );
       ( "catalog",
         [

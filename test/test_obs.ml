@@ -328,6 +328,24 @@ let test_updates_allocate_nothing () =
   Alcotest.(check int) "every call counted" 1001
     (Snapshot.counter_value (Registry.snapshot reg) "calls_total")
 
+(* The disabled registry keeps no table, so a by-name counter or gauge
+   lookup on it returns a shared idle handle instead of a fresh one. *)
+let test_noop_lookups_allocate_nothing () =
+  let lookup f = fun () -> ignore (Sys.opaque_identity (f Registry.noop "n")) in
+  let calls =
+    [
+      ("counter", lookup (fun r n -> Registry.counter r n));
+      ("gauge", lookup (fun r n -> Registry.gauge r n));
+    ]
+  in
+  Alcotest.(check (list (pair string (float 0.))))
+    "minor words of 1,000 lookups"
+    (List.map (fun (what, _) -> (what, 0.)) calls)
+    (List.map (fun (what, f) -> (what, minor_words_of_calls f)) calls);
+  Alcotest.check_raises "a labeled lookup still validates its labels"
+    (Invalid_argument "Stratrec_obs.Labels: label key \"le\" is reserved for histogram buckets")
+    (fun () -> ignore (Registry.counter ~labels:[ ("le", "1") ] Registry.noop "n_total"))
+
 (* A span by name allocates its record (three fields and a header) and
    the one box its elapsed seconds travel in, to the histogram and back
    to the caller. *)
@@ -1568,6 +1586,8 @@ let () =
           Tq.to_alcotest registry_matches_reference_prop;
           Alcotest.test_case "kept updates allocate nothing" `Quick test_updates_allocate_nothing;
           Alcotest.test_case "a span allocates its value only" `Quick test_span_allocates_its_value;
+          Alcotest.test_case "noop lookups allocate nothing" `Quick
+            test_noop_lookups_allocate_nothing;
         ] );
       ( "spans",
         [
